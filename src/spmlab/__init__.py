@@ -26,6 +26,7 @@ from .nonlinearity import (
     RegularizationParams,
     aux_psi,
     psi0,
+    psi0_inverse,
     resolvent,
     yosida,
 )

@@ -4,6 +4,10 @@ The monotone graph is psi0(r) = rho * |r|^alpha * sign(r) with alpha in (0, 1).
 Its resolvent (1 + lam*psi0)^(-1) and the regularized map
 yosida(r) = (r - resolvent(r)) / lam = psi0(resolvent(r)) are evaluated
 nodewise; all functions accept scalars or numpy arrays.
+
+The pressure w = psi0(resolvent(r)) parametrizes the same graph explicitly:
+r = psi0_inverse(w) + lam*w, which ModelParams.pressure_state evaluates with
+the drift G and both derivatives, without a nested solve.
 """
 from __future__ import annotations
 
@@ -78,19 +82,44 @@ class ModelParams:
         )
 
     def drift_g_prime(self, r):
+        return yosida_prime(r, self.diffusion, self.reg) + self.linear_coeff
+
+    @property
+    def linear_coeff(self) -> float:
+        """lam + aux slope: the part of G that is linear in r."""
         slope = self.aux.slope if self.aux.kind == "linear" else 0.0
-        return yosida_prime(r, self.diffusion, self.reg) + self.reg.lam + slope
+        return self.reg.lam + slope
 
     @property
     def drift_lipschitz(self) -> float:
-        slope = self.aux.slope if self.aux.kind == "linear" else 0.0
-        return 1.0 / self.reg.lam + self.reg.lam + slope
+        return 1.0 / self.reg.lam + self.linear_coeff
+
+    def pressure_state(self, w):
+        """(Y, Y', G, G') at the pressure w = yosida(Y), derivatives in w.
+
+        Y(w) = psi0_inverse(w) + lam*w and G = w + linear_coeff*Y are explicit,
+        and Y'(w) = (|w|/rho)^(1/alpha - 1) / (alpha*rho) + lam stays bounded
+        near w = 0 because 1/alpha > 1.
+        """
+        law, lam = self.diffusion, self.reg.lam
+        w = np.asarray(w, dtype=float)
+        y = psi0_inverse(w, law) + lam * w
+        yp = (np.abs(w) / law.rho) ** (1.0 / law.alpha - 1.0) / (law.alpha * law.rho) + lam
+        c = self.linear_coeff
+        return y, yp, w + c * y, 1.0 + c * yp
 
 
 def psi0(r, law: DiffusionLaw):
     """rho * |r|^alpha * sign(r); odd, monotone, non-Lipschitz at 0."""
     r = np.asarray(r, dtype=float)
     out = law.rho * np.abs(r) ** law.alpha * np.sign(r)
+    return out if out.ndim else float(out)
+
+
+def psi0_inverse(w, law: DiffusionLaw):
+    """sign(w) * (|w|/rho)^(1/alpha), the inverse of psi0; C^1 since 1/alpha > 1."""
+    w = np.asarray(w, dtype=float)
+    out = np.sign(w) * (np.abs(w) / law.rho) ** (1.0 / law.alpha)
     return out if out.ndim else float(out)
 
 
@@ -128,10 +157,8 @@ def resolvent(r, law: DiffusionLaw, reg: RegularizationParams):
         # keep the degenerate a=0 entries pinned at the exact root
         bad &= a > 0
         y = np.where(bad, 0.5 * (lo + hi), np.where(a > 0, y_new, 0.0))
-    if not converged:
-        worst = float(np.max(np.abs(f)))
-        if worst > float(np.max(tol)):
-            raise ResolventError(residual=worst, budget=reg.max_iter)
+    if not converged and np.any(np.abs(f) > tol):
+        raise ResolventError(residual=float(np.max(np.abs(f))), budget=reg.max_iter)
     out = np.sign(r_in) * np.reshape(y, np.shape(r_in))
     return float(out) if scalar else out
 

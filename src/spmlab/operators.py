@@ -96,7 +96,8 @@ def _poisson_factor(n: int, h: float):
 
 
 def poisson_solve_array(f: np.ndarray, h: float) -> np.ndarray:
-    return cho_solve_banded((_poisson_factor(f.size, h), False), f)
+    """Solve -Laplacian(u) = f for an (n,) or (n, k) right-hand side."""
+    return cho_solve_banded((_poisson_factor(f.shape[0], h), False), f)
 
 
 def apply_laplacian(u: Field) -> Field:

@@ -2,11 +2,15 @@
 
 Each step applies the multiplicative noise explicitly and then solves the
 stiff monotone drift implicitly (backward Euler), which is unconditionally
-stable. The implicit stage is a semismooth Newton iteration on
+stable. The implicit stage
 
     Y - dt * Laplacian(G(Y)) = B,    G(r) = yosida(r) + lam*r + aux(r),
 
-with a damped line search and a contractive Picard fallback; a step that
+is solved by damped Newton for the pressure w = yosida(Y), not for Y. Y and
+G are explicit in w (ModelParams.pressure_state), so a Newton step is one
+tridiagonal solve and needs no nested per-node resolvent solve. Convergence
+is tested on the residual above. If Newton stalls, a contractive Picard
+iteration in Y takes over, evaluating G through the resolvent; a step that
 still fails signals the caller to halve the step locally.
 
 Extinction is detected on the H^-1 norm against a small threshold, after
@@ -16,7 +20,7 @@ both drift and noise).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
@@ -106,87 +110,82 @@ class PathResult:
     x0_l2: float = 0.0
 
 
-def _make_drift(model: ModelParams) -> Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Fused evaluation of G and G' sharing one resolvent solve.
+class _Stage(NamedTuple):
+    """The implicit stage Y(v) - dt*Laplacian(G(v)) = B over an unknown v.
 
-    Same math as nonlinearity.yosida / yosida_prime, inlined for the Newton
-    loop where the drift is evaluated thousands of times per path.
+    start(B) is the first iterate; state(v) returns (Y, Y', G, G') with the
+    derivatives taken in v; g_of(Y) = G serves the Picard fallback in Y, which
+    contracts with any constant lip >= G'(Y).
     """
-    law, reg = model.diffusion, model.reg
-    slope = model.aux.slope if model.aux.kind == "linear" else 0.0
-    lam, rho, al = reg.lam, law.rho, law.alpha
 
-    def g_and_gp(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        yr = resolvent(y, law, reg)
-        ya = np.abs(yr)
-        g = rho * ya**al * np.sign(yr) + (lam + slope) * y
-        with np.errstate(divide="ignore", over="ignore"):
-            psi0p = rho * al * np.where(ya > 0, ya, 1.0) ** (al - 1.0)
-            d = np.where(ya > 0, psi0p / (1.0 + lam * psi0p), 1.0 / lam)
-        gp = np.minimum(d, 1.0 / lam) + lam + slope
-        return g, gp
+    start: Callable[[np.ndarray], np.ndarray]
+    state: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
+    g_of: Callable[[np.ndarray], np.ndarray]
+    lip: float
 
-    return g_and_gp
+
+def _pressure_stage(model: ModelParams) -> _Stage:
+    """The model's stage, solved for the pressure v = w = yosida(Y)."""
+    law, reg, c = model.diffusion, model.reg, model.linear_coeff
+
+    def g_of(y):
+        return psi0(resolvent(y, law, reg), law) + c * y
+
+    return _Stage(lambda b: psi0(b, law), model.pressure_state, g_of, model.drift_lipschitz)
 
 
 def _solve_implicit_array(
     b: np.ndarray,
     h: float,
     dt: float,
-    g_and_gp: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    lip: float,
+    stage: _Stage,
     tol: float,
     max_iter: int,
 ) -> np.ndarray:
     n = b.size
+    k = dt / h**2
     scale = max(1.0, np.sqrt(h) * np.linalg.norm(b))
 
-    def residual_and_deriv(y):
-        g, gp = g_and_gp(y)
-        return y - dt * laplacian_array(g, h) - b, gp
+    def evaluate(v):
+        y, yp, g, gp = stage.state(v)
+        res = y - dt * laplacian_array(g, h) - b
+        return v, y, yp, gp, res, np.sqrt(h) * np.linalg.norm(res)
 
-    def g_of(y):
-        return g_and_gp(y)[0]
-
-    y = b.copy()
-    res, d = residual_and_deriv(y)
-    rnorm = np.sqrt(h) * np.linalg.norm(res)
+    v, y, yp, gp, res, rnorm = evaluate(stage.start(b))
     for _ in range(max_iter):
         if rnorm <= tol * scale:
             return y
+        # Newton matrix diag(Y') - dt*Laplacian*diag(G')
         ab = np.zeros((3, n))
-        ab[0, 1:] = -dt / h**2 * d[1:]
-        ab[1, :] = 1.0 + 2.0 * dt / h**2 * d
-        ab[2, :-1] = -dt / h**2 * d[:-1]
+        ab[0, 1:] = -k * gp[1:]
+        ab[1, :] = yp + 2.0 * k * gp
+        ab[2, :-1] = -k * gp[:-1]
         delta = solve_banded((1, 1), ab, res)
-        accepted = False
         s = 1.0
         for _ in range(9):
-            y_try = y - s * delta
-            res_try, d_try = residual_and_deriv(y_try)
-            rnorm_try = np.sqrt(h) * np.linalg.norm(res_try)
-            if rnorm_try < rnorm:
-                y, res, d, rnorm = y_try, res_try, d_try, rnorm_try
-                accepted = True
+            trial = evaluate(v - s * delta)
+            if trial[-1] < rnorm:
+                v, y, yp, gp, res, rnorm = trial
                 break
             s *= 0.5
-        if not accepted:
+        else:
             break
     if rnorm <= tol * scale:
         return y
 
     # Picard fallback on (I + dt*c*A) y = b + dt*A*(c*y - G(y)) with A = -Lap;
     # contracts for any dt because 0 <= G' <= c = lip.
+    lip = stage.lip
     ab = np.empty((2, n))
     ab[0, :] = -dt * lip / h**2
     ab[0, 0] = 0.0
     ab[1, :] = 1.0 + 2.0 * dt * lip / h**2
     factor = cholesky_banded(ab)
+    g = stage.g_of(y)
     for _ in range(500):
-        rhs = b - dt * laplacian_array(lip * y - g_of(y), h)
-        y = cho_solve_banded((factor, False), rhs)
-        res, _ = residual_and_deriv(y)
-        rnorm = np.sqrt(h) * np.linalg.norm(res)
+        y = cho_solve_banded((factor, False), b - dt * laplacian_array(lip * y - g, h))
+        g = stage.g_of(y)
+        rnorm = np.sqrt(h) * np.linalg.norm(y - dt * laplacian_array(g, h) - b)
         if rnorm <= tol * scale:
             return y
     raise ImplicitStepError(residual=float(rnorm))
@@ -205,28 +204,24 @@ def implicit_solve(
     """Backward-Euler drift step: find Y with Y - dt*Laplacian(G(Y)) = B.
 
     g_override/gp_override swap in a diagnostic nonlinearity (e.g. G(r)=r to
-    compare against a direct linear solve).
+    compare against a direct linear solve), solved for Y itself by the same
+    Newton kernel that solves the model for its pressure.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if g_override is not None:
         if gp_override is None:
             raise ValueError("g_override requires gp_override")
-        g, gp = g_override, gp_override
-
-        def g_and_gp(y):
-            return g(y), gp(y)
-
+        stage = _Stage(
+            start=lambda b: b,
+            state=lambda y: (y, np.ones_like(y), g_override(y), gp_override(y)),
+            g_of=g_override,
+            lip=model.drift_lipschitz,
+        )
     else:
-        g_and_gp = _make_drift(model)
+        stage = _pressure_stage(model)
     y = _solve_implicit_array(
-        B.values.copy(),
-        B.grid.spacing,
-        dt,
-        g_and_gp,
-        model.drift_lipschitz,
-        newton_tol,
-        newton_max_iter,
+        B.values.copy(), B.grid.spacing, dt, stage, newton_tol, newton_max_iter
     )
     return B.with_values(y)
 
@@ -235,23 +230,19 @@ def _drift_substeps(
     b: np.ndarray,
     h: float,
     dt: float,
-    model: ModelParams,
+    stage: _Stage,
     tol: float,
     max_iter: int,
     max_halvings: int = 5,
-    g_and_gp=None,
 ) -> np.ndarray:
     """Backward-Euler over dt, recursively halving the step on failure."""
-    if g_and_gp is None:
-        g_and_gp = _make_drift(model)
-    lip = model.drift_lipschitz
     try:
-        return _solve_implicit_array(b, h, dt, g_and_gp, lip, tol, max_iter)
+        return _solve_implicit_array(b, h, dt, stage, tol, max_iter)
     except ImplicitStepError:
         if max_halvings == 0:
             raise
-        half = _drift_substeps(b, h, dt / 2, model, tol, max_iter, max_halvings - 1, g_and_gp)
-        return _drift_substeps(half, h, dt / 2, model, tol, max_iter, max_halvings - 1, g_and_gp)
+        half = _drift_substeps(b, h, dt / 2, stage, tol, max_iter, max_halvings - 1)
+        return _drift_substeps(half, h, dt / 2, stage, tol, max_iter, max_halvings - 1)
 
 
 def step(
@@ -295,7 +286,7 @@ def run_path(
     stream = make_stream(*seed)
     n_steps = int(round(config.t_final / config.dt))
     mu_modes = noise.mu[:, None] * noise.basis.modes[: noise.n_modes]
-    drift = _make_drift(model)
+    stage = _pressure_stage(model)
 
     times, hm1s, lps, mins, maxs, marts = [], [], [], [], [], []
     states = [] if config.store_states else None
@@ -338,9 +329,8 @@ def run_path(
             perturbed = x * (1.0 + inc.dbeta @ mu_modes)
             try:
                 x = _drift_substeps(
-                    perturbed, h, config.dt, model,
+                    perturbed, h, config.dt, stage,
                     config.newton_tol, config.newton_max_iter,
-                    g_and_gp=drift,
                 )
             except ImplicitStepError as exc:
                 failed = True
@@ -473,7 +463,8 @@ def convergence_study(
         diff = a.trajectory.states - b.trajectory.states
         sup_hm1 = max(norm_hm1(Field(row, x0.grid)) for row in diff)
         l2sq = h * np.sum(diff**2, axis=1)
-        l2l2 = float(np.sqrt(np.trapezoid(l2sq, a.trajectory.times)))
+        # trapezoid rule, written out: np.trapezoid needs numpy >= 2.0
+        l2l2 = float(np.sqrt(np.sum(np.diff(a.trajectory.times) * (l2sq[1:] + l2sq[:-1]) / 2.0)))
         report.rows.append(
             ConvergenceRow(
                 lam_coarse=float(la), lam_fine=float(lb),

@@ -44,3 +44,27 @@ def rng():
 
 def random_field(grid, rng, scale=1.0):
     return Field(scale * rng.standard_normal(grid.n_interior), grid)
+
+
+def resolvent_half(r, rho, lam):
+    """Closed-form resolvent at alpha = 1/2.
+
+    y + c*sqrt(y) = |r| with c = lam*rho is a quadratic in sqrt(y), so
+    y = ((sqrt(c^2 + 4|r|) - c)/2)^2, written here without the cancellation.
+    """
+    a = np.abs(np.asarray(r, dtype=float))
+    c = lam * rho
+    return np.sign(r) * (2.0 * a / (np.sqrt(c * c + 4.0 * a) + c)) ** 2
+
+
+def resolvent_bisect(r, rho, alpha, lam):
+    """Resolvent by vectorized bisection on [0, |r|], run until adjacent floats."""
+    a = np.abs(np.asarray(r, dtype=float))
+    lo, hi = np.zeros_like(a), a.copy()
+    while True:
+        mid = 0.5 * (lo + hi)
+        if np.all((mid == lo) | (mid == hi)):
+            return np.sign(r) * mid
+        above = mid + lam * rho * mid**alpha > a
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid)

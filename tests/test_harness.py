@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.stats import binomtest
 
 from spmlab import (
     InitialSpec,
@@ -97,13 +98,12 @@ class TestMakeInitial:
 
 
 class TestWilson:
-    def test_against_statsmodels(self):
-        sm = pytest.importorskip("statsmodels.stats.proportion")
+    def test_against_scipy(self):
         for k, n in [(0, 50), (3, 50), (25, 50), (49, 50), (50, 50), (400, 400)]:
             lo, hi = wilson_interval(k, n)
-            slo, shi = sm.proportion_confint(k, n, alpha=0.05, method="wilson")
-            assert lo == pytest.approx(slo, abs=1e-10)
-            assert hi == pytest.approx(shi, abs=1e-10)
+            ci = binomtest(k, n).proportion_ci(confidence_level=0.95, method="wilson")
+            assert lo == pytest.approx(ci.low, abs=1e-10)
+            assert hi == pytest.approx(ci.high, abs=1e-10)
 
     def test_contains_point_estimate(self):
         for k, n in [(0, 10), (5, 10), (10, 10), (123, 400)]:

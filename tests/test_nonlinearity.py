@@ -4,13 +4,17 @@ import pytest
 from spmlab import (
     AuxiliaryLaw,
     DiffusionLaw,
+    ModelParams,
     RegularizationParams,
     aux_psi,
     psi0,
+    psi0_inverse,
     resolvent,
     yosida,
 )
-from spmlab.nonlinearity import yosida_prime
+from spmlab.nonlinearity import ResolventError, yosida_prime
+
+from conftest import resolvent_half
 
 
 def bisect_resolvent(r, rho, alpha, lam, tol=1e-14):
@@ -93,6 +97,21 @@ class TestResolvent:
         v = resolvent(r, LAW, RegularizationParams(0.1))
         assert np.all(np.diff(v) >= 0)
 
+    def test_against_closed_form_half(self):
+        rng = np.random.default_rng(11)
+        r = np.concatenate([rng.uniform(-10, 10, 500), 10.0 ** rng.uniform(-12, 2, 500)])
+        for lam in (1.0, 1e-2, 1e-4):
+            expected = resolvent_half(r, LAW.rho, lam)
+            got = resolvent(r, LAW, RegularizationParams(lam))
+            # on the scale of the resolvent's own tolerance, solver_tol*max(1, |r|)
+            assert np.all(np.abs(got - expected) <= 1e-15 * np.maximum(1.0, np.abs(r)))
+
+    def test_budget_checked_per_node(self):
+        # after 4 iterations the large node is converged and the small one is
+        # not, with a residual below the large node's tolerance only
+        with pytest.raises(ResolventError):
+            resolvent(np.array([1e8, 0.5]), LAW, RegularizationParams(1.0, max_iter=4))
+
 
 class TestYosida:
     def test_closed_form(self):
@@ -164,6 +183,40 @@ class TestYosida:
     def test_prime_capped_at_origin(self):
         reg = RegularizationParams(0.2)
         assert yosida_prime(0.0, LAW, reg) == pytest.approx(1.0 / reg.lam)
+
+
+class TestPressureState:
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    def test_psi0_inverse_roundtrip(self, alpha):
+        law = DiffusionLaw(rho=1.7, alpha=alpha)
+        r = np.random.default_rng(12).uniform(-3, 3, 200)
+        np.testing.assert_allclose(psi0_inverse(psi0(r, law), law), r, rtol=1e-13)
+        assert psi0_inverse(0.0, law) == 0.0
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    def test_parametrizes_the_drift(self, alpha):
+        model = ModelParams(
+            DiffusionLaw(rho=1.3, alpha=alpha),
+            aux=AuxiliaryLaw(kind="linear", slope=0.4),
+            reg=RegularizationParams(0.05),
+        )
+        r = np.random.default_rng(13).uniform(-4, 4, 200)
+        w = yosida(r, model.diffusion, model.reg)
+        y, yp, g, gp = model.pressure_state(w)
+        np.testing.assert_allclose(y, r, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(g, model.drift_g(r), rtol=1e-10, atol=1e-10)
+        # chain rule: dG/dr = G'(w) / Y'(w)
+        np.testing.assert_allclose(gp / yp, model.drift_g_prime(r), rtol=1e-10)
+
+    def test_derivatives_match_finite_differences(self):
+        model = ModelParams(DiffusionLaw(rho=1.0, alpha=0.3), reg=RegularizationParams(1e-3))
+        w = np.array([-2.0, -0.3, 0.0, 1e-3, 0.7, 3.0])
+        eps = 1e-6
+        up, down = model.pressure_state(w + eps), model.pressure_state(w - eps)
+        _, yp, _, gp = model.pressure_state(w)
+        np.testing.assert_allclose(yp, (up[0] - down[0]) / (2 * eps), rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(gp, (up[2] - down[2]) / (2 * eps), rtol=1e-6, atol=1e-9)
+        assert yp[2] == model.reg.lam
 
 
 class TestAuxPsi:

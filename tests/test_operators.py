@@ -12,7 +12,7 @@ from spmlab import (
     norm_lp,
     solve_poisson,
 )
-from spmlab.operators import GridError, lambda1_exact, norm_l2
+from spmlab.operators import GridError, lambda1_exact, norm_l2, poisson_solve_array
 
 from conftest import random_field
 
@@ -94,6 +94,13 @@ class TestPoisson:
             f = random_field(grid, rng)
             back = apply_laplacian(solve_poisson(f))
             np.testing.assert_allclose(back.values, -f.values, rtol=1e-10, atol=1e-10)
+
+    def test_multi_column_matches_column_solves(self, grid, rng):
+        f = rng.standard_normal((grid.n_interior, 5))
+        cols = [poisson_solve_array(f[:, j], grid.spacing) for j in range(f.shape[1])]
+        np.testing.assert_array_equal(
+            poisson_solve_array(f, grid.spacing), np.column_stack(cols)
+        )
 
 
 class TestInnerHm1:

@@ -23,7 +23,7 @@ from spmlab import (
 from spmlab.stepper import ImplicitStepError
 from spmlab.theory import BoundInputs, deterministic_extinction_time
 
-from conftest import random_field
+from conftest import random_field, resolvent_bisect, resolvent_half
 
 
 def dense_backward_euler(B, dt):
@@ -75,6 +75,41 @@ class TestImplicitSolve:
         assert np.sqrt(grid.spacing) * np.linalg.norm(res) <= 1e-11 * max(
             1.0, norm_l2(B)
         )
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+    @pytest.mark.parametrize("amplitude", [1.0, 0.1, 1e-4, 1e-7])
+    def test_residual_against_exact_drift(self, grid, basis, rng, alpha, amplitude):
+        """The returned Y solves the stage with G from an exact resolvent.
+
+        Both data sets change sign. A Newton iteration in Y that evaluates G
+        through the iterative resolvent stalls above the tolerance on some of
+        these cases and meets it on others only against its own inexact G.
+        """
+        from spmlab import psi0
+        from spmlab.operators import laplacian_array, norm_l2
+
+        lam, dt, tol = 1e-4, 1e-3, 1e-10
+        law = DiffusionLaw(1.0, alpha)
+        model = ModelParams(law, reg=RegularizationParams(lam))
+        h = grid.spacing
+        for data in (rng.standard_normal(grid.n_interior), basis.modes[1]):
+            B = Field(amplitude * data, grid)
+            Y = implicit_solve(B, dt, model, newton_tol=tol).values
+            if alpha == 0.5:
+                J = resolvent_half(Y, law.rho, lam)
+            else:
+                J = resolvent_bisect(Y, law.rho, alpha, lam)
+            G = psi0(J, law) + lam * Y
+            res = Y - dt * laplacian_array(G, h) - B.values
+            assert np.sqrt(h) * np.linalg.norm(res) <= tol * max(1.0, norm_l2(B))
+
+    def test_picard_fallback_alone(self, grid, rng):
+        # no Newton iterations: the Y-space Picard iteration solves the stage
+        model = ModelParams(DiffusionLaw(1.0, 0.5), reg=RegularizationParams(0.1))
+        B = random_field(grid, rng, scale=0.1)
+        newton = implicit_solve(B, 1e-3, model)
+        picard = implicit_solve(B, 1e-3, model, newton_max_iter=0)
+        np.testing.assert_allclose(picard.values, newton.values, rtol=0, atol=1e-9)
 
     def test_override_requires_derivative(self, grid, model):
         with pytest.raises(ValueError):
