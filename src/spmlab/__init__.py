@@ -51,7 +51,6 @@ from .stepper import (
     convergence_study,
     implicit_solve,
     run_path,
-    step,
     weak_form_residual,
 )
 from .theory import (

@@ -8,6 +8,7 @@ from typing import Optional
 import numpy as np
 
 from .stepper import Trajectory
+from .theory import discounted_norm
 
 
 @dataclass(frozen=True)
@@ -35,11 +36,11 @@ def supermartingale_series(
 ) -> SupermartingaleSeries:
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    values = np.exp(-c_star * (1.0 - alpha) * traj.times) * traj.hm1_norms ** (
-        1.0 - alpha
-    )
     return SupermartingaleSeries(
-        times=traj.times.copy(), values=values, c_star=c_star, alpha=alpha
+        times=traj.times.copy(),
+        values=discounted_norm(traj.times, traj.hm1_norms, c_star, alpha),
+        c_star=c_star,
+        alpha=alpha,
     )
 
 

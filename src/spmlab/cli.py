@@ -74,7 +74,7 @@ def simulate(config_path, seed, out):
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     try:
-        _, noise, x0 = _build_context(cfg)
+        noise, x0 = _build_context(cfg)
         res = run_path(x0, cfg.solver, cfg.model, noise, seed=(cfg.master_seed, 0))
         if res.failed:
             click.echo(f"path failed: {res.failure_reason}", err=True)
@@ -131,7 +131,7 @@ def bound(config_path, seed, out):
     except (ConfigError, OSError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    _, noise, x0 = _build_context(cfg)
+    noise, x0 = _build_context(cfg)
     gamma = resolve_gamma(cfg)
     inputs = BoundInputs(
         x_norm_hm1=norm_hm1(x0),
@@ -185,7 +185,7 @@ def convergence(config_path, seed, out):
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     try:
-        _, noise, x0 = _build_context(cfg)
+        noise, x0 = _build_context(cfg)
         report = convergence_study(
             x0, cfg.solver, cfg.model, noise,
             cfg.convergence_lambdas, seed=(cfg.master_seed, 0),

@@ -12,6 +12,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -102,6 +103,15 @@ class ExperimentConfig:
             raise ConfigError("checkpoints must lie in (0, t_final]")
         if self.gamma is not None and self.gamma <= 0:
             raise ConfigError("gamma override must be positive")
+        if self.initial.kind == "custom":
+            values = self.initial.values
+            if len(values) != self.grid.n_interior:
+                raise ConfigError(
+                    f"custom initial condition has {len(values)} values for "
+                    f"{self.grid.n_interior} interior nodes"
+                )
+            if not np.all(np.isfinite(values)):
+                raise ConfigError("custom initial values must be finite")
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -285,51 +295,24 @@ class EnsembleSummary:
         return json.dumps(self.to_json_dict(include_timestamp), sort_keys=True, indent=2)
 
 
-@dataclass
-class _PathOutcome:
-    tau_hat: Optional[float]
-    extinct: bool
-    failed: bool
-    failure_reason: str
-    positivity_ok: bool
-    mart_times: np.ndarray
-    mart_values: np.ndarray
-    hm1_norms: np.ndarray
-    coercivity_violations: int
-
-
 def _build_context(config: ExperimentConfig):
     basis_size = max(config.K, config.initial.mode if config.initial.kind == "eigenmode" else 1)
     basis = build_basis(config.grid, basis_size)
     noise = NoiseSpec(mu=np.asarray(config.mu), basis=basis)
     x0 = make_initial(config.initial, config.grid, basis)
-    return basis, noise, x0
+    return noise, x0
 
 
-def _run_one(args) -> _PathOutcome:
-    config, path_index, gamma = args
-    _, noise, x0 = _build_context(config)
-    res: PathResult = run_path(
+def _run_one(
+    config: ExperimentConfig, noise: NoiseSpec, x0: Field, gamma: float, path_index: int
+) -> PathResult:
+    return run_path(
         x0,
         config.solver,
         config.model,
         noise,
         seed=(config.master_seed, path_index),
         gamma_check=gamma,
-    )
-    traj = res.trajectory
-    floor = -_POSITIVITY_TOL * max(1.0, res.x0_l2)
-    positivity_ok = bool(np.all(traj.min_values >= floor)) if np.all(x0.values >= 0) else True
-    return _PathOutcome(
-        tau_hat=res.tau_hat,
-        extinct=res.extinct,
-        failed=res.failed,
-        failure_reason=res.failure_reason,
-        positivity_ok=positivity_ok,
-        mart_times=traj.times,
-        mart_values=traj.supermartingale_values,
-        hm1_norms=traj.hm1_norms,
-        coercivity_violations=res.coercivity_violations,
     )
 
 
@@ -352,25 +335,27 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
     path order so the summary does not depend on scheduling. Fails hard if
     more than 1% of paths fail (silent exclusion would bias the CDF).
     """
-    basis, noise, x0 = _build_context(config)
+    noise, x0 = _build_context(config)
     gamma = resolve_gamma(config)
     cs = c_star(noise)
-    args = [(config, i, gamma) for i in range(config.n_paths)]
+    run_one = partial(_run_one, config, noise, x0, gamma)
+    indices = range(config.n_paths)
     if workers <= 1:
-        outcomes = [_run_one(a) for a in args]
+        results = [run_one(i) for i in indices]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_one, args, chunksize=max(1, len(args) // (4 * workers))))
+            chunksize = max(1, config.n_paths // (4 * workers))
+            results = list(pool.map(run_one, indices, chunksize=chunksize))
 
-    n_failed = sum(o.failed for o in outcomes)
-    ok = [o for o in outcomes if not o.failed]
+    n_failed = sum(r.failed for r in results)
+    ok = [r for r in results if not r.failed]
     if not ok or n_failed > 0.01 * config.n_paths:
-        reasons = {o.failure_reason for o in outcomes if o.failed}
+        reasons = {r.failure_reason for r in results if r.failed}
         raise EnsembleFailure(
             f"{n_failed}/{config.n_paths} paths failed (cap 1%): {sorted(reasons)}"
         )
 
-    taus = [o.tau_hat for o in ok]
+    taus = [r.tau_hat for r in ok]
     n_ok = len(ok)
     checkpoints = list(config.checkpoints)
     cdf, lo, hi = [], [], []
@@ -392,12 +377,21 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
     if n_ok >= 100:
         series = [
             SupermartingaleSeries(
-                times=o.mart_times, values=o.mart_values, c_star=cs, alpha=alpha
+                times=r.trajectory.times,
+                values=r.trajectory.supermartingale_values,
+                c_star=cs,
+                alpha=alpha,
             )
-            for o in ok
+            for r in ok
         ]
         sm_report = ensemble_supermartingale_test(series, checkpoints)
 
+    # positivity is only promised from a nonnegative start
+    def positivity_ok(r: PathResult) -> bool:
+        floor = -_POSITIVITY_TOL * max(1.0, r.x0_l2)
+        return bool(np.all(r.trajectory.min_values >= floor))
+
+    nonnegative_start = bool(np.all(x0.values >= 0))
     summary = EnsembleSummary(
         checkpoints=checkpoints,
         empirical_cdf=cdf,
@@ -405,17 +399,19 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
         wilson_hi=hi,
         theory_bound=bounds,
         supermartingale_report=sm_report,
-        extinct_fraction=sum(o.extinct for o in ok) / n_ok,
+        extinct_fraction=sum(r.extinct for r in ok) / n_ok,
         n_failed=n_failed,
         gamma_used=gamma,
         c_star=cs,
         n_paths=config.n_paths,
         x0_norm_hm1=norm_hm1(x0),
-        tau_hats=[o.tau_hat for o in outcomes],
-        positivity_violations=sum(not o.positivity_ok for o in ok),
-        coercivity_violations=sum(o.coercivity_violations for o in ok),
+        tau_hats=[r.tau_hat for r in results],
+        positivity_violations=(
+            sum(not positivity_ok(r) for r in ok) if nonnegative_start else 0
+        ),
+        coercivity_violations=sum(r.coercivity_violations for r in ok),
         extinction_eps=config.solver.extinction_eps,
-        path_series=[(o.mart_times, o.hm1_norms) for o in ok],
+        path_series=[(r.trajectory.times, r.trajectory.hm1_norms) for r in ok],
     )
     return summary
 

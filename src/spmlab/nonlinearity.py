@@ -151,8 +151,7 @@ def resolvent(r, law: DiffusionLaw, reg: RegularizationParams):
             hi = np.where(f > 0, y, hi)
             lo = np.where(f < 0, y, lo)
             fp = 1.0 + c * al * np.where(y > 0, y, 1.0) ** (al - 1.0)
-            step = f / fp
-            y_new = y - step
+            y_new = y - f / fp
         bad = ~np.isfinite(y_new) | (y_new <= lo) | (y_new >= hi)
         # keep the degenerate a=0 entries pinned at the exact root
         bad &= a > 0

@@ -20,14 +20,15 @@ both drift and noise).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
 
 from .nonlinearity import ModelParams, aux_psi, psi0, resolvent
-from .noise import NoiseSpec, c_star, make_stream, sample_increments, noise_field
+from .noise import NoiseSpec, c_star, make_stream, sample_increments
 from .operators import Field, laplacian_array, norm_hm1, norm_l2, poisson_solve_array
+from .theory import discounted_norm
 
 
 class ImplicitStepError(RuntimeError):
@@ -110,48 +111,25 @@ class PathResult:
     x0_l2: float = 0.0
 
 
-class _Stage(NamedTuple):
-    """The implicit stage Y(v) - dt*Laplacian(G(v)) = B over an unknown v.
-
-    start(B) is the first iterate; state(v) returns (Y, Y', G, G') with the
-    derivatives taken in v; g_of(Y) = G serves the Picard fallback in Y, which
-    contracts with any constant lip >= G'(Y).
-    """
-
-    start: Callable[[np.ndarray], np.ndarray]
-    state: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]
-    g_of: Callable[[np.ndarray], np.ndarray]
-    lip: float
-
-
-def _pressure_stage(model: ModelParams) -> _Stage:
-    """The model's stage, solved for the pressure v = w = yosida(Y)."""
-    law, reg, c = model.diffusion, model.reg, model.linear_coeff
-
-    def g_of(y):
-        return psi0(resolvent(y, law, reg), law) + c * y
-
-    return _Stage(lambda b: psi0(b, law), model.pressure_state, g_of, model.drift_lipschitz)
-
-
 def _solve_implicit_array(
     b: np.ndarray,
     h: float,
     dt: float,
-    stage: _Stage,
+    model: ModelParams,
     tol: float,
     max_iter: int,
 ) -> np.ndarray:
+    """Solve Y - dt*Laplacian(G(Y)) = b by Newton in the pressure w = yosida(Y)."""
     n = b.size
     k = dt / h**2
     scale = max(1.0, np.sqrt(h) * np.linalg.norm(b))
 
-    def evaluate(v):
-        y, yp, g, gp = stage.state(v)
+    def evaluate(w):
+        y, yp, g, gp = model.pressure_state(w)
         res = y - dt * laplacian_array(g, h) - b
-        return v, y, yp, gp, res, np.sqrt(h) * np.linalg.norm(res)
+        return w, y, yp, gp, res, np.sqrt(h) * np.linalg.norm(res)
 
-    v, y, yp, gp, res, rnorm = evaluate(stage.start(b))
+    w, y, yp, gp, res, rnorm = evaluate(psi0(b, model.diffusion))
     for _ in range(max_iter):
         if rnorm <= tol * scale:
             return y
@@ -163,9 +141,9 @@ def _solve_implicit_array(
         delta = solve_banded((1, 1), ab, res)
         s = 1.0
         for _ in range(9):
-            trial = evaluate(v - s * delta)
+            trial = evaluate(w - s * delta)
             if trial[-1] < rnorm:
-                v, y, yp, gp, res, rnorm = trial
+                w, y, yp, gp, res, rnorm = trial
                 break
             s *= 0.5
         else:
@@ -173,18 +151,24 @@ def _solve_implicit_array(
     if rnorm <= tol * scale:
         return y
 
-    # Picard fallback on (I + dt*c*A) y = b + dt*A*(c*y - G(y)) with A = -Lap;
-    # contracts for any dt because 0 <= G' <= c = lip.
-    lip = stage.lip
+    # Picard fallback in Y on (I + dt*lip*A) y = b + dt*A*(lip*y - G(y)) with
+    # A = -Lap and G evaluated through the resolvent; contracts for any dt
+    # because 0 <= G' <= lip.
+    law, reg, c = model.diffusion, model.reg, model.linear_coeff
+
+    def g_of(y):
+        return psi0(resolvent(y, law, reg), law) + c * y
+
+    lip = model.drift_lipschitz
     ab = np.empty((2, n))
     ab[0, :] = -dt * lip / h**2
     ab[0, 0] = 0.0
     ab[1, :] = 1.0 + 2.0 * dt * lip / h**2
     factor = cholesky_banded(ab)
-    g = stage.g_of(y)
+    g = g_of(y)
     for _ in range(500):
         y = cho_solve_banded((factor, False), b - dt * laplacian_array(lip * y - g, h))
-        g = stage.g_of(y)
+        g = g_of(y)
         rnorm = np.sqrt(h) * np.linalg.norm(y - dt * laplacian_array(g, h) - b)
         if rnorm <= tol * scale:
             return y
@@ -198,30 +182,15 @@ def implicit_solve(
     *,
     newton_tol: float = 1e-10,
     newton_max_iter: int = 50,
-    g_override: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    gp_override: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> Field:
     """Backward-Euler drift step: find Y with Y - dt*Laplacian(G(Y)) = B.
 
-    g_override/gp_override swap in a diagnostic nonlinearity (e.g. G(r)=r to
-    compare against a direct linear solve), solved for Y itself by the same
-    Newton kernel that solves the model for its pressure.
+    This is the drift stage that run_path solves after each noise kick.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
-    if g_override is not None:
-        if gp_override is None:
-            raise ValueError("g_override requires gp_override")
-        stage = _Stage(
-            start=lambda b: b,
-            state=lambda y: (y, np.ones_like(y), g_override(y), gp_override(y)),
-            g_of=g_override,
-            lip=model.drift_lipschitz,
-        )
-    else:
-        stage = _pressure_stage(model)
     y = _solve_implicit_array(
-        B.values.copy(), B.grid.spacing, dt, stage, newton_tol, newton_max_iter
+        B.values.copy(), B.grid.spacing, dt, model, newton_tol, newton_max_iter
     )
     return B.with_values(y)
 
@@ -230,38 +199,19 @@ def _drift_substeps(
     b: np.ndarray,
     h: float,
     dt: float,
-    stage: _Stage,
+    model: ModelParams,
     tol: float,
     max_iter: int,
     max_halvings: int = 5,
 ) -> np.ndarray:
     """Backward-Euler over dt, recursively halving the step on failure."""
     try:
-        return _solve_implicit_array(b, h, dt, stage, tol, max_iter)
+        return _solve_implicit_array(b, h, dt, model, tol, max_iter)
     except ImplicitStepError:
         if max_halvings == 0:
             raise
-        half = _drift_substeps(b, h, dt / 2, stage, tol, max_iter, max_halvings - 1)
-        return _drift_substeps(half, h, dt / 2, stage, tol, max_iter, max_halvings - 1)
-
-
-def step(
-    X: Field,
-    config: SolverConfig,
-    model: ModelParams,
-    noise: NoiseSpec,
-    stream: np.random.Generator,
-) -> Field:
-    """One Euler-Maruyama step: explicit noise, then implicit drift."""
-    inc = sample_increments(config.dt, noise.n_modes, stream)
-    perturbed = X.with_values(X.values + noise_field(X, inc, noise).values)
-    return implicit_solve(
-        perturbed,
-        config.dt,
-        model,
-        newton_tol=config.newton_tol,
-        newton_max_iter=config.newton_max_iter,
-    )
+        half = _drift_substeps(b, h, dt / 2, model, tol, max_iter, max_halvings - 1)
+        return _drift_substeps(half, h, dt / 2, model, tol, max_iter, max_halvings - 1)
 
 
 def run_path(
@@ -274,21 +224,21 @@ def run_path(
 ) -> PathResult:
     """Integrate one path to t_final, clamping to zero once |X|_{-1} <= eps.
 
-    The stream is keyed by (master_seed, path_index); increments are drawn at
-    every step even after extinction so the step-to-increment mapping never
-    depends on the path's history.
+    Each step multiplies X by the explicit noise factor 1 + sum_k mu_k e_k dbeta_k
+    and then solves the drift stage implicitly (see implicit_solve). The stream
+    is keyed by (master_seed, path_index); increments are drawn at every step
+    even after extinction so the step-to-increment mapping never depends on
+    the path's history.
     """
     grid = x0.grid
     h = grid.spacing
     alpha = model.diffusion.alpha
-    cs = c_star(noise)
     p = alpha + 1.0
     stream = make_stream(*seed)
     n_steps = int(round(config.t_final / config.dt))
     mu_modes = noise.mu[:, None] * noise.basis.modes[: noise.n_modes]
-    stage = _pressure_stage(model)
 
-    times, hm1s, lps, mins, maxs, marts = [], [], [], [], [], []
+    times, hm1s, lps, mins, maxs = [], [], [], [], []
     states = [] if config.store_states else None
     inc_log = [] if config.log_increments else None
     coercivity_violations = 0
@@ -296,13 +246,12 @@ def run_path(
     x = x0.values.copy()
     x0_l2 = norm_l2(x0)
 
-    def observe(t, xv, hm1):
+    def observe(t, xv, hm1, lp):
         times.append(t)
         hm1s.append(hm1)
-        lps.append(float((h * np.sum(np.abs(xv) ** p)) ** (1.0 / p)))
+        lps.append(lp)
         mins.append(float(xv.min()))
         maxs.append(float(xv.max()))
-        marts.append(np.exp(-cs * (1.0 - alpha) * t) * hm1 ** (1.0 - alpha))
         if states is not None:
             states.append(xv.copy())
 
@@ -310,13 +259,17 @@ def run_path(
         w = poisson_solve_array(xv, h)
         return float(np.sqrt(max(h * np.dot(xv, w), 0.0)))
 
+    def lp_of(xv):
+        return float((h * np.sum(np.abs(xv) ** p)) ** (1.0 / p))
+
     hm1 = hm1_of(x)
     extinct = hm1 <= config.extinction_eps
     tau_hat: Optional[float] = 0.0 if extinct else None
     if extinct:
         x = np.zeros_like(x)
         hm1 = 0.0
-    observe(0.0, x, hm1)
+    lp = lp_of(x)
+    observe(0.0, x, hm1, lp)
 
     failed = False
     failure_reason = ""
@@ -329,36 +282,38 @@ def run_path(
             perturbed = x * (1.0 + inc.dbeta @ mu_modes)
             try:
                 x = _drift_substeps(
-                    perturbed, h, config.dt, stage,
+                    perturbed, h, config.dt, model,
                     config.newton_tol, config.newton_max_iter,
                 )
             except ImplicitStepError as exc:
                 failed = True
                 failure_reason = str(exc)
                 x = perturbed
+            lp = lp_of(x)
             if not failed:
                 hm1 = hm1_of(x)
                 if gamma_check is not None:
-                    lp_now = (h * np.sum(np.abs(x) ** p)) ** (1.0 / p)
-                    if lp_now < gamma_check * hm1 * (1.0 - 1e-9) - 1e-14:
+                    if lp < gamma_check * hm1 * (1.0 - 1e-9) - 1e-14:
                         coercivity_violations += 1
                 if hm1 <= config.extinction_eps:
                     extinct = True
                     tau_hat = t
                     x = np.zeros_like(x)
                     hm1 = 0.0
+                    lp = 0.0
         # uniform recording grid regardless of path history, so trajectories
         # from different runs of one config stay aligned
         if i % config.record_every == 0 or i == n_steps:
-            observe(t, x, hm1)
+            observe(t, x, hm1, lp)
 
+    times_arr, hm1_arr = np.array(times), np.array(hm1s)
     traj = Trajectory(
-        times=np.array(times),
-        hm1_norms=np.array(hm1s),
+        times=times_arr,
+        hm1_norms=hm1_arr,
         lp_norms=np.array(lps),
         min_values=np.array(mins),
         max_values=np.array(maxs),
-        supermartingale_values=np.array(marts),
+        supermartingale_values=discounted_norm(times_arr, hm1_arr, c_star(noise), alpha),
         increments_log=np.array(inc_log) if inc_log is not None else None,
         states=np.array(states) if states is not None else None,
         dt=config.dt,

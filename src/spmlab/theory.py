@@ -40,6 +40,14 @@ def integral_factor(t: float, alpha: float, c_star: float) -> float:
     return float(-np.expm1(-k * t) / k)
 
 
+def discounted_norm(t, hm1_norm, c_star: float, alpha: float):
+    """exp(-c_star*(1-alpha)*t) * |X(t)|_{-1}^(1-alpha), the supermartingale.
+
+    Takes scalars or arrays of times and H^-1 norms.
+    """
+    return np.exp(-c_star * (1.0 - alpha) * t) * hm1_norm ** (1.0 - alpha)
+
+
 def _dissipation(inputs: BoundInputs) -> float:
     return (1.0 - inputs.alpha) * inputs.rho * inputs.gamma ** (1.0 + inputs.alpha)
 

@@ -99,6 +99,20 @@ class TestConvergence:
         assert len(lines) == 4  # three consecutive pairs from four lambdas
 
 
+class TestWrongSizedInitialValues:
+    @pytest.mark.parametrize("command", ["simulate", "ensemble", "bound", "convergence"])
+    def test_exit_2(self, tmp_path, command):
+        # 3 custom values on a grid of 7 interior nodes
+        raw = base_raw(
+            grid=dict(n_interior=7),
+            initial=dict(kind="custom", values=[0.1, 0.2, 0.3]),
+        )
+        p = tmp_path / "short.yaml"
+        p.write_text(yaml.safe_dump(raw))
+        r = run_cli(command, "--config", str(p), "--out", str(tmp_path / "o"))
+        assert r.exit_code == 2, r.output
+
+
 class TestMissingConfig:
     def test_nonexistent_file(self):
         r = run_cli("simulate", "--config", "/does/not/exist.yaml")

@@ -14,7 +14,8 @@ from spmlab import (
     run_ensemble,
     wilson_interval,
 )
-from spmlab.harness import ConfigError, EnsembleFailure, _PathOutcome
+from spmlab.harness import ConfigError, EnsembleFailure
+from spmlab.stepper import PathResult, Trajectory
 from spmlab.theory import BoundInputs
 
 
@@ -63,6 +64,16 @@ class TestConfig:
     def test_checkpoint_beyond_horizon(self):
         with pytest.raises(ConfigError):
             config_from_dict(base_raw(checkpoints=[0.1, 0.5]))
+
+    def test_custom_values_wrong_length(self):
+        # the grid has 31 interior nodes
+        with pytest.raises(ConfigError, match="3 values for 31"):
+            config_from_dict(base_raw(initial=dict(kind="custom", values=[0.1, 0.2, 0.3])))
+
+    def test_custom_values_not_finite(self):
+        values = [0.1] * 30 + [float("nan")]
+        with pytest.raises(ConfigError, match="finite"):
+            config_from_dict(base_raw(initial=dict(kind="custom", values=values)))
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError):
@@ -176,11 +187,12 @@ class TestRunEnsemble:
     def test_failure_cap(self, monkeypatch):
         import spmlab.harness as hmod
 
-        def broken(args):
-            return _PathOutcome(
-                tau_hat=None, extinct=False, failed=True, failure_reason="boom",
-                positivity_ok=True, mart_times=np.zeros(1), mart_values=np.zeros(1),
-                hm1_norms=np.zeros(1), coercivity_violations=0,
+        def broken(config, noise, x0, gamma, path_index):
+            traj = Trajectory(*(np.zeros(1) for _ in range(6)))
+            return PathResult(
+                tau_hat=None, extinct=False, trajectory=traj,
+                seed=(config.master_seed, path_index), config=config.solver,
+                failed=True, failure_reason="boom",
             )
 
         monkeypatch.setattr(hmod, "_run_one", broken)

@@ -14,10 +14,8 @@ from spmlab import (
     convergence_study,
     estimate_gamma,
     implicit_solve,
-    make_stream,
     norm_hm1,
     run_path,
-    step,
     weak_form_residual,
 )
 from spmlab.stepper import ImplicitStepError
@@ -26,43 +24,10 @@ from spmlab.theory import BoundInputs, deterministic_extinction_time
 from conftest import random_field, resolvent_bisect, resolvent_half
 
 
-def dense_backward_euler(B, dt):
-    """Oracle for the linear diagnostic mode: solve (I - dt*L) Y = B densely."""
-    n, h = B.grid.n_interior, B.grid.spacing
-    L = np.zeros((n, n))
-    np.fill_diagonal(L, -2.0)
-    np.fill_diagonal(L[1:], 1.0)
-    np.fill_diagonal(L[:, 1:], 1.0)
-    L /= h**2
-    return np.linalg.solve(np.eye(n) - dt * L, B.values)
-
-
-IDENTITY = (lambda y: y, lambda y: np.ones_like(y))
-
-
 class TestImplicitSolve:
     def test_zero_rhs(self, grid, model):
         out = implicit_solve(Field.zero(grid), 1e-3, model)
         assert np.all(out.values == 0)
-
-    def test_linear_mode_matches_direct_solve(self, grid, model, rng):
-        B = random_field(grid, rng)
-        out = implicit_solve(
-            B, 2e-3, model, g_override=IDENTITY[0], gp_override=IDENTITY[1]
-        )
-        np.testing.assert_allclose(
-            out.values, dense_backward_euler(B, 2e-3), rtol=1e-10, atol=1e-12
-        )
-
-    def test_linear_mode_eigenmode(self, grid, basis, model):
-        dt = 5e-3
-        e1 = basis.mode(1)
-        out = implicit_solve(
-            e1, dt, model, g_override=IDENTITY[0], gp_override=IDENTITY[1]
-        )
-        np.testing.assert_allclose(
-            out.values, e1.values / (1.0 + dt * basis.eigenvalues[0]), rtol=1e-10
-        )
 
     def test_nonlinear_residual_small(self, grid, model, rng):
         from spmlab.operators import laplacian_array, norm_l2
@@ -111,30 +76,37 @@ class TestImplicitSolve:
         picard = implicit_solve(B, 1e-3, model, newton_max_iter=0)
         np.testing.assert_allclose(picard.values, newton.values, rtol=0, atol=1e-9)
 
-    def test_override_requires_derivative(self, grid, model):
-        with pytest.raises(ValueError):
-            implicit_solve(Field.zero(grid), 1e-3, model, g_override=IDENTITY[0])
-
 
 class TestStep:
     def test_zero_absorbing(self, grid, model, small_noise):
-        cfg = SolverConfig(dt=1e-3, t_final=1.0)
-        out = step(Field.zero(grid), cfg, model, small_noise, make_stream(1, 0))
-        assert np.all(out.values == 0)
+        """Zero is a fixed point of the noise factor and of the drift stage."""
+        cfg = SolverConfig(dt=1e-3, t_final=5e-3, store_states=True)
+        zero = np.zeros(grid.n_interior)
+        stage = stepper_mod._drift_substeps(
+            zero, grid.spacing, cfg.dt, model, cfg.newton_tol, cfg.newton_max_iter
+        )
+        assert np.all(stage == 0)
+        res = run_path(Field.zero(grid), cfg, model, small_noise, seed=(1, 0))
+        assert np.all(res.trajectory.states == 0)
 
     def test_quiet_noise_is_backward_euler(self, grid, model, quiet_noise, rng):
-        cfg = SolverConfig(dt=1e-3, t_final=1.0)
-        X = random_field(grid, rng, scale=0.1)
-        stepped = step(X, cfg, model, quiet_noise, make_stream(1, 0))
-        direct = implicit_solve(X, cfg.dt, model)
-        np.testing.assert_allclose(stepped.values, direct.values, rtol=1e-12)
+        """With mu = 0 the first step of run_path is exactly implicit_solve."""
+        dt = 1e-3
+        cfg = SolverConfig(dt=dt, t_final=2 * dt, store_states=True)
+        x0 = random_field(grid, rng, scale=0.1)
+        res = run_path(x0, cfg, model, quiet_noise, seed=(1, 0))
+        direct = implicit_solve(x0, dt, model)
+        np.testing.assert_array_equal(res.trajectory.states[1], direct.values)
 
     def test_seed_replay(self, grid, model, small_noise, rng):
-        cfg = SolverConfig(dt=1e-3, t_final=1.0)
-        X = random_field(grid, rng, scale=0.1)
-        a = step(X, cfg, model, small_noise, make_stream(4, 2))
-        b = step(X, cfg, model, small_noise, make_stream(4, 2))
-        np.testing.assert_array_equal(a.values, b.values)
+        """One noisy step replays bit for bit under the same (master, path) key."""
+        dt = 1e-3
+        cfg = SolverConfig(dt=dt, t_final=2 * dt, store_states=True)
+        x0 = random_field(grid, rng, scale=0.1)
+        a = run_path(x0, cfg, model, small_noise, seed=(4, 2))
+        b = run_path(x0, cfg, model, small_noise, seed=(4, 2))
+        assert not np.array_equal(a.trajectory.states[1], x0.values)
+        np.testing.assert_array_equal(a.trajectory.states[1], b.trajectory.states[1])
 
 
 @pytest.fixture(scope="module")
