@@ -47,6 +47,7 @@ from .operators import (
 from .stepper import (
     PathResult,
     SolverConfig,
+    SolverCounts,
     Trajectory,
     convergence_study,
     implicit_solve,

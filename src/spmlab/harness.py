@@ -38,7 +38,7 @@ from .operators import (
     estimate_gamma,
     norm_hm1,
 )
-from .stepper import PathResult, SolverConfig, run_path
+from .stepper import PathResult, SolverConfig, SolverCounts, run_path
 from .theory import BoundInputs, extinction_bound
 
 _Z95 = 1.959963984540054
@@ -250,6 +250,8 @@ class EnsembleSummary:
     positivity_violations: int
     coercivity_violations: int
     extinction_eps: float
+    # solver work summed over all paths; deterministic, so serialized
+    diagnostics: SolverCounts
     comparison: Optional[ComparisonReport] = None
     # per-path (times, hm1_norms) pairs; diagnostics only, never serialized
     path_series: Optional[list] = None
@@ -285,6 +287,7 @@ class EnsembleSummary:
             "positivity_violations": self.positivity_violations,
             "coercivity_violations": self.coercivity_violations,
             "extinction_eps": self.extinction_eps,
+            "diagnostics": asdict(self.diagnostics),
             "comparison": asdict(self.comparison) if self.comparison else None,
         }
         if include_timestamp:
@@ -411,6 +414,10 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
         ),
         coercivity_violations=sum(r.coercivity_violations for r in ok),
         extinction_eps=config.solver.extinction_eps,
+        diagnostics=SolverCounts(
+            newton_iters=sum(r.solver_counts.newton_iters for r in results),
+            halvings=sum(r.solver_counts.halvings for r in results),
+        ),
         path_series=[(r.trajectory.times, r.trajectory.hm1_norms) for r in ok],
     )
     return summary

@@ -1,9 +1,10 @@
 """1-D spatial discretization on (0, L) with homogeneous Dirichlet conditions.
 
 Provides the uniform interior grid, the standard three-point Laplacian, direct
-Poisson solves, the discrete eigenbasis, L^2 / L^p / H^-1 inner products and
-norms, and a multi-start estimator for the coercivity constant of the
-L^{alpha+1} -> H^-1 embedding on the discrete space.
+Poisson and tridiagonal solves (LAPACK pbtrs and gtsv, called directly), the
+discrete eigenbasis, L^2 / L^p / H^-1 inner products and norms, and a
+multi-start estimator for the coercivity constant of the L^{alpha+1} -> H^-1
+embedding on the discrete space.
 
 All inner products are h-weighted sums over interior nodes, which makes the
 discrete Laplacian self-adjoint and the eigenbasis exactly orthonormal.
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh_tridiagonal
+from scipy.linalg import LinAlgError, cholesky_banded, eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv, dpbtrs
 from scipy.optimize import minimize
 
 
@@ -95,9 +97,43 @@ def _poisson_factor(n: int, h: float):
     return cholesky_banded(ab)
 
 
+def _check_finite(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        if not np.isfinite(a).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
 def poisson_solve_array(f: np.ndarray, h: float) -> np.ndarray:
-    """Solve -Laplacian(u) = f for an (n,) or (n, k) right-hand side."""
-    return cho_solve_banded((_poisson_factor(f.shape[0], h), False), f)
+    """Solve -Laplacian(u) = f for an (n,) or (n, k) right-hand side.
+
+    LAPACK pbtrs on the cached Cholesky factor: the arithmetic of
+    scipy.linalg.cho_solve_banded without its per-call wrapper. The factor
+    is finite because cholesky_banded checked its input.
+    """
+    _check_finite(f)
+    x, info = dpbtrs(_poisson_factor(f.shape[0], h), f)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrs")
+    return x
+
+
+def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a tridiagonal system given in scipy's banded layout, by LAPACK gtsv.
+
+    Takes the arguments of scipy.linalg.solve_banded for (l, u) = (1, 1) and
+    passes LAPACK the same diagonals, so the result is the same bit for bit;
+    only the per-call wrapper cost is gone. Raises ValueError for any other
+    bandwidth or on non-finite input, and LinAlgError if the matrix is singular.
+    """
+    if tuple(l_and_u) != (1, 1):
+        raise ValueError(f"only (l, u) = (1, 1) is supported, got {l_and_u}")
+    _check_finite(ab, b)
+    _, _, _, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    if info > 0:
+        raise LinAlgError("singular matrix")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of LAPACK gtsv")
+    return x
 
 
 def apply_laplacian(u: Field) -> Field:
@@ -198,9 +234,9 @@ class GammaEstimate:
     minimizer: Field
 
 
-def _ratio_and_grad(v: np.ndarray, h: float, p: float, factor):
+def _ratio_and_grad(v: np.ndarray, h: float, p: float):
     lp = (h * np.sum(np.abs(v) ** p)) ** (1.0 / p)
-    w = cho_solve_banded((factor, False), v)
+    w = poisson_solve_array(v, h)
     hm1 = np.sqrt(max(h * np.dot(v, w), 0.0))
     if hm1 < 1e-300 or lp < 1e-300:
         return np.inf, np.zeros_like(v)
@@ -225,10 +261,9 @@ def estimate_gamma(
         raise ValueError("n_starts must be positive")
     n, h = grid.n_interior, grid.spacing
     p = alpha + 1.0
-    factor = _poisson_factor(n, h)
 
     def ratio(v):
-        return _ratio_and_grad(v, h, p, factor)[0]
+        return _ratio_and_grad(v, h, p)[0]
 
     candidates: list[np.ndarray] = []
     basis = build_basis(grid, 1)
@@ -244,7 +279,7 @@ def estimate_gamma(
     for v0 in starts:
         v0 = v0 / np.linalg.norm(v0)
         res = minimize(
-            lambda v: _ratio_and_grad(v, h, p, factor),
+            lambda v: _ratio_and_grad(v, h, p),
             v0,
             jac=True,
             method="L-BFGS-B",

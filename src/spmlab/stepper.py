@@ -8,10 +8,12 @@ stable. The implicit stage
 
 is solved by damped Newton for the pressure w = yosida(Y), not for Y. Y and
 G are explicit in w (ModelParams.pressure_state), so a Newton step is one
-tridiagonal solve and needs no nested per-node resolvent solve. Convergence
-is tested on the residual above. If Newton stalls, a contractive Picard
-iteration in Y takes over, evaluating G through the resolvent; a step that
-still fails signals the caller to halve the step locally.
+tridiagonal solve (LAPACK gtsv, through operators.solve_banded) and needs no
+nested per-node resolvent solve. Convergence is tested on the residual
+above. If Newton stalls, a contractive Picard iteration in Y takes over,
+evaluating G through the resolvent; a step that still fails signals the
+caller to halve the step locally. run_path counts the Newton iterations and
+halvings of each path (SolverCounts).
 
 Extinction is detected on the H^-1 norm against a small threshold, after
 which the state is clamped to exactly zero and held (zero is absorbing for
@@ -23,11 +25,18 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 
 from .nonlinearity import ModelParams, aux_psi, psi0, resolvent
 from .noise import NoiseSpec, c_star, make_stream, sample_increments
-from .operators import Field, laplacian_array, norm_hm1, norm_l2, poisson_solve_array
+from .operators import (
+    Field,
+    laplacian_array,
+    norm_hm1,
+    norm_l2,
+    poisson_solve_array,
+    solve_banded,
+)
 from .theory import discounted_norm
 
 
@@ -99,6 +108,15 @@ class Trajectory:
 
 
 @dataclass
+class SolverCounts:
+    """Work of the implicit drift stage: Newton iterations (one tridiagonal
+    solve each, failed attempts included) and dt-halvings."""
+
+    newton_iters: int = 0
+    halvings: int = 0
+
+
+@dataclass
 class PathResult:
     tau_hat: Optional[float]
     extinct: bool
@@ -109,6 +127,7 @@ class PathResult:
     failure_reason: str = ""
     coercivity_violations: int = 0
     x0_l2: float = 0.0
+    solver_counts: SolverCounts = field(default_factory=SolverCounts)
 
 
 def _solve_implicit_array(
@@ -118,6 +137,7 @@ def _solve_implicit_array(
     model: ModelParams,
     tol: float,
     max_iter: int,
+    counts: SolverCounts,
 ) -> np.ndarray:
     """Solve Y - dt*Laplacian(G(Y)) = b by Newton in the pressure w = yosida(Y)."""
     n = b.size
@@ -138,6 +158,7 @@ def _solve_implicit_array(
         ab[0, 1:] = -k * gp[1:]
         ab[1, :] = yp + 2.0 * k * gp
         ab[2, :-1] = -k * gp[:-1]
+        counts.newton_iters += 1
         delta = solve_banded((1, 1), ab, res)
         s = 1.0
         for _ in range(9):
@@ -190,7 +211,8 @@ def implicit_solve(
     if dt <= 0:
         raise ValueError("dt must be positive")
     y = _solve_implicit_array(
-        B.values.copy(), B.grid.spacing, dt, model, newton_tol, newton_max_iter
+        B.values.copy(), B.grid.spacing, dt, model, newton_tol, newton_max_iter,
+        SolverCounts(),
     )
     return B.with_values(y)
 
@@ -202,16 +224,24 @@ def _drift_substeps(
     model: ModelParams,
     tol: float,
     max_iter: int,
+    counts: Optional[SolverCounts] = None,
     max_halvings: int = 5,
 ) -> np.ndarray:
-    """Backward-Euler over dt, recursively halving the step on failure."""
+    """Backward-Euler over dt, recursively halving the step on failure.
+
+    Newton iterations and halvings are added to counts when it is given.
+    """
+    if counts is None:
+        counts = SolverCounts()
     try:
-        return _solve_implicit_array(b, h, dt, model, tol, max_iter)
+        return _solve_implicit_array(b, h, dt, model, tol, max_iter, counts)
     except ImplicitStepError:
         if max_halvings == 0:
             raise
-        half = _drift_substeps(b, h, dt / 2, model, tol, max_iter, max_halvings - 1)
-        return _drift_substeps(half, h, dt / 2, model, tol, max_iter, max_halvings - 1)
+        counts.halvings += 1
+        rest = (h, dt / 2, model, tol, max_iter, counts, max_halvings - 1)
+        half = _drift_substeps(b, *rest)
+        return _drift_substeps(half, *rest)
 
 
 def run_path(
@@ -226,9 +256,11 @@ def run_path(
 
     Each step multiplies X by the explicit noise factor 1 + sum_k mu_k e_k dbeta_k
     and then solves the drift stage implicitly (see implicit_solve). The stream
-    is keyed by (master_seed, path_index); increments are drawn at every step
-    even after extinction so the step-to-increment mapping never depends on
-    the path's history.
+    is keyed by (master_seed, path_index) and step i of a live path always
+    takes the i-th draw, because a path stops only once. After extinction or
+    failure no increments are drawn, unless config.log_increments asks for
+    the full (n_steps, K) log. The path's Newton iterations and dt-halvings
+    are returned in PathResult.solver_counts.
     """
     grid = x0.grid
     h = grid.spacing
@@ -242,6 +274,7 @@ def run_path(
     states = [] if config.store_states else None
     inc_log = [] if config.log_increments else None
     coercivity_violations = 0
+    counts = SolverCounts()
 
     x = x0.values.copy()
     x0_l2 = norm_l2(x0)
@@ -275,15 +308,17 @@ def run_path(
     failure_reason = ""
     for i in range(1, n_steps + 1):
         t = i * config.dt
-        inc = sample_increments(config.dt, noise.n_modes, stream)
-        if inc_log is not None:
-            inc_log.append(inc.dbeta)
-        if not extinct and not failed:
+        live = not extinct and not failed
+        if live or inc_log is not None:
+            inc = sample_increments(config.dt, noise.n_modes, stream)
+            if inc_log is not None:
+                inc_log.append(inc.dbeta)
+        if live:
             perturbed = x * (1.0 + inc.dbeta @ mu_modes)
             try:
                 x = _drift_substeps(
                     perturbed, h, config.dt, model,
-                    config.newton_tol, config.newton_max_iter,
+                    config.newton_tol, config.newton_max_iter, counts,
                 )
             except ImplicitStepError as exc:
                 failed = True
@@ -328,6 +363,7 @@ def run_path(
         failure_reason=failure_reason,
         coercivity_violations=coercivity_violations,
         x0_l2=x0_l2,
+        solver_counts=counts,
     )
 
 

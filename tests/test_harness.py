@@ -177,6 +177,20 @@ class TestRunEnsemble:
         ):
             assert key in d
 
+    def test_newton_count_matches_traced_benchmark(self):
+        """The acceptance workload of perfbench at seed 17: its traced run
+        counts 25463 Newton solves over these 10 paths (stepper.newton_iters)."""
+        cfg = config_from_dict(base_raw(
+            grid=dict(n_interior=255),
+            solver=dict(dt=1e-4, t_final=0.278, record_every=5),
+            n_paths=10,
+            checkpoints=[0.035, 0.070, 0.105, 0.140, 0.175, 0.210, 0.245, 0.278],
+            gamma=2.0,  # gamma enters only the coercivity count, not the paths
+        ))
+        summary = run_ensemble(cfg, workers=2)
+        diagnostics = json.loads(summary.to_json())["diagnostics"]
+        assert diagnostics == {"newton_iters": 25463, "halvings": 0}
+
     def test_interval_shrinks_with_n(self):
         # quadrupling n_paths should at least halve the mean half-width at a
         # checkpoint with nondegenerate counts

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from scipy.linalg import LinAlgError, cho_solve_banded
 
 from spmlab import (
     Field,
@@ -12,7 +14,14 @@ from spmlab import (
     norm_lp,
     solve_poisson,
 )
-from spmlab.operators import GridError, lambda1_exact, norm_l2, poisson_solve_array
+from spmlab.operators import (
+    GridError,
+    _poisson_factor,
+    lambda1_exact,
+    norm_l2,
+    poisson_solve_array,
+    solve_banded,
+)
 
 from conftest import random_field
 
@@ -101,6 +110,65 @@ class TestPoisson:
         np.testing.assert_array_equal(
             poisson_solve_array(f, grid.spacing), np.column_stack(cols)
         )
+
+
+def badly_scaled_tridiagonal(n, rng):
+    """(3, n) banded layout with entries spread over 16 decades."""
+    ab = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (3, n))
+    ab[0, 0] = ab[2, -1] = 0.0
+    return ab
+
+
+class TestLapackKernels:
+    """The direct LAPACK calls against the scipy wrappers they replace."""
+
+    @pytest.mark.parametrize("n", [3, 63, 255])
+    def test_gtsv_matches_scipy_solve_banded(self, n, rng):
+        for _ in range(20):
+            ab = badly_scaled_tridiagonal(n, rng)
+            for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+                np.testing.assert_array_equal(
+                    solve_banded((1, 1), ab, b), scipy.linalg.solve_banded((1, 1), ab, b)
+                )
+
+    def test_gtsv_leaves_inputs_unchanged(self, rng):
+        ab = badly_scaled_tridiagonal(63, rng)
+        b = rng.standard_normal(63)
+        ab_copy, b_copy = ab.copy(), b.copy()
+        solve_banded((1, 1), ab, b)
+        np.testing.assert_array_equal(ab, ab_copy)
+        np.testing.assert_array_equal(b, b_copy)
+
+    @pytest.mark.parametrize("n", [3, 63, 255])
+    def test_pbtrs_matches_scipy_cho_solve_banded(self, n, rng):
+        h = 1.0 / (n + 1)
+        factor = _poisson_factor(n, h)
+        for f in (rng.standard_normal(n), rng.standard_normal((n, 4))):
+            np.testing.assert_array_equal(
+                poisson_solve_array(f, h), cho_solve_banded((factor, False), f)
+            )
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad, rng):
+        n = 31
+        ab = badly_scaled_tridiagonal(n, rng)
+        b = rng.standard_normal(n)
+        bad_ab, bad_b = ab.copy(), b.copy()
+        bad_ab[1, 5] = bad
+        bad_b[7] = bad
+        for args in ((bad_ab, b), (ab, bad_b)):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                solve_banded((1, 1), *args)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            poisson_solve_array(bad_b, 1.0 / (n + 1))
+
+    def test_other_bandwidth_rejected(self, rng):
+        with pytest.raises(ValueError, match="1, 1"):
+            solve_banded((1, 2), np.ones((4, 5)), np.ones(5))
+
+    def test_singular_matrix(self):
+        with pytest.raises(LinAlgError, match="singular matrix"):
+            solve_banded((1, 1), np.zeros((3, 7)), np.ones(7))
 
 
 class TestInnerHm1:

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import spmlab.stepper as stepper_mod
 from spmlab import (
@@ -18,7 +21,8 @@ from spmlab import (
     run_path,
     weak_form_residual,
 )
-from spmlab.stepper import ImplicitStepError
+from spmlab.operators import _poisson_factor
+from spmlab.stepper import ImplicitStepError, Trajectory
 from spmlab.theory import BoundInputs, deterministic_extinction_time
 
 from conftest import random_field, resolvent_bisect, resolvent_half
@@ -181,6 +185,93 @@ class TestRunPath:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,hm1_norm,lp_norm,min,max,supermartingale"
         assert len(lines) == res.trajectory.times.size + 1
+
+    @staticmethod
+    def _noisy_extinct_setup(basis, **solver):
+        e1 = basis.mode(1)
+        x0 = e1.with_values(e1.values * (0.1 / norm_hm1(e1)))
+        return x0, SolverConfig(dt=1e-3, t_final=0.2, record_every=1, **solver)
+
+    def test_no_increments_drawn_after_extinction(
+        self, model, small_noise, basis, monkeypatch
+    ):
+        x0, cfg = self._noisy_extinct_setup(basis)
+        logged_cfg = dataclasses.replace(cfg, log_increments=True)
+        logged = run_path(x0, logged_cfg, model, small_noise, seed=(8, 3))
+        draws = []
+        original = stepper_mod.sample_increments
+
+        def counting(*args):
+            draws.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(stepper_mod, "sample_increments", counting)
+        res = run_path(x0, cfg, model, small_noise, seed=(8, 3))
+        n_steps = round(cfg.t_final / cfg.dt)
+        assert res.extinct and len(draws) == round(res.tau_hat / cfg.dt) < n_steps
+        # the increment log still has a row for every step, and logging
+        # changes no path
+        assert logged.trajectory.increments_log.shape == (n_steps, 2)
+        assert logged.tau_hat == res.tau_hat
+        np.testing.assert_array_equal(logged.trajectory.states, res.trajectory.states)
+        np.testing.assert_array_equal(logged.trajectory.hm1_norms, res.trajectory.hm1_norms)
+
+    def test_paths_match_scipy_wrappers(self, model, small_noise, basis, monkeypatch):
+        """The LAPACK kernels give the paths of scipy's solve_banded and
+        cho_solve_banded bit for bit."""
+        x0, cfg = self._noisy_extinct_setup(basis, store_states=True)
+        seeds = [(6, 0), (6, 1)]
+        shipped = [run_path(x0, cfg, model, small_noise, seed=s) for s in seeds]
+        calls = {"newton": 0, "hm1": 0}
+
+        def scipy_newton(l_and_u, ab, b):
+            calls["newton"] += 1
+            return scipy.linalg.solve_banded(l_and_u, ab, b)
+
+        def scipy_poisson(f, h):
+            calls["hm1"] += 1
+            return scipy.linalg.cho_solve_banded((_poisson_factor(f.shape[0], h), False), f)
+
+        monkeypatch.setattr(stepper_mod, "solve_banded", scipy_newton)
+        monkeypatch.setattr(stepper_mod, "poisson_solve_array", scipy_poisson)
+        wrapped = [run_path(x0, cfg, model, small_noise, seed=s) for s in seeds]
+        assert calls["newton"] > 0 and calls["hm1"] > 0
+        for a, b in zip(shipped, wrapped):
+            assert a.extinct and a.tau_hat == b.tau_hat
+            for f in dataclasses.fields(Trajectory):
+                np.testing.assert_array_equal(
+                    getattr(a.trajectory, f.name), getattr(b.trajectory, f.name)
+                )
+
+    def test_solver_counts(self, model, small_noise, basis, monkeypatch):
+        x0, cfg = self._noisy_extinct_setup(basis)
+        newton = []
+        original_solve = stepper_mod.solve_banded
+
+        def counting(*args):
+            newton.append(None)
+            return original_solve(*args)
+
+        monkeypatch.setattr(stepper_mod, "solve_banded", counting)
+        res = run_path(x0, cfg, model, small_noise, seed=(2, 5))
+        assert res.solver_counts.newton_iters == len(newton) > 0
+        assert res.solver_counts.halvings == 0
+
+        # the first full step fails once and is redone as two half steps
+        original_stage = stepper_mod._solve_implicit_array
+        failures = []
+
+        def fail_first(b, h, dt, *args):
+            if not failures:
+                failures.append(dt)
+                raise ImplicitStepError(residual=1.0)
+            return original_stage(b, h, dt, *args)
+
+        monkeypatch.setattr(stepper_mod, "_solve_implicit_array", fail_first)
+        halved = run_path(x0, cfg, model, small_noise, seed=(2, 5))
+        assert failures == [cfg.dt]
+        assert halved.solver_counts.halvings == 1
+        assert halved.solver_counts.newton_iters > 0
 
 
 class TestWeakFormResidual:
