@@ -30,7 +30,7 @@ from .nonlinearity import (
     resolvent,
     yosida,
 )
-from .noise import NoiseSpec, WienerIncrements, c_star, make_stream, noise_field, sample_increments
+from .noise import NoiseSpec, WienerIncrements, c_star, make_stream, noise_kick, sample_increments
 from .operators import (
     Field,
     GammaEstimate,

@@ -22,7 +22,6 @@ from .harness import (
     run_ensemble,
     _build_context,
 )
-from .nonlinearity import ResolventError
 from .noise import c_star as compute_c_star
 from .operators import estimate_gamma, norm_hm1
 from .stepper import ImplicitStepError, PathFailedError, convergence_study, run_path
@@ -32,7 +31,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_COMPARISON = 4
 
-_NUMERICAL_ERRORS = (EnsembleFailure, PathFailedError, ResolventError, ImplicitStepError)
+_NUMERICAL_ERRORS = (EnsembleFailure, PathFailedError, ImplicitStepError)
 
 
 def _load_config(path, seed):

@@ -103,6 +103,11 @@ class ExperimentConfig:
             raise ConfigError("checkpoints must lie in (0, t_final]")
         if self.gamma is not None and self.gamma <= 0:
             raise ConfigError("gamma override must be positive")
+        if self.gamma_n_starts < 1:
+            raise ConfigError(f"gamma_n_starts must be >= 1, got {self.gamma_n_starts}")
+        n = self.grid.n_interior
+        if self.initial.kind == "eigenmode" and not 1 <= self.initial.mode <= n:
+            raise ConfigError(f"initial mode {self.initial.mode} outside 1..{n}")
         if self.initial.kind == "custom":
             values = self.initial.values
             if len(values) != self.grid.n_interior:
@@ -128,11 +133,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 kind=aux_raw.get("kind", "zero"),
                 slope=float(aux_raw.get("slope", 0.0)),
             ),
-            reg=RegularizationParams(
-                lam=float(m["lambda"]),
-                solver_tol=float(m.get("solver_tol", 1e-12)),
-                max_iter=int(m.get("max_iter", 200)),
-            ),
+            reg=RegularizationParams(lam=float(m["lambda"])),
         )
         s = raw["solver"]
         solver = SolverConfig(

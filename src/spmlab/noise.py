@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import Field, GridError, SpectralBasis
+from .operators import GridError, SpectralBasis
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,10 @@ class NoiseSpec:
     @property
     def n_modes(self) -> int:
         return self.mu.size
+
+    def scaled_modes(self) -> np.ndarray:
+        """(K, n) array whose rows are mu_k * e_k, the weights of noise_kick."""
+        return self.mu[:, None] * self.basis.modes[: self.n_modes]
 
 
 @dataclass(frozen=True)
@@ -66,13 +70,16 @@ def sample_increments(
     return WienerIncrements(dbeta=stream.normal(0.0, np.sqrt(dt), n_modes), dt=dt)
 
 
-def noise_field(X: Field, inc: WienerIncrements, noise: NoiseSpec) -> Field:
-    """Nodewise X_i * sum_k mu_k * e_k(x_i) * dbeta_k."""
-    if inc.dbeta.size != noise.n_modes:
+def noise_kick(x: np.ndarray, inc: WienerIncrements, scaled_modes: np.ndarray) -> np.ndarray:
+    """Explicit noise step x * (1 + sum_k mu_k * e_k * dbeta_k), nodewise.
+
+    scaled_modes is NoiseSpec.scaled_modes(), which run_path builds once per
+    path. The zero state stays zero.
+    """
+    if inc.dbeta.size != scaled_modes.shape[0]:
         raise ValueError(
-            f"got {inc.dbeta.size} increments for {noise.n_modes} noise modes"
+            f"got {inc.dbeta.size} increments for {scaled_modes.shape[0]} noise modes"
         )
-    if X.grid != noise.basis.grid:
+    if x.shape != scaled_modes.shape[1:]:
         raise GridError("field and noise basis live on different grids")
-    combined = (noise.mu * inc.dbeta) @ noise.basis.modes[: noise.n_modes]
-    return X.with_values(X.values * combined)
+    return x * (1.0 + inc.dbeta @ scaled_modes)

@@ -90,10 +90,6 @@ class ModelParams:
         slope = self.aux.slope if self.aux.kind == "linear" else 0.0
         return self.reg.lam + slope
 
-    @property
-    def drift_lipschitz(self) -> float:
-        return 1.0 / self.reg.lam + self.linear_coeff
-
     def pressure_state(self, w):
         """(Y, Y', G, G') at the pressure w = yosida(Y), derivatives in w.
 

@@ -117,18 +117,18 @@ def poisson_solve_array(f: np.ndarray, h: float) -> np.ndarray:
     return x
 
 
-def solve_banded(l_and_u: tuple[int, int], ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a tridiagonal system given in scipy's banded layout, by LAPACK gtsv.
+def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a tridiagonal system by LAPACK gtsv, given its three diagonals.
 
-    Takes the arguments of scipy.linalg.solve_banded for (l, u) = (1, 1) and
-    passes LAPACK the same diagonals, so the result is the same bit for bit;
-    only the per-call wrapper cost is gone. Raises ValueError for any other
-    bandwidth or on non-finite input, and LinAlgError if the matrix is singular.
+    d is the main diagonal (n,), dl the sub- and du the superdiagonal (n-1,),
+    as gtsv takes them; b is (n,) or (n, k). These are the diagonals
+    scipy.linalg.solve_banded((1, 1), ...) passes to gtsv, so the result is
+    the same bit for bit, without the banded array and the per-call wrapper.
+    The inputs are left unchanged. Raises ValueError on non-finite input and
+    LinAlgError if the matrix is singular.
     """
-    if tuple(l_and_u) != (1, 1):
-        raise ValueError(f"only (l, u) = (1, 1) is supported, got {l_and_u}")
-    _check_finite(ab, b)
-    _, _, _, x, info = dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    _check_finite(dl, d, du, b)
+    _, _, _, x, info = dgtsv(dl, d, du, b)
     if info > 0:
         raise LinAlgError("singular matrix")
     if info < 0:

@@ -10,10 +10,11 @@ is solved by damped Newton for the pressure w = yosida(Y), not for Y. Y and
 G are explicit in w (ModelParams.pressure_state), so a Newton step is one
 tridiagonal solve (LAPACK gtsv, through operators.solve_banded) and needs no
 nested per-node resolvent solve. Convergence is tested on the residual
-above. If Newton stalls, a contractive Picard iteration in Y takes over,
-evaluating G through the resolvent; a step that still fails signals the
-caller to halve the step locally. run_path counts the Newton iterations and
-halvings of each path (SolverCounts).
+above. The drift is maximal monotone, so the stage has exactly one solution;
+if Newton's line search gives up or its budget runs out, the stage raises
+ImplicitStepError and the caller halves the step locally, the one recovery
+path. run_path counts the Newton iterations and halvings of each path
+(SolverCounts).
 
 Extinction is detected on the H^-1 norm against a small threshold, after
 which the state is clamped to exactly zero and held (zero is absorbing for
@@ -25,10 +26,9 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_solve_banded, cholesky_banded
 
-from .nonlinearity import ModelParams, aux_psi, psi0, resolvent
-from .noise import NoiseSpec, c_star, make_stream, sample_increments
+from .nonlinearity import ModelParams, aux_psi, psi0
+from .noise import NoiseSpec, c_star, make_stream, noise_kick, sample_increments
 from .operators import (
     Field,
     laplacian_array,
@@ -38,6 +38,12 @@ from .operators import (
     solve_banded,
 )
 from .theory import discounted_norm
+
+# Unused here since the stage is pure Newton, but perfbench/tracing.py binds
+# these three names in this module when it starts (its resolvent and Picard
+# layers, which therefore read 0).
+from scipy.linalg import cho_solve_banded, cholesky_banded  # noqa: F401
+from .nonlinearity import resolvent  # noqa: F401
 
 
 class ImplicitStepError(RuntimeError):
@@ -66,6 +72,10 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.dt < self.t_final:
             raise ValueError(f"need 0 < dt < t_final, got dt={self.dt}, T={self.t_final}")
+        if not (self.newton_tol > 0 and np.isfinite(self.newton_tol)):
+            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
+        if self.newton_max_iter < 1:
+            raise ValueError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
         if self.extinction_eps <= 0:
             raise ValueError("extinction_eps must be positive")
         if self.record_every < 1:
@@ -139,8 +149,10 @@ def _solve_implicit_array(
     max_iter: int,
     counts: SolverCounts,
 ) -> np.ndarray:
-    """Solve Y - dt*Laplacian(G(Y)) = b by Newton in the pressure w = yosida(Y)."""
-    n = b.size
+    """Solve Y - dt*Laplacian(G(Y)) = b by Newton in the pressure w = yosida(Y).
+
+    Raises ImplicitStepError when the line search gives up or max_iter runs out.
+    """
     k = dt / h**2
     scale = max(1.0, np.sqrt(h) * np.linalg.norm(b))
 
@@ -153,13 +165,9 @@ def _solve_implicit_array(
     for _ in range(max_iter):
         if rnorm <= tol * scale:
             return y
-        # Newton matrix diag(Y') - dt*Laplacian*diag(G')
-        ab = np.zeros((3, n))
-        ab[0, 1:] = -k * gp[1:]
-        ab[1, :] = yp + 2.0 * k * gp
-        ab[2, :-1] = -k * gp[:-1]
+        # Newton matrix diag(Y') - dt*Laplacian*diag(G'), as its three diagonals
         counts.newton_iters += 1
-        delta = solve_banded((1, 1), ab, res)
+        delta = solve_banded(-k * gp[:-1], yp + 2.0 * k * gp, -k * gp[1:], res)
         s = 1.0
         for _ in range(9):
             trial = evaluate(w - s * delta)
@@ -168,31 +176,9 @@ def _solve_implicit_array(
                 break
             s *= 0.5
         else:
-            break
+            break  # the line search gave up
     if rnorm <= tol * scale:
         return y
-
-    # Picard fallback in Y on (I + dt*lip*A) y = b + dt*A*(lip*y - G(y)) with
-    # A = -Lap and G evaluated through the resolvent; contracts for any dt
-    # because 0 <= G' <= lip.
-    law, reg, c = model.diffusion, model.reg, model.linear_coeff
-
-    def g_of(y):
-        return psi0(resolvent(y, law, reg), law) + c * y
-
-    lip = model.drift_lipschitz
-    ab = np.empty((2, n))
-    ab[0, :] = -dt * lip / h**2
-    ab[0, 0] = 0.0
-    ab[1, :] = 1.0 + 2.0 * dt * lip / h**2
-    factor = cholesky_banded(ab)
-    g = g_of(y)
-    for _ in range(500):
-        y = cho_solve_banded((factor, False), b - dt * laplacian_array(lip * y - g, h))
-        g = g_of(y)
-        rnorm = np.sqrt(h) * np.linalg.norm(y - dt * laplacian_array(g, h) - b)
-        if rnorm <= tol * scale:
-            return y
     raise ImplicitStepError(residual=float(rnorm))
 
 
@@ -254,13 +240,13 @@ def run_path(
 ) -> PathResult:
     """Integrate one path to t_final, clamping to zero once |X|_{-1} <= eps.
 
-    Each step multiplies X by the explicit noise factor 1 + sum_k mu_k e_k dbeta_k
-    and then solves the drift stage implicitly (see implicit_solve). The stream
-    is keyed by (master_seed, path_index) and step i of a live path always
-    takes the i-th draw, because a path stops only once. After extinction or
-    failure no increments are drawn, unless config.log_increments asks for
-    the full (n_steps, K) log. The path's Newton iterations and dt-halvings
-    are returned in PathResult.solver_counts.
+    Each step applies the explicit noise kick X*(1 + sum_k mu_k e_k dbeta_k)
+    (noise_kick) and then solves the drift stage implicitly (see
+    implicit_solve). The stream is keyed by (master_seed, path_index) and
+    step i of a live path always takes the i-th draw, because a path stops
+    only once. After extinction or failure no increments are drawn, unless
+    config.log_increments asks for the full (n_steps, K) log. The path's
+    Newton iterations and dt-halvings are returned in PathResult.solver_counts.
     """
     grid = x0.grid
     h = grid.spacing
@@ -268,7 +254,7 @@ def run_path(
     p = alpha + 1.0
     stream = make_stream(*seed)
     n_steps = int(round(config.t_final / config.dt))
-    mu_modes = noise.mu[:, None] * noise.basis.modes[: noise.n_modes]
+    scaled_modes = noise.scaled_modes()
 
     times, hm1s, lps, mins, maxs = [], [], [], [], []
     states = [] if config.store_states else None
@@ -314,7 +300,7 @@ def run_path(
             if inc_log is not None:
                 inc_log.append(inc.dbeta)
         if live:
-            perturbed = x * (1.0 + inc.dbeta @ mu_modes)
+            perturbed = noise_kick(x, inc, scaled_modes)
             try:
                 x = _drift_substeps(
                     perturbed, h, config.dt, model,

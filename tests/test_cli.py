@@ -113,6 +113,25 @@ class TestWrongSizedInitialValues:
         assert r.exit_code == 2, r.output
 
 
+class TestBadValues:
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(initial=dict(kind="eigenmode", mode=0, target_hm1_norm=0.1)),
+            dict(initial=dict(kind="eigenmode", mode=40, target_hm1_norm=0.1)),
+            dict(gamma_n_starts=0),
+            dict(solver=dict(dt=2e-3, t_final=0.4, record_every=20, newton_tol=0.0)),
+            dict(solver=dict(dt=2e-3, t_final=0.4, record_every=20, newton_max_iter=0)),
+        ],
+    )
+    def test_exit_2(self, tmp_path, overrides):
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml.safe_dump(base_raw(n_paths=3, **overrides)))
+        r = run_cli("ensemble", "--config", str(p), "--out", str(tmp_path / "o"))
+        assert r.exit_code == 2, r.output
+        assert "config error" in r.output
+
+
 class TestMissingConfig:
     def test_nonexistent_file(self):
         r = run_cli("simulate", "--config", "/does/not/exist.yaml")

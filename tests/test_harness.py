@@ -75,6 +75,33 @@ class TestConfig:
         with pytest.raises(ConfigError, match="finite"):
             config_from_dict(base_raw(initial=dict(kind="custom", values=values)))
 
+    @pytest.mark.parametrize("mode", [0, 32])
+    def test_initial_mode_out_of_range(self, mode):
+        # the grid has 31 interior nodes
+        initial = dict(kind="eigenmode", mode=mode, target_hm1_norm=0.1)
+        with pytest.raises(ConfigError, match=f"mode {mode} outside 1..31"):
+            config_from_dict(base_raw(initial=initial))
+
+    def test_gamma_n_starts_below_one(self):
+        with pytest.raises(ConfigError, match="gamma_n_starts"):
+            config_from_dict(base_raw(gamma_n_starts=0))
+
+    @pytest.mark.parametrize(
+        "solver",
+        [
+            dict(newton_tol=0.0),
+            dict(newton_tol=-1e-10),
+            dict(newton_tol=float("nan")),
+            dict(newton_tol=float("inf")),
+            dict(newton_max_iter=0),
+        ],
+    )
+    def test_bad_newton_settings(self, solver):
+        raw = base_raw()
+        raw["solver"].update(solver)
+        with pytest.raises(ConfigError, match="newton_"):
+            config_from_dict(raw)
+
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError):
             config_from_dict(base_raw(model={"rho": 1.0, "alpha": 1.2, "lambda": 1e-4}))

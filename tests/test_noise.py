@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from spmlab import (
-    Field,
     GridSpec,
     NoiseSpec,
+    WienerIncrements,
     build_basis,
     c_star,
     make_stream,
-    noise_field,
+    noise_kick,
     sample_increments,
 )
+from spmlab.operators import GridError
 
 from conftest import random_field
 
@@ -68,55 +69,51 @@ class TestIncrements:
 
 
 class TestNoiseField:
+    """noise_kick, the explicit noise step x * (1 + sum_k mu_k e_k dbeta_k)."""
+
     def test_zero_state_absorbing(self, grid, small_noise):
         inc = sample_increments(0.1, 2, make_stream(5, 0))
-        out = noise_field(Field.zero(grid), inc, small_noise)
-        assert np.all(out.values == 0)
+        out = noise_kick(np.zeros(grid.n_interior), inc, small_noise.scaled_modes())
+        assert np.all(out == 0)
 
     def test_zero_increments(self, grid, rng, small_noise):
-        from spmlab.noise import WienerIncrements
-
-        X = random_field(grid, rng)
-        out = noise_field(X, WienerIncrements(np.zeros(2), 0.1), small_noise)
-        assert np.all(out.values == 0)
+        X = random_field(grid, rng).values
+        out = noise_kick(X, WienerIncrements(np.zeros(2), 0.1), small_noise.scaled_modes())
+        np.testing.assert_array_equal(out, X)
 
     def test_single_mode_cross_check(self, grid, rng, basis):
-        from spmlab.noise import WienerIncrements
-
         spec = NoiseSpec(mu=np.array([0.7]), basis=basis)
-        X = random_field(grid, rng)
+        X = random_field(grid, rng).values
         inc = WienerIncrements(np.array([0.35]), 0.1)
-        out = noise_field(X, inc, spec)
-        direct = X.values * (0.7 * 0.35 * basis.mode(1).values)
-        np.testing.assert_allclose(out.values, direct, rtol=1e-14)
+        out = noise_kick(X, inc, spec.scaled_modes())
+        direct = X * (1.0 + 0.7 * 0.35 * basis.mode(1).values)
+        np.testing.assert_allclose(out, direct, rtol=1e-14)
 
     def test_bilinearity(self, grid, rng, small_noise):
-        from spmlab.noise import WienerIncrements
+        """kick - X is linear in the state and in the increments."""
+        modes = small_noise.scaled_modes()
 
-        X, Y = random_field(grid, rng), random_field(grid, rng)
+        def term(x, inc):
+            return noise_kick(x, inc, modes) - x
+
+        X, Y = random_field(grid, rng).values, random_field(grid, rng).values
         d1 = rng.standard_normal(2)
         d2 = rng.standard_normal(2)
         i1, i2 = WienerIncrements(d1, 0.1), WienerIncrements(d2, 0.1)
         both = WienerIncrements(d1 + d2, 0.1)
         # linear in the state
-        lhs = noise_field(Field(X.values + 2 * Y.values, grid), i1, small_noise).values
-        rhs = (
-            noise_field(X, i1, small_noise).values
-            + 2 * noise_field(Y, i1, small_noise).values
+        np.testing.assert_allclose(
+            term(X + 2 * Y, i1), term(X, i1) + 2 * term(Y, i1), rtol=1e-12, atol=1e-14
         )
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
         # linear in the increments
         np.testing.assert_allclose(
-            noise_field(X, both, small_noise).values,
-            noise_field(X, i1, small_noise).values
-            + noise_field(X, i2, small_noise).values,
-            rtol=1e-12,
-            atol=1e-14,
+            term(X, both), term(X, i1) + term(X, i2), rtol=1e-12, atol=1e-14
         )
 
     def test_shape_mismatch(self, grid, rng, small_noise):
-        from spmlab.noise import WienerIncrements
-
-        X = random_field(grid, rng)
+        X = random_field(grid, rng).values
+        modes = small_noise.scaled_modes()
         with pytest.raises(ValueError):
-            noise_field(X, WienerIncrements(np.zeros(3), 0.1), small_noise)
+            noise_kick(X, WienerIncrements(np.zeros(3), 0.1), modes)
+        with pytest.raises(GridError):
+            noise_kick(X[:-1], WienerIncrements(np.zeros(2), 0.1), modes)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -18,11 +19,12 @@ from spmlab import (
     estimate_gamma,
     implicit_solve,
     norm_hm1,
+    psi0,
     run_path,
     weak_form_residual,
 )
-from spmlab.operators import _poisson_factor
-from spmlab.stepper import ImplicitStepError, Trajectory
+from spmlab.operators import _poisson_factor, laplacian_array, norm_l2
+from spmlab.stepper import ImplicitStepError, SolverCounts, Trajectory
 from spmlab.theory import BoundInputs, deterministic_extinction_time
 
 from conftest import random_field, resolvent_bisect, resolvent_half
@@ -34,8 +36,6 @@ class TestImplicitSolve:
         assert np.all(out.values == 0)
 
     def test_nonlinear_residual_small(self, grid, model, rng):
-        from spmlab.operators import laplacian_array, norm_l2
-
         B = random_field(grid, rng, scale=0.1)
         dt = 1e-3
         Y = implicit_solve(B, dt, model, newton_tol=1e-11)
@@ -54,9 +54,6 @@ class TestImplicitSolve:
         through the iterative resolvent stalls above the tolerance on some of
         these cases and meets it on others only against its own inexact G.
         """
-        from spmlab import psi0
-        from spmlab.operators import laplacian_array, norm_l2
-
         lam, dt, tol = 1e-4, 1e-3, 1e-10
         law = DiffusionLaw(1.0, alpha)
         model = ModelParams(law, reg=RegularizationParams(lam))
@@ -72,13 +69,66 @@ class TestImplicitSolve:
             res = Y - dt * laplacian_array(G, h) - B.values
             assert np.sqrt(h) * np.linalg.norm(res) <= tol * max(1.0, norm_l2(B))
 
-    def test_picard_fallback_alone(self, grid, rng):
-        # no Newton iterations: the Y-space Picard iteration solves the stage
-        model = ModelParams(DiffusionLaw(1.0, 0.5), reg=RegularizationParams(0.1))
-        B = random_field(grid, rng, scale=0.1)
-        newton = implicit_solve(B, 1e-3, model)
-        picard = implicit_solve(B, 1e-3, model, newton_max_iter=0)
-        np.testing.assert_allclose(picard.values, newton.values, rtol=0, atol=1e-9)
+    def test_stress_grid_converges(self, grid, basis, rng):
+        """Newton alone solves every stage of a 243-case grid, quickly.
+
+        3 data shapes (dense and half-sparse sign-changing, first eigenmode)
+        x alpha x lam x dt x amplitude, three values each.
+        """
+        h = grid.spacing
+        dense = rng.standard_normal(grid.n_interior)
+        sparse = rng.standard_normal(grid.n_interior)
+        sparse[::2] = 0.0
+        worst = 0
+        for data in (dense, sparse, basis.modes[0]):
+            for alpha, lam, dt, amplitude in itertools.product(
+                (0.2, 0.5, 0.8), (1e-2, 1e-4, 1e-6), (1e-4, 1e-2, 1.0), (1.0, 1e-4, 1e-8)
+            ):
+                model = ModelParams(DiffusionLaw(1.0, alpha), reg=RegularizationParams(lam))
+                counts = SolverCounts()
+                stepper_mod._solve_implicit_array(
+                    amplitude * data, h, dt, model, 1e-10, 50, counts
+                )
+                worst = max(worst, counts.newton_iters)
+        assert worst <= 12
+
+    def test_stall_raises_at_once(self, grid, model, rng, monkeypatch):
+        """A line search that gives up ends the stage after that one solve,
+        and _drift_substeps recovers by one halving."""
+        b = random_field(grid, rng, scale=0.1).values
+        h, dt = grid.spacing, 1e-3
+        original = stepper_mod.solve_banded
+        solves = []
+
+        def stall_first(*args):
+            solves.append(None)
+            if len(solves) == 1:
+                return np.zeros_like(args[-1])  # no descent: every trial is rejected
+            return original(*args)
+
+        monkeypatch.setattr(stepper_mod, "solve_banded", stall_first)
+        counts = SolverCounts()
+        with pytest.raises(ImplicitStepError) as err:
+            stepper_mod._solve_implicit_array(b, h, dt, model, 1e-10, 50, counts)
+        assert len(solves) == counts.newton_iters == 1
+        # the reported residual is the one of the starting guess: nothing ran after
+        y, _, g, _ = model.pressure_state(psi0(b, model.diffusion))
+        start = np.sqrt(h) * np.linalg.norm(y - dt * laplacian_array(g, h) - b)
+        assert err.value.residual == start
+
+        solves.clear()
+        counts = SolverCounts()
+        y = stepper_mod._drift_substeps(b, h, dt, model, 1e-10, 50, counts)
+        assert counts.halvings == 1
+        assert counts.newton_iters == len(solves) > 1
+        assert np.all(np.isfinite(y))
+
+    def test_budget_exhausted_raises(self, grid, model, rng):
+        b = random_field(grid, rng, scale=0.1).values
+        counts = SolverCounts()
+        with pytest.raises(ImplicitStepError):
+            stepper_mod._solve_implicit_array(b, grid.spacing, 1e-3, model, 1e-10, 1, counts)
+        assert counts.newton_iters == 1
 
 
 class TestStep:
@@ -224,9 +274,11 @@ class TestRunPath:
         shipped = [run_path(x0, cfg, model, small_noise, seed=s) for s in seeds]
         calls = {"newton": 0, "hm1": 0}
 
-        def scipy_newton(l_and_u, ab, b):
+        def scipy_newton(dl, d, du, b):
             calls["newton"] += 1
-            return scipy.linalg.solve_banded(l_and_u, ab, b)
+            ab = np.zeros((3, d.size))
+            ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+            return scipy.linalg.solve_banded((1, 1), ab, b)
 
         def scipy_poisson(f, h):
             calls["hm1"] += 1
