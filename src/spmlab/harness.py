@@ -119,8 +119,44 @@ class ExperimentConfig:
                 raise ConfigError("custom initial values must be finite")
 
 
+# the keys config_from_dict reads, by section; any other key is a config error
+_CONFIG_KEYS = {
+    "": {
+        "grid", "K", "model", "noise", "solver", "initial", "n_paths", "master_seed",
+        "checkpoints", "gamma", "gamma_n_starts", "convergence_lambdas",
+    },
+    "grid": {"n_interior", "length"},
+    "model": {"rho", "alpha", "lambda", "aux"},
+    "model.aux": {"kind", "slope"},
+    "noise": {"mu"},
+    "solver": {"dt", "t_final", "newton_tol", "newton_max_iter", "record_every", "extinction_eps"},
+    "initial": {"kind", "mode", "values", "target_hm1_norm"},
+}
+# they set the budget of the resolvent, which no simulation path calls
+_REMOVED_KEYS = ("model.solver_tol", "model.max_iter")
+
+
+def _check_keys(section, path: str = "") -> None:
+    """Raise ConfigError naming the dotted key that config_from_dict would ignore."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"config section {path or '(top level)'!r} must be a mapping")
+    for key, value in section.items():
+        dotted = f"{path}.{key}" if path else str(key)
+        if dotted in _REMOVED_KEYS:
+            raise ConfigError(
+                f"config key {dotted!r} was removed: the implicit stage is set by "
+                "solver.newton_tol and solver.newton_max_iter"
+            )
+        if key not in _CONFIG_KEYS[path]:
+            raise ConfigError(f"unknown config key {dotted!r}")
+        if dotted in _CONFIG_KEYS:
+            _check_keys(value, dotted)
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """Parse a raw config mapping; an unknown or removed key is a ConfigError."""
     try:
+        _check_keys(raw)
         grid = GridSpec(
             n_interior=int(raw["grid"]["n_interior"]),
             length=float(raw["grid"].get("length", 1.0)),
@@ -251,7 +287,8 @@ class EnsembleSummary:
     positivity_violations: int
     coercivity_violations: int
     extinction_eps: float
-    # solver work summed over all paths; deterministic, so serialized
+    # solver work summed (worst residual: maxed) over all paths;
+    # deterministic, so serialized
     diagnostics: SolverCounts
     comparison: Optional[ComparisonReport] = None
     # per-path (times, hm1_norms) pairs; diagnostics only, never serialized
@@ -418,6 +455,8 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
         diagnostics=SolverCounts(
             newton_iters=sum(r.solver_counts.newton_iters for r in results),
             halvings=sum(r.solver_counts.halvings for r in results),
+            backtracks=sum(r.solver_counts.backtracks for r in results),
+            worst_residual=max(r.solver_counts.worst_residual for r in results),
         ),
         path_series=[(r.trajectory.times, r.trajectory.hm1_norms) for r in ok],
     )

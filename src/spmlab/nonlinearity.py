@@ -6,8 +6,10 @@ yosida(r) = (r - resolvent(r)) / lam = psi0(resolvent(r)) are evaluated
 nodewise; all functions accept scalars or numpy arrays.
 
 The pressure w = psi0(resolvent(r)) parametrizes the same graph explicitly:
-r = psi0_inverse(w) + lam*w, which ModelParams.pressure_state evaluates with
-the drift G and both derivatives, without a nested solve.
+r = psi0_inverse(w) + lam*w. ModelParams.pressure_values evaluates Y and the
+drift G at w, and ModelParams.pressure_slopes their derivatives in w, both
+without a nested solve; the implicit stage asks for the slopes only where it
+takes a Newton step.
 """
 from __future__ import annotations
 
@@ -90,19 +92,27 @@ class ModelParams:
         slope = self.aux.slope if self.aux.kind == "linear" else 0.0
         return self.reg.lam + slope
 
-    def pressure_state(self, w):
-        """(Y, Y', G, G') at the pressure w = yosida(Y), derivatives in w.
+    def pressure_values(self, w):
+        """(Y, G, |w|/rho) at the pressure w = yosida(Y).
 
-        Y(w) = psi0_inverse(w) + lam*w and G = w + linear_coeff*Y are explicit,
-        and Y'(w) = (|w|/rho)^(1/alpha - 1) / (alpha*rho) + lam stays bounded
-        near w = 0 because 1/alpha > 1.
+        Y(w) = psi0_inverse(w) + lam*w and G = w + linear_coeff*Y are
+        explicit. The third entry is what pressure_slopes needs at this w.
         """
-        law, lam = self.diffusion, self.reg.lam
+        law = self.diffusion
         w = np.asarray(w, dtype=float)
-        y = psi0_inverse(w, law) + lam * w
-        yp = (np.abs(w) / law.rho) ** (1.0 / law.alpha - 1.0) / (law.alpha * law.rho) + lam
-        c = self.linear_coeff
-        return y, yp, w + c * y, 1.0 + c * yp
+        ratio = np.abs(w) / law.rho
+        y = np.sign(w) * ratio ** (1.0 / law.alpha) + self.reg.lam * w
+        return y, w + self.linear_coeff * y, ratio
+
+    def pressure_slopes(self, ratio):
+        """(Y', G'), the derivatives in w, from ratio = |w|/rho.
+
+        Y'(w) = (|w|/rho)^(1/alpha - 1) / (alpha*rho) + lam stays bounded near
+        w = 0 because 1/alpha > 1, and G' = 1 + linear_coeff*Y'.
+        """
+        law = self.diffusion
+        yp = ratio ** (1.0 / law.alpha - 1.0) / (law.alpha * law.rho) + self.reg.lam
+        return yp, 1.0 + self.linear_coeff * yp
 
 
 def psi0(r, law: DiffusionLaw):

@@ -7,14 +7,16 @@ stable. The implicit stage
     Y - dt * Laplacian(G(Y)) = B,    G(r) = yosida(r) + lam*r + aux(r),
 
 is solved by damped Newton for the pressure w = yosida(Y), not for Y. Y and
-G are explicit in w (ModelParams.pressure_state), so a Newton step is one
-tridiagonal solve (LAPACK gtsv, through operators.solve_banded) and needs no
-nested per-node resolvent solve. Convergence is tested on the residual
-above. The drift is maximal monotone, so the stage has exactly one solution;
-if Newton's line search gives up or its budget runs out, the stage raises
-ImplicitStepError and the caller halves the step locally, the one recovery
-path. run_path counts the Newton iterations and halvings of each path
-(SolverCounts).
+G are explicit in w (ModelParams.pressure_values, evaluated at every trial
+point) and so are their slopes (ModelParams.pressure_slopes, evaluated only
+where a Newton step is taken), so a Newton step is one tridiagonal solve
+(LAPACK gtsv, through operators.solve_banded) and needs no nested per-node
+resolvent solve. Convergence is tested on the residual above. The drift is
+maximal monotone, so the stage has exactly one solution; if Newton's line
+search gives up or its budget runs out, the stage raises ImplicitStepError
+and the caller halves the step locally, the one recovery path. run_path
+counts each path's Newton iterations, line-search halvings and dt-halvings,
+and keeps its worst accepted residual (SolverCounts).
 
 Extinction is detected on the H^-1 norm against a small threshold, after
 which the state is clamped to exactly zero and held (zero is absorbing for
@@ -120,10 +122,14 @@ class Trajectory:
 @dataclass
 class SolverCounts:
     """Work of the implicit drift stage: Newton iterations (one tridiagonal
-    solve each, failed attempts included) and dt-halvings."""
+    solve each, failed attempts included), line-search step halvings
+    (backtracks) and dt-halvings, and the largest residual of an accepted
+    stage as a fraction of its tolerance, rnorm / (tol * scale) <= 1."""
 
     newton_iters: int = 0
     halvings: int = 0
+    backtracks: int = 0
+    worst_residual: float = 0.0
 
 
 @dataclass
@@ -151,35 +157,44 @@ def _solve_implicit_array(
 ) -> np.ndarray:
     """Solve Y - dt*Laplacian(G(Y)) = b by Newton in the pressure w = yosida(Y).
 
+    Adds the Newton iterations and line-search halvings to counts and, on
+    success, keeps the largest accepted residual in counts.worst_residual.
     Raises ImplicitStepError when the line search gives up or max_iter runs out.
     """
     k = dt / h**2
-    scale = max(1.0, np.sqrt(h) * np.linalg.norm(b))
+    sqrt_h = np.sqrt(h)
+    scale = max(1.0, sqrt_h * np.linalg.norm(b))
+    target = tol * scale
 
     def evaluate(w):
-        y, yp, g, gp = model.pressure_state(w)
+        y, g, ratio = model.pressure_values(w)
         res = y - dt * laplacian_array(g, h) - b
-        return w, y, yp, gp, res, np.sqrt(h) * np.linalg.norm(res)
+        # np.linalg.norm of a 1-D array is sqrt(res . res)
+        return w, y, ratio, res, sqrt_h * np.sqrt(np.dot(res, res))
 
-    w, y, yp, gp, res, rnorm = evaluate(psi0(b, model.diffusion))
+    w, y, ratio, res, rnorm = evaluate(psi0(b, model.diffusion))
     for _ in range(max_iter):
-        if rnorm <= tol * scale:
-            return y
+        if rnorm <= target:
+            break
         # Newton matrix diag(Y') - dt*Laplacian*diag(G'), as its three diagonals
+        yp, gp = model.pressure_slopes(ratio)
         counts.newton_iters += 1
         delta = solve_banded(-k * gp[:-1], yp + 2.0 * k * gp, -k * gp[1:], res)
-        s = 1.0
+        s, step = 1.0, delta
         for _ in range(9):
-            trial = evaluate(w - s * delta)
+            trial = evaluate(w - step)
             if trial[-1] < rnorm:
-                w, y, yp, gp, res, rnorm = trial
+                w, y, ratio, res, rnorm = trial
                 break
+            counts.backtracks += 1
             s *= 0.5
+            step = s * delta
         else:
             break  # the line search gave up
-    if rnorm <= tol * scale:
-        return y
-    raise ImplicitStepError(residual=float(rnorm))
+    if not rnorm <= target:  # NaN included
+        raise ImplicitStepError(residual=float(rnorm))
+    counts.worst_residual = max(counts.worst_residual, float(rnorm / target))
+    return y
 
 
 def implicit_solve(
@@ -246,7 +261,7 @@ def run_path(
     step i of a live path always takes the i-th draw, because a path stops
     only once. After extinction or failure no increments are drawn, unless
     config.log_increments asks for the full (n_steps, K) log. The path's
-    Newton iterations and dt-halvings are returned in PathResult.solver_counts.
+    solver work is returned in PathResult.solver_counts.
     """
     grid = x0.grid
     h = grid.spacing

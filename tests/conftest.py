@@ -9,7 +9,9 @@ from spmlab import (
     NoiseSpec,
     RegularizationParams,
     build_basis,
+    psi0,
 )
+from spmlab.operators import solve_banded
 
 
 @pytest.fixture(scope="session")
@@ -68,3 +70,49 @@ def resolvent_bisect(r, rho, alpha, lam):
         above = mid + lam * rho * mid**alpha > a
         hi = np.where(above, mid, hi)
         lo = np.where(above, lo, mid)
+
+
+def padded_laplacian(v, h):
+    """The three-point stencil on the zero-padded vector, as first written."""
+    padded = np.zeros(v.size + 2)
+    padded[1:-1] = v
+    return (padded[:-2] - 2.0 * padded[1:-1] + padded[2:]) / h**2
+
+
+def reference_stage(b, h, dt, model, tol, max_iter):
+    """The implicit stage as first written, kept as an oracle for the tuned one.
+
+    Damped Newton in the pressure w for Y - dt*Laplacian(G(Y)) = b, with Y,
+    Y', G and G' evaluated together at every trial and the residual norm by
+    np.linalg.norm. Returns (Y or None on a stall, Newton iterations,
+    rejected line-search trials).
+    """
+    law, lam, c = model.diffusion, model.reg.lam, model.linear_coeff
+    k = dt / h**2
+    scale = max(1.0, np.sqrt(h) * np.linalg.norm(b))
+
+    def evaluate(w):
+        y = np.sign(w) * (np.abs(w) / law.rho) ** (1.0 / law.alpha) + lam * w
+        yp = (np.abs(w) / law.rho) ** (1.0 / law.alpha - 1.0) / (law.alpha * law.rho) + lam
+        g, gp = w + c * y, 1.0 + c * yp
+        res = y - dt * padded_laplacian(g, h) - b
+        return w, y, yp, gp, res, np.sqrt(h) * np.linalg.norm(res)
+
+    iters = rejected = 0
+    w, y, yp, gp, res, rnorm = evaluate(psi0(b, law))
+    for _ in range(max_iter):
+        if rnorm <= tol * scale:
+            return y, iters, rejected
+        iters += 1
+        delta = solve_banded(-k * gp[:-1], yp + 2.0 * k * gp, -k * gp[1:], res)
+        s = 1.0
+        for _ in range(9):
+            trial = evaluate(w - s * delta)
+            if trial[-1] < rnorm:
+                w, y, yp, gp, res, rnorm = trial
+                break
+            rejected += 1
+            s *= 0.5
+        else:
+            break
+    return (y if rnorm <= tol * scale else None), iters, rejected

@@ -35,6 +35,15 @@ class TestSimulate:
         r = run_cli("simulate", "--config", str(p))
         assert r.exit_code == 2
 
+    def test_unknown_key_exit_2(self, tmp_path):
+        raw = base_raw()
+        raw["solver"]["newton_tl"] = 1e-12
+        p = tmp_path / "typo.yaml"
+        p.write_text(yaml.safe_dump(raw))
+        r = run_cli("simulate", "--config", str(p))
+        assert r.exit_code == 2
+        assert "solver.newton_tl" in r.output
+
 
 class TestEnsemble:
     def test_outputs(self, cfg_file, tmp_path):

@@ -1,7 +1,12 @@
+import importlib.util
 import json
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from scipy.stats import binomtest
 
 from spmlab import (
@@ -36,10 +41,72 @@ def base_raw(**overrides):
     return raw
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_workloads():
+    """perfbench/workloads.py, loaded from its file without changing it."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up while it loads
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+def readme_config():
+    """The example config of README.md."""
+    text = (ROOT / "README.md").read_text()
+    block = text.split("Example config:")[1].split("```yaml\n")[1].split("```")[0]
+    return yaml.safe_load(block)
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("section, dotted", [
+        (None, "gamma_starts"),
+        ("grid", "grid.lenght"),
+        ("model", "model.lambd"),
+        ("model.aux", "model.aux.slop"),
+        ("noise", "noise.sigma"),
+        ("solver", "solver.newton_tl"),
+        ("initial", "initial.target_norm"),
+    ])
+    def test_unknown_key_is_named(self, section, dotted):
+        raw = base_raw(model={"rho": 1.0, "alpha": 0.5, "lambda": 1e-4, "aux": {"kind": "zero"}})
+        target = raw
+        for name in (section.split(".") if section else []):
+            target = target[name]
+        target[dotted.rsplit(".", 1)[-1]] = 0
+        with pytest.raises(ConfigError, match=f"unknown config key '{re.escape(dotted)}'"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("key", ["solver_tol", "max_iter"])
+    def test_retired_model_keys_say_removed(self, key):
+        raw = base_raw()
+        raw["model"][key] = 1e-12
+        with pytest.raises(ConfigError, match=f"'model.{key}' was removed"):
+            config_from_dict(raw)
+
+    def test_section_must_be_a_mapping(self):
+        with pytest.raises(ConfigError, match="'solver' must be a mapping"):
+            config_from_dict(base_raw(solver=[1e-3, 0.4]))
+
+    def test_known_configs_still_parse(self):
+        workloads = load_workloads()
+        raws = [readme_config(), base_raw()]
+        raws += [c for name in workloads.NAMES for toy in (False, True)
+                 for c in workloads.make_workload(name, 17, toy=toy).configs]
+        assert len(raws) == 2 + 2 * 8
+        for raw in raws:
+            config_from_dict(raw)
+        assert config_from_dict(readme_config()).n_paths == 400
+
+
 class TestConfig:
     def test_roundtrip_yaml(self, tmp_path):
-        import yaml
-
         p = tmp_path / "cfg.yaml"
         p.write_text(yaml.safe_dump(base_raw()))
         cfg = config_from_yaml(p)
@@ -206,7 +273,9 @@ class TestRunEnsemble:
 
     def test_newton_count_matches_traced_benchmark(self):
         """The acceptance workload of perfbench at seed 17: its traced run
-        counts 25463 Newton solves over these 10 paths (stepper.newton_iters)."""
+        counts 25463 Newton solves over these 10 paths (stepper.newton_iters).
+        No Newton step is halved there, and the worst accepted stage ends just
+        under its tolerance."""
         cfg = config_from_dict(base_raw(
             grid=dict(n_interior=255),
             solver=dict(dt=1e-4, t_final=0.278, record_every=5),
@@ -216,7 +285,10 @@ class TestRunEnsemble:
         ))
         summary = run_ensemble(cfg, workers=2)
         diagnostics = json.loads(summary.to_json())["diagnostics"]
-        assert diagnostics == {"newton_iters": 25463, "halvings": 0}
+        assert diagnostics == {
+            "newton_iters": 25463, "halvings": 0,
+            "backtracks": 0, "worst_residual": 0.9990491988926051,
+        }
 
     def test_interval_shrinks_with_n(self):
         # quadrupling n_paths should at least halve the mean half-width at a

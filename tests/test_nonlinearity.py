@@ -202,7 +202,9 @@ class TestPressureState:
         )
         r = np.random.default_rng(13).uniform(-4, 4, 200)
         w = yosida(r, model.diffusion, model.reg)
-        y, yp, g, gp = model.pressure_state(w)
+        y, g, ratio = model.pressure_values(w)
+        yp, gp = model.pressure_slopes(ratio)
+        np.testing.assert_array_equal(y, psi0_inverse(w, model.diffusion) + model.reg.lam * w)
         np.testing.assert_allclose(y, r, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(g, model.drift_g(r), rtol=1e-10, atol=1e-10)
         # chain rule: dG/dr = G'(w) / Y'(w)
@@ -212,10 +214,10 @@ class TestPressureState:
         model = ModelParams(DiffusionLaw(rho=1.0, alpha=0.3), reg=RegularizationParams(1e-3))
         w = np.array([-2.0, -0.3, 0.0, 1e-3, 0.7, 3.0])
         eps = 1e-6
-        up, down = model.pressure_state(w + eps), model.pressure_state(w - eps)
-        _, yp, _, gp = model.pressure_state(w)
+        up, down = model.pressure_values(w + eps), model.pressure_values(w - eps)
+        yp, gp = model.pressure_slopes(model.pressure_values(w)[2])
         np.testing.assert_allclose(yp, (up[0] - down[0]) / (2 * eps), rtol=1e-6, atol=1e-9)
-        np.testing.assert_allclose(gp, (up[2] - down[2]) / (2 * eps), rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(gp, (up[1] - down[1]) / (2 * eps), rtol=1e-6, atol=1e-9)
         assert yp[2] == model.reg.lam
 
 

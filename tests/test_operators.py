@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -16,14 +19,17 @@ from spmlab import (
 )
 from spmlab.operators import (
     GridError,
+    _bump_ratios,
     _poisson_factor,
+    _ratio_and_grad,
     lambda1_exact,
+    laplacian_array,
     norm_l2,
     poisson_solve_array,
     solve_banded,
 )
 
-from conftest import random_field
+from conftest import padded_laplacian, random_field
 
 
 def dense_laplacian(grid):
@@ -85,6 +91,20 @@ class TestLaplacian:
         lhs = apply_laplacian(Field(2.0 * u.values - 3.0 * v.values, grid)).values
         rhs = 2.0 * apply_laplacian(u).values - 3.0 * apply_laplacian(v).values
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12)
+
+    def test_equals_padded_stencil_bit_for_bit(self, rng):
+        h = GridSpec(63).spacing
+        signed_zeros = np.array([0.0, -0.0, 0.0, -0.0, 1.5, -0.0, -2.0, 0.0])
+        sparse = rng.standard_normal(63)
+        sparse[::3] = 0.0
+        sparse[1::5] = -0.0
+        vectors = [signed_zeros, signed_zeros[::-1], sparse, rng.standard_normal(63) * 1e-300,
+                   np.array([-0.0, 3.0]), np.array([0.0]), np.array([-0.0]), np.array([2.5])]
+        for v in vectors:
+            before = v.copy()
+            got, ref = laplacian_array(v, h), padded_laplacian(v, h)
+            assert got.tobytes() == ref.tobytes()  # signed zeros included
+            assert v.tobytes() == before.tobytes()
 
 
 class TestPoisson:
@@ -295,6 +315,38 @@ class TestGamma:
         b = estimate_gamma(grid, alpha=0.5, n_starts=4, seed=5)
         assert a.value == b.value
         np.testing.assert_array_equal(a.minimizer.values, b.minimizer.values)
+
+    @pytest.mark.parametrize("n, alpha, n_starts, seed, value, digest", [
+        (127, 0.3, 32, 17, "2.782713552957625", "8a6f73691d43d0a9"),
+        (255, 0.5, 32, 17, "2.948179003400587", "d191e6850b170a53"),
+        (3, 0.9, 4, 0, "3.033287243823664", "2ed7bd1af0ecc626"),
+    ])
+    def test_pinned_estimates(self, n, alpha, n_starts, seed, value, digest):
+        """The estimate and its minimizer, to the last bit, as first computed
+        from a list of all candidates (the bumps are streamed since)."""
+        est = estimate_gamma(GridSpec(n), alpha, n_starts, seed)
+        assert repr(est.value) == value
+        assert hashlib.sha256(est.minimizer.values.tobytes()).hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("n", [3, 63, 64, 65, 200])
+    def test_streamed_bump_ratios_equal_direct_ones(self, n):
+        h = GridSpec(n).spacing
+        for p in (1.2, 1.5, 2.0):
+            streamed = _bump_ratios(n, h, p)
+            direct = [_ratio_and_grad(np.eye(n)[i], h, p)[0] for i in range(n)]
+            assert np.array_equal(streamed, direct)
+
+    def test_bumps_are_not_held_at_once(self):
+        """Holding all n bumps would take n*n*8 bytes, 8 MiB at n = 1023."""
+        grid = GridSpec(1023)
+        estimate_gamma(GridSpec(31), 0.5, 1, 0)  # warm caches and imports
+        tracemalloc.start()
+        try:
+            estimate_gamma(grid, 0.5, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_coercivity_on_random_fields(self, grid, rng):
         est = estimate_gamma(grid, alpha=0.5, n_starts=8, seed=2)

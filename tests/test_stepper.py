@@ -7,6 +7,7 @@ import scipy.linalg
 
 import spmlab.stepper as stepper_mod
 from spmlab import (
+    AuxiliaryLaw,
     DiffusionLaw,
     Field,
     GridSpec,
@@ -27,7 +28,23 @@ from spmlab.operators import _poisson_factor, laplacian_array, norm_l2
 from spmlab.stepper import ImplicitStepError, SolverCounts, Trajectory
 from spmlab.theory import BoundInputs, deterministic_extinction_time
 
-from conftest import random_field, resolvent_bisect, resolvent_half
+from conftest import reference_stage, random_field, resolvent_bisect, resolvent_half
+
+
+def stress_grid(grid, basis, rng):
+    """243 stages (b, dt, model): 3 data shapes (dense and half-sparse
+    sign-changing, first eigenmode) x alpha x lam x dt x amplitude, three
+    values each."""
+    dense = rng.standard_normal(grid.n_interior)
+    sparse = rng.standard_normal(grid.n_interior)
+    sparse[::2] = 0.0
+    return [
+        (amplitude * data, dt, ModelParams(DiffusionLaw(1.0, alpha), reg=RegularizationParams(lam)))
+        for data in (dense, sparse, basis.modes[0])
+        for alpha, lam, dt, amplitude in itertools.product(
+            (0.2, 0.5, 0.8), (1e-2, 1e-4, 1e-6), (1e-4, 1e-2, 1.0), (1.0, 1e-4, 1e-8)
+        )
+    ]
 
 
 class TestImplicitSolve:
@@ -70,27 +87,39 @@ class TestImplicitSolve:
             assert np.sqrt(h) * np.linalg.norm(res) <= tol * max(1.0, norm_l2(B))
 
     def test_stress_grid_converges(self, grid, basis, rng):
-        """Newton alone solves every stage of a 243-case grid, quickly.
-
-        3 data shapes (dense and half-sparse sign-changing, first eigenmode)
-        x alpha x lam x dt x amplitude, three values each.
-        """
-        h = grid.spacing
-        dense = rng.standard_normal(grid.n_interior)
-        sparse = rng.standard_normal(grid.n_interior)
-        sparse[::2] = 0.0
+        """Newton alone solves every stage of a 243-case grid, quickly."""
         worst = 0
-        for data in (dense, sparse, basis.modes[0]):
-            for alpha, lam, dt, amplitude in itertools.product(
-                (0.2, 0.5, 0.8), (1e-2, 1e-4, 1e-6), (1e-4, 1e-2, 1.0), (1.0, 1e-4, 1e-8)
-            ):
-                model = ModelParams(DiffusionLaw(1.0, alpha), reg=RegularizationParams(lam))
-                counts = SolverCounts()
-                stepper_mod._solve_implicit_array(
-                    amplitude * data, h, dt, model, 1e-10, 50, counts
-                )
-                worst = max(worst, counts.newton_iters)
+        for b, dt, model in stress_grid(grid, basis, rng):
+            counts = SolverCounts()
+            stepper_mod._solve_implicit_array(b, grid.spacing, dt, model, 1e-10, 50, counts)
+            worst = max(worst, counts.newton_iters)
         assert worst <= 12
+
+    def test_matches_reference_stage(self, grid, basis, rng):
+        """The stage equals the oracle copy in conftest bit for bit, with the
+        same Newton iterations and line-search halvings: on the stress grid,
+        which never halves a step, and with rho = 1.3 and a linear auxiliary
+        slope of 0.4, where data of amplitude 1e3 does."""
+        h = grid.spacing
+        cases = stress_grid(grid, basis, rng)
+        dense = cases[0][0]  # amplitude 1
+        for alpha in (0.2, 0.5, 0.8):
+            aux = ModelParams(
+                DiffusionLaw(1.3, alpha),
+                aux=AuxiliaryLaw(kind="linear", slope=0.4),
+                reg=RegularizationParams(1e-4),
+            )
+            cases += [(0.3 * dense, 1e-3, aux), (1e3 * dense, 1e-3, aux)]
+        backtracked = 0
+        for b, dt, model in cases:
+            counts = SolverCounts()
+            y = stepper_mod._solve_implicit_array(b, h, dt, model, 1e-10, 50, counts)
+            ref_y, ref_iters, ref_rejected = reference_stage(b, h, dt, model, 1e-10, 50)
+            assert np.array_equal(y, ref_y)
+            assert (counts.newton_iters, counts.backtracks) == (ref_iters, ref_rejected)
+            assert 0.0 < counts.worst_residual <= 1.0
+            backtracked += counts.backtracks
+        assert backtracked > 0  # the halved steps are compared too
 
     def test_stall_raises_at_once(self, grid, model, rng, monkeypatch):
         """A line search that gives up ends the stage after that one solve,
@@ -111,8 +140,9 @@ class TestImplicitSolve:
         with pytest.raises(ImplicitStepError) as err:
             stepper_mod._solve_implicit_array(b, h, dt, model, 1e-10, 50, counts)
         assert len(solves) == counts.newton_iters == 1
+        assert counts.backtracks == 9
         # the reported residual is the one of the starting guess: nothing ran after
-        y, _, g, _ = model.pressure_state(psi0(b, model.diffusion))
+        y, g, _ = model.pressure_values(psi0(b, model.diffusion))
         start = np.sqrt(h) * np.linalg.norm(y - dt * laplacian_array(g, h) - b)
         assert err.value.residual == start
 
