@@ -2,11 +2,9 @@
 fast-diffusion porous media dynamics."""
 
 from .analysis import (
-    SupermartingaleSeries,
     check_absorption,
     detect_extinction,
     ensemble_supermartingale_test,
-    supermartingale_series,
 )
 from .harness import (
     EnsembleSummary,

@@ -1,5 +1,6 @@
 """Post-processing of trajectories: extinction detection, absorption checks,
-and the discounted-norm supermartingale diagnostic."""
+and the ensemble test of the discounted-norm supermartingale that each
+Trajectory records."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -8,17 +9,6 @@ from typing import Optional
 import numpy as np
 
 from .stepper import Trajectory
-from .theory import discounted_norm
-
-
-@dataclass(frozen=True)
-class SupermartingaleSeries:
-    """M(t) = exp(-c*(1-alpha)*t) * |X(t)|_{-1}^(1-alpha) along one path."""
-
-    times: np.ndarray
-    values: np.ndarray
-    c_star: float
-    alpha: float
 
 
 def detect_extinction(traj: Trajectory, eps: float) -> Optional[float]:
@@ -29,19 +19,6 @@ def detect_extinction(traj: Trajectory, eps: float) -> Optional[float]:
     if below.size == 0:
         return None
     return float(traj.times[below[0]])
-
-
-def supermartingale_series(
-    traj: Trajectory, c_star: float, alpha: float
-) -> SupermartingaleSeries:
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    return SupermartingaleSeries(
-        times=traj.times.copy(),
-        values=discounted_norm(traj.times, traj.hm1_norms, c_star, alpha),
-        c_star=c_star,
-        alpha=alpha,
-    )
 
 
 def check_absorption(traj: Trajectory, eps: float) -> bool:
@@ -66,25 +43,26 @@ class SupermartingaleReport:
 
 
 def ensemble_supermartingale_test(
-    series_list: list[SupermartingaleSeries], checkpoints
+    trajectories: list[Trajectory], checkpoints
 ) -> SupermartingaleReport:
-    """Mean-decrease check: at each consecutive checkpoint pair (r, t) require
+    """Mean-decrease check on the recorded M(t) = supermartingale_values: at
+    each consecutive checkpoint pair (r, t) require
     mean M(t) <= mean M(r) + 2*SE(t).
 
     Pathwise supermartingale behavior is not directly assertable from an
     ensemble; the mean inequality is its falsifiable consequence.
     """
-    n = len(series_list)
+    n = len(trajectories)
     if n < 100:
         raise ValueError(f"need at least 100 paths, got {n}")
     checkpoints = [float(t) for t in checkpoints]
     samples = np.empty((n, len(checkpoints)))
-    for i, s in enumerate(series_list):
+    for i, traj in enumerate(trajectories):
         for j, t in enumerate(checkpoints):
-            idx = np.searchsorted(s.times, t, side="right") - 1
+            idx = np.searchsorted(traj.times, t, side="right") - 1
             if idx < 0:
                 raise ValueError(f"checkpoint {t} precedes the recorded series")
-            samples[i, j] = s.values[idx]
+            samples[i, j] = traj.supermartingale_values[idx]
     means = samples.mean(axis=0)
     ses = samples.std(axis=0, ddof=1) / np.sqrt(n)
     report = SupermartingaleReport(

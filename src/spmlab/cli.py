@@ -35,7 +35,13 @@ _NUMERICAL_ERRORS = (EnsembleFailure, PathFailedError, ImplicitStepError)
 
 
 def _load_config(path, seed):
-    cfg = config_from_yaml(path)
+    """The config at path with the seed override applied; on a config error,
+    print it and exit EXIT_CONFIG."""
+    try:
+        cfg = config_from_yaml(path)
+    except (ConfigError, OSError) as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
     if seed is not None:
         cfg = replace(cfg, master_seed=seed)
     return cfg
@@ -67,11 +73,7 @@ def main():
 @common_options
 def simulate(config_path, seed, out):
     """Run a single path and write its trajectory CSV."""
-    try:
-        cfg = _load_config(config_path, seed)
-    except (ConfigError, OSError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    cfg = _load_config(config_path, seed)
     try:
         noise, x0 = _build_context(cfg)
         res = run_path(x0, cfg.solver, cfg.model, noise, seed=(cfg.master_seed, 0))
@@ -94,11 +96,7 @@ def simulate(config_path, seed, out):
               help="exit 4 if the empirical CDF fails the theoretical bound")
 def ensemble(config_path, seed, out, workers, strict):
     """Run a Monte Carlo ensemble; write summary JSON and tau CSV."""
-    try:
-        cfg = _load_config(config_path, seed)
-    except (ConfigError, OSError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    cfg = _load_config(config_path, seed)
     try:
         summary = run_ensemble(cfg, workers=workers)
     except _NUMERICAL_ERRORS as exc:
@@ -125,11 +123,7 @@ def ensemble(config_path, seed, out, workers, strict):
 @common_options
 def bound(config_path, seed, out):
     """Write the theoretical extinction-probability bound curve as CSV."""
-    try:
-        cfg = _load_config(config_path, seed)
-    except (ConfigError, OSError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    cfg = _load_config(config_path, seed)
     noise, x0 = _build_context(cfg)
     gamma = resolve_gamma(cfg)
     inputs = BoundInputs(
@@ -143,8 +137,8 @@ def bound(config_path, seed, out):
     path = _outdir(out) / "bound.csv"
     with open(path, "w") as fh:
         fh.write("t,bound\n")
-        for t in ts:
-            fh.write(f"{t!r},{extinction_bound(float(t), inputs)!r}\n")
+        for t in ts.tolist():  # Python floats, so that repr writes plain numbers
+            fh.write(f"{t!r},{extinction_bound(t, inputs)!r}\n")
     click.echo(f"wrote {path} (gamma={gamma:.6g}, c_star={inputs.c_star:.6g})")
 
 
@@ -152,11 +146,7 @@ def bound(config_path, seed, out):
 @common_options
 def gamma(config_path, seed, out):
     """Estimate the embedding coercivity constant and write it as JSON."""
-    try:
-        cfg = _load_config(config_path, seed)
-    except (ConfigError, OSError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    cfg = _load_config(config_path, seed)
     est = estimate_gamma(
         cfg.grid, cfg.model.diffusion.alpha,
         n_starts=cfg.gamma_n_starts, seed=cfg.master_seed,
@@ -178,11 +168,7 @@ def gamma(config_path, seed, out):
 @common_options
 def convergence(config_path, seed, out):
     """Regularization-parameter convergence study on a shared Brownian path."""
-    try:
-        cfg = _load_config(config_path, seed)
-    except (ConfigError, OSError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    cfg = _load_config(config_path, seed)
     try:
         noise, x0 = _build_context(cfg)
         report = convergence_study(

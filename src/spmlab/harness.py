@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
 from functools import partial
 from typing import Optional
@@ -18,11 +18,7 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .analysis import (
-    SupermartingaleReport,
-    SupermartingaleSeries,
-    ensemble_supermartingale_test,
-)
+from .analysis import SupermartingaleReport, ensemble_supermartingale_test
 from .nonlinearity import (
     AuxiliaryLaw,
     DiffusionLaw,
@@ -38,7 +34,7 @@ from .operators import (
     estimate_gamma,
     norm_hm1,
 )
-from .stepper import PathResult, SolverConfig, SolverCounts, run_path
+from .stepper import PathResult, SolverConfig, SolverCounts, Trajectory, run_path
 from .theory import BoundInputs, extinction_bound
 
 _Z95 = 1.959963984540054
@@ -68,8 +64,10 @@ class InitialSpec:
         if self.kind == "custom":
             if self.values is None:
                 raise ConfigError("custom initial condition needs explicit values")
-        elif not (self.target_hm1_norm and self.target_hm1_norm > 0):
-            raise ConfigError(f"{self.kind} initial condition needs a positive target_hm1_norm")
+        elif not (self.target_hm1_norm and 0 < self.target_hm1_norm < np.inf):
+            raise ConfigError(
+                f"{self.kind} initial condition needs a positive, finite target_hm1_norm"
+            )
 
 
 @dataclass(frozen=True)
@@ -92,17 +90,21 @@ class ExperimentConfig:
             raise ConfigError(f"K={self.K} outside 1..{self.grid.n_interior}")
         if len(self.mu) != self.K:
             raise ConfigError(f"mu has {len(self.mu)} entries for K={self.K} modes")
+        if not np.all(np.isfinite(self.mu)):
+            raise ConfigError(f"mu must be finite, got {list(self.mu)}")
         if self.n_paths < 1:
             raise ConfigError("n_paths must be >= 1")
         cps = self.checkpoints
         if not cps:
             raise ConfigError("at least one checkpoint is required")
+        if not np.all(np.isfinite(cps)):
+            raise ConfigError("checkpoints must be finite")
         if any(b <= a for a, b in zip(cps, cps[1:])):
             raise ConfigError("checkpoints must be strictly increasing")
         if cps[0] <= 0 or cps[-1] > self.solver.t_final + 1e-12:
             raise ConfigError("checkpoints must lie in (0, t_final]")
-        if self.gamma is not None and self.gamma <= 0:
-            raise ConfigError("gamma override must be positive")
+        if self.gamma is not None and not 0 < self.gamma < np.inf:
+            raise ConfigError(f"gamma override must be positive and finite, got {self.gamma}")
         if self.gamma_n_starts < 1:
             raise ConfigError(f"gamma_n_starts must be >= 1, got {self.gamma_n_starts}")
         n = self.grid.n_interior
@@ -291,8 +293,9 @@ class EnsembleSummary:
     # deterministic, so serialized
     diagnostics: SolverCounts
     comparison: Optional[ComparisonReport] = None
-    # per-path (times, hm1_norms) pairs; diagnostics only, never serialized
-    path_series: Optional[list] = None
+    # the trajectories of the paths that did not fail, in path order;
+    # never serialized
+    trajectories: Optional[list[Trajectory]] = None
 
     def bound_inputs(self, alpha: float, rho: float) -> BoundInputs:
         return BoundInputs(
@@ -304,30 +307,12 @@ class EnsembleSummary:
         )
 
     def to_json_dict(self, include_timestamp: bool = True) -> dict:
-        d = {
-            "checkpoints": self.checkpoints,
-            "empirical_cdf": self.empirical_cdf,
-            "wilson_lo": self.wilson_lo,
-            "wilson_hi": self.wilson_hi,
-            "theory_bound": self.theory_bound,
-            "supermartingale_report": (
-                asdict(self.supermartingale_report)
-                if self.supermartingale_report is not None
-                else None
-            ),
-            "extinct_fraction": self.extinct_fraction,
-            "n_failed": self.n_failed,
-            "gamma_used": self.gamma_used,
-            "c_star": self.c_star,
-            "n_paths": self.n_paths,
-            "x0_norm_hm1": self.x0_norm_hm1,
-            "tau_hats": self.tau_hats,
-            "positivity_violations": self.positivity_violations,
-            "coercivity_violations": self.coercivity_violations,
-            "extinction_eps": self.extinction_eps,
-            "diagnostics": asdict(self.diagnostics),
-            "comparison": asdict(self.comparison) if self.comparison else None,
-        }
+        """Every field but trajectories, nested records as plain dicts."""
+        d = {}
+        for f in fields(self):
+            if f.name != "trajectories":
+                value = getattr(self, f.name)
+                d[f.name] = asdict(value) if is_dataclass(value) else value
         if include_timestamp:
             d["timestamp"] = datetime.now(timezone.utc).isoformat()
         return d
@@ -407,25 +392,16 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
         lo.append(w[0])
         hi.append(w[1])
 
-    alpha = config.model.diffusion.alpha
+    law = config.model.diffusion
     inputs = BoundInputs(
-        x_norm_hm1=norm_hm1(x0), alpha=alpha, rho=config.model.diffusion.rho,
-        gamma=gamma, c_star=cs,
+        x_norm_hm1=norm_hm1(x0), alpha=law.alpha, rho=law.rho, gamma=gamma, c_star=cs,
     )
     bounds = [extinction_bound(t, inputs) for t in checkpoints]
 
-    sm_report = None
-    if n_ok >= 100:
-        series = [
-            SupermartingaleSeries(
-                times=r.trajectory.times,
-                values=r.trajectory.supermartingale_values,
-                c_star=cs,
-                alpha=alpha,
-            )
-            for r in ok
-        ]
-        sm_report = ensemble_supermartingale_test(series, checkpoints)
+    trajectories = [r.trajectory for r in ok]
+    sm_report = (
+        ensemble_supermartingale_test(trajectories, checkpoints) if n_ok >= 100 else None
+    )
 
     # positivity is only promised from a nonnegative start
     def positivity_ok(r: PathResult) -> bool:
@@ -458,7 +434,7 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
             backtracks=sum(r.solver_counts.backtracks for r in results),
             worst_residual=max(r.solver_counts.worst_residual for r in results),
         ),
-        path_series=[(r.trajectory.times, r.trajectory.hm1_norms) for r in ok],
+        trajectories=trajectories,
     )
     return summary
 

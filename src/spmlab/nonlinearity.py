@@ -36,8 +36,8 @@ class DiffusionLaw:
     alpha: float
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError(f"rho must be positive, got {self.rho}")
+        if not (self.rho > 0 and np.isfinite(self.rho)):
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
 
@@ -52,8 +52,8 @@ class AuxiliaryLaw:
     def __post_init__(self):
         if self.kind not in ("zero", "linear"):
             raise ValueError(f"unknown auxiliary kind {self.kind!r}")
-        if self.slope < 0:
-            raise ValueError("slope must be nonnegative")
+        if not (self.slope >= 0 and np.isfinite(self.slope)):
+            raise ValueError(f"slope must be nonnegative and finite, got {self.slope}")
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,8 @@ class RegularizationParams:
     max_iter: int = 200
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+        if not (self.lam > 0 and np.isfinite(self.lam)):
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
 
 
 @dataclass(frozen=True)

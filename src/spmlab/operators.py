@@ -157,11 +157,6 @@ def solve_poisson(f: Field) -> Field:
     return f.with_values(poisson_solve_array(f.values, f.grid.spacing))
 
 
-def inner_l2(u: Field, v: Field) -> float:
-    _check_same_grid(u, v)
-    return u.grid.spacing * float(np.dot(u.values, v.values))
-
-
 def norm_l2(u: Field) -> float:
     return float(np.sqrt(u.grid.spacing) * np.linalg.norm(u.values))
 

@@ -68,31 +68,31 @@ class SolverConfig:
     newton_max_iter: int = 50
     record_every: int = 1
     extinction_eps: float = 1e-6
-    log_increments: bool = False
     store_states: bool = False
 
     def __post_init__(self):
-        if not 0 < self.dt < self.t_final:
-            raise ValueError(f"need 0 < dt < t_final, got dt={self.dt}, T={self.t_final}")
+        if not (0 < self.dt < self.t_final and np.isfinite(self.t_final)):
+            raise ValueError(f"need 0 < dt < t_final < inf, got dt={self.dt}, T={self.t_final}")
         if not (self.newton_tol > 0 and np.isfinite(self.newton_tol)):
             raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
         if self.newton_max_iter < 1:
             raise ValueError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
-        if self.extinction_eps <= 0:
-            raise ValueError("extinction_eps must be positive")
+        if not (self.extinction_eps > 0 and np.isfinite(self.extinction_eps)):
+            raise ValueError(
+                f"extinction_eps must be positive and finite, got {self.extinction_eps}"
+            )
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        if self.log_increments and self.record_every != 1:
-            raise ValueError("increment logging requires record_every=1")
 
 
 @dataclass
 class Trajectory:
     """Per-path observables sampled at the recording stride.
 
-    supermartingale_values holds exp(-c*(1-alpha)*t) * |X(t)|_{-1}^(1-alpha).
-    states / increments_log are populated only when the solver config asks
-    for them (diagnostics, convergence studies).
+    supermartingale_values holds the discounted norm
+    exp(-c*(1-alpha)*t) * |X(t)|_{-1}^(1-alpha) (theory.discounted_norm), the
+    path's one record of the supermartingale. states is populated only when
+    the solver config asks for it (weak-form residual, convergence studies).
     """
 
     times: np.ndarray
@@ -101,9 +101,7 @@ class Trajectory:
     min_values: np.ndarray
     max_values: np.ndarray
     supermartingale_values: np.ndarray
-    increments_log: Optional[np.ndarray] = None  # (n_steps, K)
     states: Optional[np.ndarray] = None  # aligned with times
-    dt: float = 0.0
 
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -116,7 +114,7 @@ class Trajectory:
                 self.max_values,
                 self.supermartingale_values,
             ):
-                fh.write(",".join(repr(x) for x in row) + "\n")
+                fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
 @dataclass
@@ -259,9 +257,8 @@ def run_path(
     (noise_kick) and then solves the drift stage implicitly (see
     implicit_solve). The stream is keyed by (master_seed, path_index) and
     step i of a live path always takes the i-th draw, because a path stops
-    only once. After extinction or failure no increments are drawn, unless
-    config.log_increments asks for the full (n_steps, K) log. The path's
-    solver work is returned in PathResult.solver_counts.
+    only once; after extinction or failure no increments are drawn. The
+    path's solver work is returned in PathResult.solver_counts.
     """
     grid = x0.grid
     h = grid.spacing
@@ -273,7 +270,6 @@ def run_path(
 
     times, hm1s, lps, mins, maxs = [], [], [], [], []
     states = [] if config.store_states else None
-    inc_log = [] if config.log_increments else None
     coercivity_violations = 0
     counts = SolverCounts()
 
@@ -309,12 +305,8 @@ def run_path(
     failure_reason = ""
     for i in range(1, n_steps + 1):
         t = i * config.dt
-        live = not extinct and not failed
-        if live or inc_log is not None:
+        if not extinct and not failed:
             inc = sample_increments(config.dt, noise.n_modes, stream)
-            if inc_log is not None:
-                inc_log.append(inc.dbeta)
-        if live:
             perturbed = noise_kick(x, inc, scaled_modes)
             try:
                 x = _drift_substeps(
@@ -350,9 +342,7 @@ def run_path(
         min_values=np.array(mins),
         max_values=np.array(maxs),
         supermartingale_values=discounted_norm(times_arr, hm1_arr, c_star(noise), alpha),
-        increments_log=np.array(inc_log) if inc_log is not None else None,
         states=np.array(states) if states is not None else None,
-        dt=config.dt,
     )
     return PathResult(
         tau_hat=tau_hat,
@@ -375,20 +365,23 @@ def weak_form_residual(
     model: ModelParams,
     noise: NoiseSpec,
 ) -> float:
-    """Max defect of the mode-j weak identity reconstructed from the log.
+    """Max defect of the mode-j weak identity along one stored path.
 
     The drift integrand uses the unregularized power law, so the defect also
     absorbs the lam-regularization error on top of the time-stepping error.
-    Requires a run with log_increments=True and store_states=True.
+    The Ito sums take the path's Wiener increments, which its seed fixes:
+    they are drawn again from make_stream(*result.seed), one draw per step,
+    exactly as run_path drew them (rows after extinction meet a zero state).
+    Requires a run with store_states=True and record_every=1.
     """
-    traj = result.trajectory
-    if traj.increments_log is None or traj.states is None:
-        raise ValueError("weak-form residual needs increments_log and store_states")
+    config = result.config
+    if not config.store_states or config.record_every != 1:
+        raise ValueError("weak-form residual needs store_states and record_every=1")
     h = basis.grid.spacing
-    dt = traj.dt
+    dt = config.dt
     ej = basis.mode(j).values
     lap_ej = laplacian_array(ej, h)
-    states = traj.states  # (n_steps+1, n)
+    states = result.trajectory.states  # (n_steps+1, n)
 
     lhs = h * states @ ej
     drift_vals = h * (psi0(states, model.diffusion) + aux_psi(states, model.aux)) @ lap_ej
@@ -397,9 +390,13 @@ def weak_form_residual(
 
     mu = noise.mu
     modes = noise.basis.modes[: noise.n_modes]
+    stream = make_stream(*result.seed)
+    dbeta = np.array([
+        sample_increments(dt, noise.n_modes, stream).dbeta for _ in range(states.shape[0] - 1)
+    ])  # (n_steps, K)
     # left-point Ito sums: <X_i * e_k, e_j> per step and mode
     proj = h * states[:-1] @ (modes * ej).T  # (n_steps, K)
-    stoch_steps = np.sum(proj * (mu * traj.increments_log), axis=1)
+    stoch_steps = np.sum(proj * (mu * dbeta), axis=1)
     cum_stoch = np.zeros(states.shape[0])
     cum_stoch[1:] = np.cumsum(stoch_steps)
 

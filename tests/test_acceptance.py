@@ -16,7 +16,6 @@ from spmlab import (
     NoiseSpec,
     RegularizationParams,
     SolverConfig,
-    Trajectory,
     apply_laplacian,
     build_basis,
     check_absorption,
@@ -180,10 +179,7 @@ class TestCriterion5:
         for j in (1, 2, 3):
             residuals = []
             for dt in (4e-3, 2e-3, 1e-3, 5e-4):
-                cfg = SolverConfig(
-                    dt=dt, t_final=0.048, record_every=1,
-                    log_increments=True, store_states=True,
-                )
+                cfg = SolverConfig(dt=dt, t_final=0.048, record_every=1, store_states=True)
                 res = run_path(x0, cfg, model, noise, seed=(1, 0))
                 residuals.append(weak_form_residual(res, j, basis, model, noise))
             ratios = [a / b for a, b in zip(residuals, residuals[1:])]
@@ -247,16 +243,8 @@ class TestCriterion8:
         eps = summary.extinction_eps
         n_extinct = 0
         bad = 0
-        for times, hm1 in summary.path_series:
-            traj = Trajectory(
-                times=times,
-                hm1_norms=hm1,
-                lp_norms=np.zeros_like(hm1),
-                min_values=np.zeros_like(hm1),
-                max_values=np.zeros_like(hm1),
-                supermartingale_values=np.zeros_like(hm1),
-            )
-            if np.any(hm1 <= eps):
+        for traj in summary.trajectories:
+            if np.any(traj.hm1_norms <= eps):
                 n_extinct += 1
                 if not check_absorption(traj, eps):
                     bad += 1

@@ -1,23 +1,18 @@
 import numpy as np
 import pytest
 
-from spmlab import (
-    SupermartingaleSeries,
-    check_absorption,
-    detect_extinction,
-    ensemble_supermartingale_test,
-    supermartingale_series,
-)
+from spmlab import check_absorption, detect_extinction, ensemble_supermartingale_test
 from spmlab.stepper import Trajectory
 
 
-def make_traj(times, hm1):
+def make_traj(times, hm1, supermartingale=None):
     times = np.asarray(times, dtype=float)
     hm1 = np.asarray(hm1, dtype=float)
     z = np.zeros_like(times)
+    sm = z if supermartingale is None else np.asarray(supermartingale, dtype=float)
     return Trajectory(
         times=times, hm1_norms=hm1, lp_norms=z, min_values=z, max_values=z,
-        supermartingale_values=z,
+        supermartingale_values=sm,
     )
 
 
@@ -44,29 +39,6 @@ class TestDetectExtinction:
             detect_extinction(make_traj([0], [1.0]), 0.0)
 
 
-class TestSupermartingaleSeries:
-    def test_initial_value(self):
-        traj = make_traj([0.0, 1.0], [0.25, 0.1])
-        s = supermartingale_series(traj, c_star=0.5, alpha=0.5)
-        assert s.values[0] == pytest.approx(0.25**0.5)
-
-    def test_zero_after_extinction(self):
-        traj = make_traj([0, 1, 2, 3], [0.5, 0.0, 0.0, 0.0])
-        s = supermartingale_series(traj, c_star=1.0, alpha=0.5)
-        assert np.all(s.values[1:] == 0.0)
-
-    def test_quiet_noise_reduces_to_norm_power(self):
-        hm1 = np.array([0.4, 0.3, 0.2, 0.1])
-        traj = make_traj([0, 1, 2, 3], hm1)
-        s = supermartingale_series(traj, c_star=0.0, alpha=0.5)
-        np.testing.assert_allclose(s.values, hm1**0.5)
-        assert np.all(np.diff(s.values) < 0)
-
-    def test_alpha_range(self):
-        with pytest.raises(ValueError):
-            supermartingale_series(make_traj([0], [1.0]), 0.0, 1.5)
-
-
 class TestCheckAbsorption:
     def test_clamped_path(self):
         traj = make_traj([0, 1, 2, 3], [0.5, 0.0005, 0.0, 0.0])
@@ -81,59 +53,30 @@ class TestCheckAbsorption:
         assert not check_absorption(traj, 0.001)
 
 
-def constant_series(n, value, times):
-    return [
-        SupermartingaleSeries(
-            times=np.asarray(times, dtype=float),
-            values=np.full(len(times), value),
-            c_star=0.0,
-            alpha=0.5,
-        )
-        for _ in range(n)
-    ]
+def series(n, values):
+    """n trajectories that record the same supermartingale values at times 0, 1, ..."""
+    times = np.arange(len(values))
+    return [make_traj(times, np.zeros(len(values)), values) for _ in range(n)]
 
 
 class TestEnsembleTest:
     def test_requires_enough_paths(self):
         with pytest.raises(ValueError):
-            ensemble_supermartingale_test(constant_series(50, 1.0, [0, 1]), [0.5, 1.0])
+            ensemble_supermartingale_test(series(50, [1.0, 1.0]), [0.5, 1.0])
 
     def test_constant_series_pass(self):
         rng = np.random.default_rng(0)
-        series = [
-            SupermartingaleSeries(
-                times=np.array([0.0, 1.0, 2.0]),
-                values=np.full(3, rng.uniform(0.5, 1.5)),
-                c_star=0.0,
-                alpha=0.5,
-            )
+        trajs = [
+            make_traj([0, 1, 2], [0, 0, 0], np.full(3, rng.uniform(0.5, 1.5)))
             for _ in range(200)
         ]
-        rep = ensemble_supermartingale_test(series, [0.5, 1.0, 2.0])
+        rep = ensemble_supermartingale_test(trajs, [0.5, 1.0, 2.0])
         assert rep.overall_pass
 
     def test_increasing_series_fail(self):
-        series = [
-            SupermartingaleSeries(
-                times=np.array([0.0, 1.0, 2.0]),
-                values=np.array([1.0, 2.0, 3.0]),
-                c_star=0.0,
-                alpha=0.5,
-            )
-            for _ in range(150)
-        ]
-        rep = ensemble_supermartingale_test(series, [0.5, 1.0, 2.0])
+        rep = ensemble_supermartingale_test(series(150, [1.0, 2.0, 3.0]), [0.5, 1.0, 2.0])
         assert not rep.overall_pass
 
     def test_strictly_decreasing_deterministic(self):
-        series = [
-            SupermartingaleSeries(
-                times=np.array([0.0, 1.0, 2.0]),
-                values=np.array([3.0, 2.0, 1.0]),
-                c_star=0.0,
-                alpha=0.5,
-            )
-            for _ in range(120)
-        ]
-        rep = ensemble_supermartingale_test(series, [0.5, 1.0, 2.0])
+        rep = ensemble_supermartingale_test(series(120, [3.0, 2.0, 1.0]), [0.5, 1.0, 2.0])
         assert rep.overall_pass and all(rep.pair_pass)

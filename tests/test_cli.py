@@ -108,6 +108,26 @@ class TestConvergence:
         assert len(lines) == 4  # three consecutive pairs from four lambdas
 
 
+class TestCsvCells:
+    def test_every_cell_parses_as_a_number(self, cfg_file, tmp_path):
+        """Every CSV cell is a plain number (numpy >= 2 reprs its scalars as
+        np.float64(...)); only tau.csv leaves a cell empty, for a path that
+        did not go extinct."""
+        out = tmp_path / "all"
+        for command in ("simulate", "ensemble", "bound", "convergence"):
+            r = run_cli(command, "--config", str(cfg_file), "--out", str(out))
+            assert r.exit_code == 0, r.output
+        paths = sorted(out.glob("*.csv"))
+        assert [p.name for p in paths] == [
+            "bound.csv", "convergence.csv", "tau.csv", "trajectory.csv"
+        ]
+        for path in paths:
+            for line in path.read_text().splitlines()[1:]:
+                for cell in line.split(","):
+                    if not (cell == "" and path.name == "tau.csv"):
+                        float(cell)
+
+
 class TestWrongSizedInitialValues:
     @pytest.mark.parametrize("command", ["simulate", "ensemble", "bound", "convergence"])
     def test_exit_2(self, tmp_path, command):
@@ -131,6 +151,18 @@ class TestBadValues:
             dict(gamma_n_starts=0),
             dict(solver=dict(dt=2e-3, t_final=0.4, record_every=20, newton_tol=0.0)),
             dict(solver=dict(dt=2e-3, t_final=0.4, record_every=20, newton_max_iter=0)),
+            # non-finite values
+            dict(gamma=float("nan")),
+            dict(gamma=float("inf")),
+            dict(initial=dict(kind="eigenmode", mode=1, target_hm1_norm=float("inf"))),
+            dict(noise=dict(mu=[float("inf"), 0.02])),
+            dict(solver=dict(dt=2e-3, t_final=float("inf"), record_every=20)),
+            dict(solver=dict(dt=2e-3, t_final=0.4, extinction_eps=float("nan"))),
+            dict(model={"rho": float("inf"), "alpha": 0.5, "lambda": 1e-4}),
+            dict(model={"rho": 1.0, "alpha": 0.5, "lambda": float("inf")}),
+            dict(model={"rho": 1.0, "alpha": 0.5, "lambda": 1e-4,
+                        "aux": {"kind": "linear", "slope": float("inf")}}),
+            dict(checkpoints=[0.1, float("nan"), 0.4]),
         ],
     )
     def test_exit_2(self, tmp_path, overrides):

@@ -276,8 +276,6 @@ class TestRunPath:
         self, model, small_noise, basis, monkeypatch
     ):
         x0, cfg = self._noisy_extinct_setup(basis)
-        logged_cfg = dataclasses.replace(cfg, log_increments=True)
-        logged = run_path(x0, logged_cfg, model, small_noise, seed=(8, 3))
         draws = []
         original = stepper_mod.sample_increments
 
@@ -289,12 +287,6 @@ class TestRunPath:
         res = run_path(x0, cfg, model, small_noise, seed=(8, 3))
         n_steps = round(cfg.t_final / cfg.dt)
         assert res.extinct and len(draws) == round(res.tau_hat / cfg.dt) < n_steps
-        # the increment log still has a row for every step, and logging
-        # changes no path
-        assert logged.trajectory.increments_log.shape == (n_steps, 2)
-        assert logged.tau_hat == res.tau_hat
-        np.testing.assert_array_equal(logged.trajectory.states, res.trajectory.states)
-        np.testing.assert_array_equal(logged.trajectory.hm1_norms, res.trajectory.hm1_norms)
 
     def test_paths_match_scipy_wrappers(self, model, small_noise, basis, monkeypatch):
         """The LAPACK kernels give the paths of scipy's solve_banded and
@@ -359,10 +351,7 @@ class TestRunPath:
 class TestWeakFormResidual:
     @staticmethod
     def _run(x0, grid, basis, noise, model, dt, t_final=0.02):
-        cfg = SolverConfig(
-            dt=dt, t_final=t_final, record_every=1,
-            log_increments=True, store_states=True,
-        )
+        cfg = SolverConfig(dt=dt, t_final=t_final, record_every=1, store_states=True)
         return run_path(x0, cfg, model, noise, seed=(3, 0))
 
     def test_zero_start_zero_residual(self, grid, basis, model, small_noise):
@@ -374,6 +363,22 @@ class TestWeakFormResidual:
         res = run_path(Field.zero(grid), cfg, model, small_noise, seed=(3, 0))
         with pytest.raises(ValueError):
             weak_form_residual(res, 1, basis, model, small_noise)
+
+    def test_rejects_recording_stride(self, grid, basis, model, small_noise):
+        cfg = SolverConfig(dt=1e-3, t_final=0.01, record_every=5, store_states=True)
+        res = run_path(Field.zero(grid), cfg, model, small_noise, seed=(3, 0))
+        with pytest.raises(ValueError):
+            weak_form_residual(res, 1, basis, model, small_noise)
+
+    def test_pinned_on_noisy_extinct_path(self, basis, model, small_noise):
+        """The Ito sums take the increments the path drew, drawn again from its
+        seed for all n_steps, the steps after extinction included; the
+        residuals are pinned bit for bit."""
+        x0, cfg = TestRunPath._noisy_extinct_setup(basis, store_states=True)
+        res = run_path(x0, cfg, model, small_noise, seed=(8, 3))
+        assert res.extinct and res.tau_hat == 0.128
+        assert weak_form_residual(res, 1, basis, model, small_noise) == 0.0026278696268016628
+        assert weak_form_residual(res, 2, basis, model, small_noise) == 2.346780767853527e-05
 
     def test_halving_ratio_window(self, grid, basis, quiet_noise):
         model = ModelParams(DiffusionLaw(1.0, 0.5), reg=RegularizationParams(1e-5))
@@ -421,7 +426,3 @@ class TestSolverConfig:
     def test_dt_bounds(self):
         with pytest.raises(ValueError):
             SolverConfig(dt=1.0, t_final=0.5)
-
-    def test_increment_log_needs_full_stride(self):
-        with pytest.raises(ValueError):
-            SolverConfig(dt=1e-3, t_final=1.0, record_every=5, log_increments=True)

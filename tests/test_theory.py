@@ -9,6 +9,7 @@ from spmlab import (
     positive_probability_condition,
     time_to_reach_bound,
 )
+from spmlab.theory import discounted_norm
 
 
 class TestIntegralFactor:
@@ -30,6 +31,22 @@ class TestIntegralFactor:
         s = (np.arange(100000) + 0.5) * (t / 100000)
         quad = np.sum(np.exp(-(1 - alpha) * c * s)) * (t / 100000)
         assert integral_factor(t, alpha, c) == pytest.approx(quad, rel=1e-8)
+
+
+class TestDiscountedNorm:
+    def test_initial_value(self):
+        m = discounted_norm(np.array([0.0, 1.0]), np.array([0.25, 0.1]), c_star=0.5, alpha=0.5)
+        assert m[0] == pytest.approx(0.25**0.5)
+
+    def test_zero_after_extinction(self):
+        m = discounted_norm(np.arange(4.0), np.array([0.5, 0.0, 0.0, 0.0]), c_star=1.0, alpha=0.5)
+        assert np.all(m[1:] == 0.0)
+
+    def test_quiet_noise_reduces_to_norm_power(self):
+        hm1 = np.array([0.4, 0.3, 0.2, 0.1])
+        m = discounted_norm(np.arange(4.0), hm1, c_star=0.0, alpha=0.5)
+        np.testing.assert_allclose(m, hm1**0.5)
+        assert np.all(np.diff(m) < 0)
 
 
 class TestExtinctionBound:
