@@ -28,7 +28,7 @@ from .nonlinearity import (
     resolvent,
     yosida,
 )
-from .noise import NoiseSpec, WienerIncrements, c_star, make_stream, noise_kick, sample_increments
+from .noise import NoiseSpec, c_star, make_stream, noise_kick, sample_increments
 from .operators import (
     Field,
     GammaEstimate,
@@ -43,7 +43,6 @@ from .operators import (
     solve_poisson,
 )
 from .stepper import (
-    PathResult,
     SolverConfig,
     SolverCounts,
     Trajectory,

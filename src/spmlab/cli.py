@@ -76,17 +76,17 @@ def simulate(config_path, seed, out):
     cfg = _load_config(config_path, seed)
     try:
         noise, x0 = _build_context(cfg)
-        res = run_path(x0, cfg.solver, cfg.model, noise, seed=(cfg.master_seed, 0))
-        if res.failed:
-            click.echo(f"path failed: {res.failure_reason}", err=True)
+        traj = run_path(x0, cfg.solver, cfg.model, noise, seed=(cfg.master_seed, 0))
+        if traj.failure is not None:
+            click.echo(f"path failed: {traj.failure}", err=True)
             sys.exit(EXIT_NUMERICAL)
     except _NUMERICAL_ERRORS as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
     path = _outdir(out) / "trajectory.csv"
-    res.trajectory.to_csv(path)
-    tau = "none" if res.tau_hat is None else f"{res.tau_hat:.6g}"
-    click.echo(f"wrote {path} (extinct={res.extinct}, tau_hat={tau})")
+    traj.to_csv(path)
+    tau = "none" if traj.tau_hat is None else f"{traj.tau_hat:.6g}"
+    click.echo(f"wrote {path} (extinct={traj.tau_hat is not None}, tau_hat={tau})")
 
 
 @main.command()

@@ -33,8 +33,9 @@ from .operators import (
     build_basis,
     estimate_gamma,
     norm_hm1,
+    norm_l2,
 )
-from .stepper import PathResult, SolverConfig, SolverCounts, Trajectory, run_path
+from .stepper import SolverConfig, SolverCounts, Trajectory, run_path
 from .theory import BoundInputs, extinction_bound
 
 _Z95 = 1.959963984540054
@@ -107,6 +108,12 @@ class ExperimentConfig:
             raise ConfigError(f"gamma override must be positive and finite, got {self.gamma}")
         if self.gamma_n_starts < 1:
             raise ConfigError(f"gamma_n_starts must be >= 1, got {self.gamma_n_starts}")
+        lams = self.convergence_lambdas
+        if len(lams) < 2 or not all(0 < lam < np.inf for lam in lams):
+            raise ConfigError(
+                f"convergence_lambdas needs two or more positive, finite values, "
+                f"got {list(lams)}"
+            )
         n = self.grid.n_interior
         if self.initial.kind == "eigenmode" and not 1 <= self.initial.mode <= n:
             raise ConfigError(f"initial mode {self.initial.mode} outside 1..{n}")
@@ -331,7 +338,7 @@ def _build_context(config: ExperimentConfig):
 
 def _run_one(
     config: ExperimentConfig, noise: NoiseSpec, x0: Field, gamma: float, path_index: int
-) -> PathResult:
+) -> Trajectory:
     return run_path(
         x0,
         config.solver,
@@ -373,10 +380,10 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
             chunksize = max(1, config.n_paths // (4 * workers))
             results = list(pool.map(run_one, indices, chunksize=chunksize))
 
-    n_failed = sum(r.failed for r in results)
-    ok = [r for r in results if not r.failed]
+    ok = [r for r in results if r.failure is None]
+    n_failed = len(results) - len(ok)
     if not ok or n_failed > 0.01 * config.n_paths:
-        reasons = {r.failure_reason for r in results if r.failed}
+        reasons = {r.failure for r in results if r.failure is not None}
         raise EnsembleFailure(
             f"{n_failed}/{config.n_paths} paths failed (cap 1%): {sorted(reasons)}"
         )
@@ -398,16 +405,10 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
     )
     bounds = [extinction_bound(t, inputs) for t in checkpoints]
 
-    trajectories = [r.trajectory for r in ok]
-    sm_report = (
-        ensemble_supermartingale_test(trajectories, checkpoints) if n_ok >= 100 else None
-    )
+    sm_report = ensemble_supermartingale_test(ok, checkpoints) if n_ok >= 100 else None
 
     # positivity is only promised from a nonnegative start
-    def positivity_ok(r: PathResult) -> bool:
-        floor = -_POSITIVITY_TOL * max(1.0, r.x0_l2)
-        return bool(np.all(r.trajectory.min_values >= floor))
-
+    floor = -_POSITIVITY_TOL * max(1.0, norm_l2(x0))
     nonnegative_start = bool(np.all(x0.values >= 0))
     summary = EnsembleSummary(
         checkpoints=checkpoints,
@@ -416,7 +417,7 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
         wilson_hi=hi,
         theory_bound=bounds,
         supermartingale_report=sm_report,
-        extinct_fraction=sum(r.extinct for r in ok) / n_ok,
+        extinct_fraction=sum(r.tau_hat is not None for r in ok) / n_ok,
         n_failed=n_failed,
         gamma_used=gamma,
         c_star=cs,
@@ -424,7 +425,7 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
         x0_norm_hm1=norm_hm1(x0),
         tau_hats=[r.tau_hat for r in results],
         positivity_violations=(
-            sum(not positivity_ok(r) for r in ok) if nonnegative_start else 0
+            sum(not np.all(r.min_values >= floor) for r in ok) if nonnegative_start else 0
         ),
         coercivity_violations=sum(r.coercivity_violations for r in ok),
         extinction_eps=config.solver.extinction_eps,
@@ -434,7 +435,7 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
             backtracks=sum(r.solver_counts.backtracks for r in results),
             worst_residual=max(r.solver_counts.worst_residual for r in results),
         ),
-        trajectories=trajectories,
+        trajectories=ok,
     )
     return summary
 

@@ -3,7 +3,9 @@
 The forcing is sum_{k<=K} mu_k * X * e_k * dbeta_k with independent Brownian
 motions beta_k, so the zero state is absorbing. Streams are counter-based:
 one Philox stream per (master_seed, path_index), which makes ensembles
-bitwise reproducible regardless of worker scheduling.
+bitwise reproducible regardless of worker scheduling. A step's increments
+are a plain (K,) array: sample_increments draws them and noise_kick applies
+them; nothing else keeps them.
 """
 from __future__ import annotations
 
@@ -40,12 +42,6 @@ class NoiseSpec:
         return self.mu[:, None] * self.basis.modes[: self.n_modes]
 
 
-@dataclass(frozen=True)
-class WienerIncrements:
-    dbeta: np.ndarray
-    dt: float
-
-
 def c_star(noise: NoiseSpec) -> float:
     """sum mu_k^2 * (lambda_k^h)^2 over the truncated modes.
 
@@ -62,24 +58,25 @@ def make_stream(master_seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_increments(
-    dt: float, n_modes: int, stream: np.random.Generator
-) -> WienerIncrements:
+def sample_increments(dt: float, n_modes: int, stream: np.random.Generator) -> np.ndarray:
+    """The (n_modes,) Wiener increments dbeta_k ~ N(0, dt) of one step, the
+    next n_modes normal draws of the stream."""
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    return WienerIncrements(dbeta=stream.normal(0.0, np.sqrt(dt), n_modes), dt=dt)
+    return stream.normal(0.0, np.sqrt(dt), n_modes)
 
 
-def noise_kick(x: np.ndarray, inc: WienerIncrements, scaled_modes: np.ndarray) -> np.ndarray:
+def noise_kick(x: np.ndarray, dbeta: np.ndarray, scaled_modes: np.ndarray) -> np.ndarray:
     """Explicit noise step x * (1 + sum_k mu_k * e_k * dbeta_k), nodewise.
 
-    scaled_modes is NoiseSpec.scaled_modes(), which run_path builds once per
-    path. The zero state stays zero.
+    dbeta is one step's (K,) increments (sample_increments); scaled_modes is
+    NoiseSpec.scaled_modes(), which run_path builds once per path. The zero
+    state stays zero.
     """
-    if inc.dbeta.size != scaled_modes.shape[0]:
+    if dbeta.size != scaled_modes.shape[0]:
         raise ValueError(
-            f"got {inc.dbeta.size} increments for {scaled_modes.shape[0]} noise modes"
+            f"got {dbeta.size} increments for {scaled_modes.shape[0]} noise modes"
         )
     if x.shape != scaled_modes.shape[1:]:
         raise GridError("field and noise basis live on different grids")
-    return x * (1.0 + inc.dbeta @ scaled_modes)
+    return x * (1.0 + dbeta @ scaled_modes)

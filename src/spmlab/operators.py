@@ -171,11 +171,16 @@ def norm_hm1(u: Field) -> float:
     return float(np.sqrt(max(inner_hm1(u, u), 0.0)))
 
 
+def norm_lp_array(v: np.ndarray, h: float, p: float):
+    """Discrete quadrature norm (h * sum |v_i|^p)^(1/p) of nodal values."""
+    return (h * np.sum(np.abs(v) ** p)) ** (1.0 / p)
+
+
 def norm_lp(u: Field, p: float) -> float:
     """Discrete quadrature norm (h * sum |u_i|^p)^(1/p)."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    return float((u.grid.spacing * np.sum(np.abs(u.values) ** p)) ** (1.0 / p))
+    return float(norm_lp_array(u.values, u.grid.spacing, p))
 
 
 @dataclass(frozen=True)
@@ -241,7 +246,7 @@ class GammaEstimate:
 
 
 def _ratio_and_grad(v: np.ndarray, h: float, p: float):
-    lp = (h * np.sum(np.abs(v) ** p)) ** (1.0 / p)
+    lp = norm_lp_array(v, h, p)
     w = poisson_solve_array(v, h)
     hm1 = np.sqrt(max(h * np.dot(v, w), 0.0))
     if hm1 < 1e-300 or lp < 1e-300:

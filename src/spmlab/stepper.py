@@ -13,10 +13,12 @@ where a Newton step is taken), so a Newton step is one tridiagonal solve
 (LAPACK gtsv, through operators.solve_banded) and needs no nested per-node
 resolvent solve. Convergence is tested on the residual above. The drift is
 maximal monotone, so the stage has exactly one solution; if Newton's line
-search gives up or its budget runs out, the stage raises ImplicitStepError
-and the caller halves the step locally, the one recovery path. run_path
-counts each path's Newton iterations, line-search halvings and dt-halvings,
-and keeps its worst accepted residual (SolverCounts).
+search gives up or its budget runs out, or the tolerance or the starting
+residual is not finite, the stage raises ImplicitStepError and the caller
+halves the step locally, the one recovery path. run_path returns one record
+per path, its Trajectory, which also counts the path's Newton iterations,
+line-search halvings and dt-halvings and keeps its worst accepted residual
+(SolverCounts).
 
 Extinction is detected on the H^-1 norm against a small threshold, after
 which the state is clamped to exactly zero and held (zero is absorbing for
@@ -24,6 +26,7 @@ both drift and noise).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -35,7 +38,7 @@ from .operators import (
     Field,
     laplacian_array,
     norm_hm1,
-    norm_l2,
+    norm_lp_array,
     poisson_solve_array,
     solve_banded,
 )
@@ -86,13 +89,30 @@ class SolverConfig:
 
 
 @dataclass
+class SolverCounts:
+    """Work of the implicit drift stage: Newton iterations (one tridiagonal
+    solve each, failed attempts included), line-search step halvings
+    (backtracks) and dt-halvings, and the largest residual of an accepted
+    stage as a fraction of its tolerance, rnorm / (tol * scale) <= 1."""
+
+    newton_iters: int = 0
+    halvings: int = 0
+    backtracks: int = 0
+    worst_residual: float = 0.0
+
+
+@dataclass
 class Trajectory:
-    """Per-path observables sampled at the recording stride.
+    """One path: its observables at the recording stride and its outcome.
 
     supermartingale_values holds the discounted norm
     exp(-c*(1-alpha)*t) * |X(t)|_{-1}^(1-alpha) (theory.discounted_norm), the
-    path's one record of the supermartingale. states is populated only when
-    the solver config asks for it (weak-form residual, convergence studies).
+    path's one record of the supermartingale. tau_hat is the extinction time,
+    None if the path is alive at t_final or failed; failure is None for a
+    completed path and otherwise says why the implicit stage gave up (the
+    path is then held at its last noise kick). seed and config replay the
+    path. states is populated only when the solver config asks for it
+    (weak-form residual, convergence studies).
     """
 
     times: np.ndarray
@@ -101,6 +121,12 @@ class Trajectory:
     min_values: np.ndarray
     max_values: np.ndarray
     supermartingale_values: np.ndarray
+    seed: tuple[int, int]
+    config: SolverConfig
+    tau_hat: Optional[float] = None
+    failure: Optional[str] = None
+    coercivity_violations: int = 0
+    solver_counts: SolverCounts = field(default_factory=SolverCounts)
     states: Optional[np.ndarray] = None  # aligned with times
 
     def to_csv(self, path) -> None:
@@ -117,33 +143,6 @@ class Trajectory:
                 fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
-@dataclass
-class SolverCounts:
-    """Work of the implicit drift stage: Newton iterations (one tridiagonal
-    solve each, failed attempts included), line-search step halvings
-    (backtracks) and dt-halvings, and the largest residual of an accepted
-    stage as a fraction of its tolerance, rnorm / (tol * scale) <= 1."""
-
-    newton_iters: int = 0
-    halvings: int = 0
-    backtracks: int = 0
-    worst_residual: float = 0.0
-
-
-@dataclass
-class PathResult:
-    tau_hat: Optional[float]
-    extinct: bool
-    trajectory: Trajectory
-    seed: tuple[int, int]
-    config: SolverConfig
-    failed: bool = False
-    failure_reason: str = ""
-    coercivity_violations: int = 0
-    x0_l2: float = 0.0
-    solver_counts: SolverCounts = field(default_factory=SolverCounts)
-
-
 def _solve_implicit_array(
     b: np.ndarray,
     h: float,
@@ -157,7 +156,9 @@ def _solve_implicit_array(
 
     Adds the Newton iterations and line-search halvings to counts and, on
     success, keeps the largest accepted residual in counts.worst_residual.
-    Raises ImplicitStepError when the line search gives up or max_iter runs out.
+    Raises ImplicitStepError when the line search gives up or max_iter runs
+    out, and at once when the tolerance or the starting residual is not
+    finite (b too large or not finite), which no iteration could meet.
     """
     k = dt / h**2
     sqrt_h = np.sqrt(h)
@@ -171,6 +172,8 @@ def _solve_implicit_array(
         return w, y, ratio, res, sqrt_h * np.sqrt(np.dot(res, res))
 
     w, y, ratio, res, rnorm = evaluate(psi0(b, model.diffusion))
+    if not (math.isfinite(target) and math.isfinite(rnorm)):
+        raise ImplicitStepError(residual=float(rnorm))
     for _ in range(max_iter):
         if rnorm <= target:
             break
@@ -250,7 +253,7 @@ def run_path(
     noise: NoiseSpec,
     seed: tuple[int, int],
     gamma_check: Optional[float] = None,
-) -> PathResult:
+) -> Trajectory:
     """Integrate one path to t_final, clamping to zero once |X|_{-1} <= eps.
 
     Each step applies the explicit noise kick X*(1 + sum_k mu_k e_k dbeta_k)
@@ -258,7 +261,8 @@ def run_path(
     implicit_solve). The stream is keyed by (master_seed, path_index) and
     step i of a live path always takes the i-th draw, because a path stops
     only once; after extinction or failure no increments are drawn. The
-    path's solver work is returned in PathResult.solver_counts.
+    path's one record is its Trajectory: the observables, tau_hat or the
+    failure, and the solver work in solver_counts.
     """
     grid = x0.grid
     h = grid.spacing
@@ -274,7 +278,6 @@ def run_path(
     counts = SolverCounts()
 
     x = x0.values.copy()
-    x0_l2 = norm_l2(x0)
 
     def observe(t, xv, hm1, lp):
         times.append(t)
@@ -289,42 +292,36 @@ def run_path(
         w = poisson_solve_array(xv, h)
         return float(np.sqrt(max(h * np.dot(xv, w), 0.0)))
 
-    def lp_of(xv):
-        return float((h * np.sum(np.abs(xv) ** p)) ** (1.0 / p))
-
     hm1 = hm1_of(x)
-    extinct = hm1 <= config.extinction_eps
-    tau_hat: Optional[float] = 0.0 if extinct else None
-    if extinct:
+    tau_hat: Optional[float] = None
+    if hm1 <= config.extinction_eps:
+        tau_hat = 0.0
         x = np.zeros_like(x)
         hm1 = 0.0
-    lp = lp_of(x)
+    lp = float(norm_lp_array(x, h, p))
     observe(0.0, x, hm1, lp)
 
-    failed = False
-    failure_reason = ""
+    failure: Optional[str] = None
     for i in range(1, n_steps + 1):
         t = i * config.dt
-        if not extinct and not failed:
-            inc = sample_increments(config.dt, noise.n_modes, stream)
-            perturbed = noise_kick(x, inc, scaled_modes)
+        if tau_hat is None and failure is None:
+            dbeta = sample_increments(config.dt, noise.n_modes, stream)
+            perturbed = noise_kick(x, dbeta, scaled_modes)
             try:
                 x = _drift_substeps(
                     perturbed, h, config.dt, model,
                     config.newton_tol, config.newton_max_iter, counts,
                 )
             except ImplicitStepError as exc:
-                failed = True
-                failure_reason = str(exc)
+                failure = str(exc)
                 x = perturbed
-            lp = lp_of(x)
-            if not failed:
+            lp = float(norm_lp_array(x, h, p))
+            if failure is None:
                 hm1 = hm1_of(x)
                 if gamma_check is not None:
                     if lp < gamma_check * hm1 * (1.0 - 1e-9) - 1e-14:
                         coercivity_violations += 1
                 if hm1 <= config.extinction_eps:
-                    extinct = True
                     tau_hat = t
                     x = np.zeros_like(x)
                     hm1 = 0.0
@@ -335,31 +332,25 @@ def run_path(
             observe(t, x, hm1, lp)
 
     times_arr, hm1_arr = np.array(times), np.array(hm1s)
-    traj = Trajectory(
+    return Trajectory(
         times=times_arr,
         hm1_norms=hm1_arr,
         lp_norms=np.array(lps),
         min_values=np.array(mins),
         max_values=np.array(maxs),
         supermartingale_values=discounted_norm(times_arr, hm1_arr, c_star(noise), alpha),
-        states=np.array(states) if states is not None else None,
-    )
-    return PathResult(
-        tau_hat=tau_hat,
-        extinct=extinct,
-        trajectory=traj,
         seed=seed,
         config=config,
-        failed=failed,
-        failure_reason=failure_reason,
+        tau_hat=tau_hat,
+        failure=failure,
         coercivity_violations=coercivity_violations,
-        x0_l2=x0_l2,
         solver_counts=counts,
+        states=np.array(states) if states is not None else None,
     )
 
 
 def weak_form_residual(
-    result: PathResult,
+    traj: Trajectory,
     j: int,
     basis,
     model: ModelParams,
@@ -370,18 +361,18 @@ def weak_form_residual(
     The drift integrand uses the unregularized power law, so the defect also
     absorbs the lam-regularization error on top of the time-stepping error.
     The Ito sums take the path's Wiener increments, which its seed fixes:
-    they are drawn again from make_stream(*result.seed), one draw per step,
+    they are drawn again from make_stream(*traj.seed), one draw per step,
     exactly as run_path drew them (rows after extinction meet a zero state).
     Requires a run with store_states=True and record_every=1.
     """
-    config = result.config
+    config = traj.config
     if not config.store_states or config.record_every != 1:
         raise ValueError("weak-form residual needs store_states and record_every=1")
     h = basis.grid.spacing
     dt = config.dt
     ej = basis.mode(j).values
     lap_ej = laplacian_array(ej, h)
-    states = result.trajectory.states  # (n_steps+1, n)
+    states = traj.states  # (n_steps+1, n)
 
     lhs = h * states @ ej
     drift_vals = h * (psi0(states, model.diffusion) + aux_psi(states, model.aux)) @ lap_ej
@@ -390,9 +381,9 @@ def weak_form_residual(
 
     mu = noise.mu
     modes = noise.basis.modes[: noise.n_modes]
-    stream = make_stream(*result.seed)
+    stream = make_stream(*traj.seed)
     dbeta = np.array([
-        sample_increments(dt, noise.n_modes, stream).dbeta for _ in range(states.shape[0] - 1)
+        sample_increments(dt, noise.n_modes, stream) for _ in range(states.shape[0] - 1)
     ])  # (n_steps, K)
     # left-point Ito sums: <X_i * e_k, e_j> per step and mode
     proj = h * states[:-1] @ (modes * ej).T  # (n_steps, K)
@@ -441,19 +432,19 @@ def convergence_study(
     runs = []
     for lam in lambdas:
         m = replace(model, reg=replace(model.reg, lam=float(lam)))
-        res = run_path(x0, cfg, m, noise, seed)
-        if res.failed:
-            raise PathFailedError(f"lambda={lam}: {res.failure_reason}")
-        runs.append(res)
+        traj = run_path(x0, cfg, m, noise, seed)
+        if traj.failure is not None:
+            raise PathFailedError(f"lambda={lam}: {traj.failure}")
+        runs.append(traj)
 
     h = x0.grid.spacing
     report = ConvergenceReport()
     for a, b, la, lb in zip(runs, runs[1:], lambdas, lambdas[1:]):
-        diff = a.trajectory.states - b.trajectory.states
+        diff = a.states - b.states
         sup_hm1 = max(norm_hm1(Field(row, x0.grid)) for row in diff)
         l2sq = h * np.sum(diff**2, axis=1)
         # trapezoid rule, written out: np.trapezoid needs numpy >= 2.0
-        l2l2 = float(np.sqrt(np.sum(np.diff(a.trajectory.times) * (l2sq[1:] + l2sq[:-1]) / 2.0)))
+        l2l2 = float(np.sqrt(np.sum(np.diff(a.times) * (l2sq[1:] + l2sq[:-1]) / 2.0)))
         report.rows.append(
             ConvergenceRow(
                 lam_coarse=float(la), lam_fine=float(lb),

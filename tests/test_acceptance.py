@@ -97,7 +97,7 @@ class TestCriterion1:
                 x_norm_hm1=X0_HM1, alpha=ALPHA, rho=RHO, gamma=gamma_255.value
             )
         )
-        ok = res.extinct and res.tau_hat is not None and res.tau_hat <= 1.10 * t_det
+        ok = res.tau_hat is not None and res.tau_hat <= 1.10 * t_det
         report(
             1,
             ok,

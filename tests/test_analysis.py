@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 from spmlab import check_absorption, detect_extinction, ensemble_supermartingale_test
-from spmlab.stepper import Trajectory
+from spmlab.stepper import SolverConfig, Trajectory
+
+# the solver config stamped on every made-up path: unit steps up to t = 4
+UNIT_STEPS = SolverConfig(dt=1.0, t_final=4.0)
 
 
 def make_traj(times, hm1, supermartingale=None):
@@ -12,7 +15,7 @@ def make_traj(times, hm1, supermartingale=None):
     sm = z if supermartingale is None else np.asarray(supermartingale, dtype=float)
     return Trajectory(
         times=times, hm1_norms=hm1, lp_norms=z, min_values=z, max_values=z,
-        supermartingale_values=sm,
+        supermartingale_values=sm, seed=(0, 0), config=UNIT_STEPS,
     )
 
 

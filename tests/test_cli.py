@@ -29,6 +29,18 @@ class TestSimulate:
         assert lines[0] == "t,hm1_norm,lp_norm,min,max,supermartingale"
         assert len(lines) > 2
 
+    def test_overflowing_tolerance_exit_3(self, tmp_path):
+        """At target_hm1_norm 1e160 the implicit stage's tolerance overflows
+        to inf, so no residual could be checked against it: the stage raises,
+        the path fails after its halvings, and the run is a numerical failure."""
+        p = tmp_path / "huge.yaml"
+        p.write_text(yaml.safe_dump(base_raw(
+            initial=dict(kind="eigenmode", mode=1, target_hm1_norm=1e160)
+        )))
+        r = run_cli("simulate", "--config", str(p), "--out", str(tmp_path / "o"))
+        assert r.exit_code == 3, r.output
+        assert "path failed" in r.output
+
     def test_bad_config_exit_2(self, tmp_path):
         p = tmp_path / "bad.yaml"
         p.write_text("grid: {n_interior: 1}\n")
@@ -163,6 +175,11 @@ class TestBadValues:
             dict(model={"rho": 1.0, "alpha": 0.5, "lambda": 1e-4,
                         "aux": {"kind": "linear", "slope": float("inf")}}),
             dict(checkpoints=[0.1, float("nan"), 0.4]),
+            # convergence_lambdas: at least two, each positive and finite
+            dict(convergence_lambdas=[float("inf"), 0.05]),
+            dict(convergence_lambdas=[0.05]),
+            dict(convergence_lambdas=[0.0, 0.05]),
+            dict(convergence_lambdas=[-0.1, 0.05]),
         ],
     )
     def test_exit_2(self, tmp_path, overrides):

@@ -11,6 +11,7 @@ from scipy.stats import binomtest
 
 from spmlab import (
     InitialSpec,
+    build_basis,
     compare_with_bound,
     config_from_dict,
     config_from_yaml,
@@ -20,7 +21,8 @@ from spmlab import (
     wilson_interval,
 )
 from spmlab.harness import ConfigError, EnsembleFailure
-from spmlab.stepper import PathResult, Trajectory
+from spmlab.operators import norm_l2
+from spmlab.stepper import Trajectory
 from spmlab.theory import BoundInputs
 
 
@@ -301,17 +303,43 @@ class TestRunEnsemble:
         import spmlab.harness as hmod
 
         def broken(config, noise, x0, gamma, path_index):
-            traj = Trajectory(*(np.zeros(1) for _ in range(6)))
-            return PathResult(
-                tau_hat=None, extinct=False, trajectory=traj,
+            return Trajectory(
+                *(np.zeros(1) for _ in range(6)),
                 seed=(config.master_seed, path_index), config=config.solver,
-                failed=True, failure_reason="boom",
+                failure="boom",
             )
 
         monkeypatch.setattr(hmod, "_run_one", broken)
         cfg = config_from_dict(base_raw(n_paths=4))
         with pytest.raises(EnsembleFailure):
             run_ensemble(cfg, workers=1)
+
+    @pytest.mark.parametrize("below", [(), (1,)])
+    def test_positivity_floor(self, monkeypatch, below):
+        """A node counts as negative only below -1e-8 * max(1, |x0|_L2): a
+        path whose minimum sits exactly on that floor passes, one ulp under
+        it fails. |x0|_L2 is about 3.1 here, so the max picks the norm."""
+        import spmlab.harness as hmod
+
+        cfg = config_from_dict(base_raw(
+            n_paths=4, gamma=2.0,
+            initial=dict(kind="eigenmode", mode=1, target_hm1_norm=1.0),
+        ))
+        x0 = make_initial(cfg.initial, cfg.grid, build_basis(cfg.grid, cfg.K))
+        assert norm_l2(x0) > 1.0
+        floor = -1e-8 * max(1.0, norm_l2(x0))
+
+        def at_floor(config, noise, x0, gamma, path_index):
+            low = np.nextafter(floor, -np.inf) if path_index in below else floor
+            return Trajectory(
+                *(np.zeros(2) for _ in range(3)), np.array([0.0, low]),
+                *(np.zeros(2) for _ in range(2)),
+                seed=(config.master_seed, path_index), config=config.solver,
+            )
+
+        monkeypatch.setattr(hmod, "_run_one", at_floor)
+        summary = run_ensemble(cfg, workers=1)
+        assert summary.positivity_violations == len(below)
 
 
 class TestCompareWithBound:

@@ -4,7 +4,6 @@ import pytest
 from spmlab import (
     GridSpec,
     NoiseSpec,
-    WienerIncrements,
     build_basis,
     c_star,
     make_stream,
@@ -45,7 +44,7 @@ class TestIncrements:
         stream = make_stream(123, 0)
         dt = 0.01
         draws = np.concatenate(
-            [sample_increments(dt, 5, stream).dbeta for _ in range(20000)]
+            [sample_increments(dt, 5, stream) for _ in range(20000)]
         )
         n = draws.size
         se_mean = np.sqrt(dt / n)
@@ -54,13 +53,13 @@ class TestIncrements:
         assert abs(draws.var() - dt) < 3 * se_var
 
     def test_reproducible_stream(self):
-        a = sample_increments(0.1, 4, make_stream(9, 3)).dbeta
-        b = sample_increments(0.1, 4, make_stream(9, 3)).dbeta
+        a = sample_increments(0.1, 4, make_stream(9, 3))
+        b = sample_increments(0.1, 4, make_stream(9, 3))
         np.testing.assert_array_equal(a, b)
 
     def test_paths_are_independent_streams(self):
-        a = sample_increments(0.1, 4, make_stream(9, 0)).dbeta
-        b = sample_increments(0.1, 4, make_stream(9, 1)).dbeta
+        a = sample_increments(0.1, 4, make_stream(9, 0))
+        b = sample_increments(0.1, 4, make_stream(9, 1))
         assert not np.array_equal(a, b)
 
     def test_rejects_bad_dt(self):
@@ -78,13 +77,13 @@ class TestNoiseField:
 
     def test_zero_increments(self, grid, rng, small_noise):
         X = random_field(grid, rng).values
-        out = noise_kick(X, WienerIncrements(np.zeros(2), 0.1), small_noise.scaled_modes())
+        out = noise_kick(X, np.zeros(2), small_noise.scaled_modes())
         np.testing.assert_array_equal(out, X)
 
     def test_single_mode_cross_check(self, grid, rng, basis):
         spec = NoiseSpec(mu=np.array([0.7]), basis=basis)
         X = random_field(grid, rng).values
-        inc = WienerIncrements(np.array([0.35]), 0.1)
+        inc = np.array([0.35])
         out = noise_kick(X, inc, spec.scaled_modes())
         direct = X * (1.0 + 0.7 * 0.35 * basis.mode(1).values)
         np.testing.assert_allclose(out, direct, rtol=1e-14)
@@ -97,10 +96,9 @@ class TestNoiseField:
             return noise_kick(x, inc, modes) - x
 
         X, Y = random_field(grid, rng).values, random_field(grid, rng).values
-        d1 = rng.standard_normal(2)
-        d2 = rng.standard_normal(2)
-        i1, i2 = WienerIncrements(d1, 0.1), WienerIncrements(d2, 0.1)
-        both = WienerIncrements(d1 + d2, 0.1)
+        i1 = rng.standard_normal(2)
+        i2 = rng.standard_normal(2)
+        both = i1 + i2
         # linear in the state
         np.testing.assert_allclose(
             term(X + 2 * Y, i1), term(X, i1) + 2 * term(Y, i1), rtol=1e-12, atol=1e-14
@@ -114,6 +112,6 @@ class TestNoiseField:
         X = random_field(grid, rng).values
         modes = small_noise.scaled_modes()
         with pytest.raises(ValueError):
-            noise_kick(X, WienerIncrements(np.zeros(3), 0.1), modes)
+            noise_kick(X, np.zeros(3), modes)
         with pytest.raises(GridError):
-            noise_kick(X[:-1], WienerIncrements(np.zeros(2), 0.1), modes)
+            noise_kick(X[:-1], np.zeros(2), modes)

@@ -153,6 +153,22 @@ class TestImplicitSolve:
         assert counts.newton_iters == len(solves) > 1
         assert np.all(np.isfinite(y))
 
+    def test_non_finite_tolerance_or_start_raises(self, grid, basis, model):
+        """A right-hand side whose norm overflows (tolerance inf) or that holds
+        an inf (starting residual not finite) raises before any Newton solve,
+        instead of passing its starting guess or reaching the tridiagonal
+        solve's finiteness check."""
+        huge = 1e160 * basis.modes[0]
+        with_inf = basis.modes[0].copy()
+        with_inf[3] = np.inf
+        for b in (huge, with_inf):
+            counts = SolverCounts()
+            with pytest.raises(ImplicitStepError):
+                stepper_mod._solve_implicit_array(b, grid.spacing, 1e-3, model, 1e-10, 50, counts)
+            assert counts.newton_iters == 0
+            with pytest.raises(ImplicitStepError):
+                stepper_mod._drift_substeps(b, grid.spacing, 1e-3, model, 1e-10, 50)
+
     def test_budget_exhausted_raises(self, grid, model, rng):
         b = random_field(grid, rng, scale=0.1).values
         counts = SolverCounts()
@@ -171,7 +187,7 @@ class TestStep:
         )
         assert np.all(stage == 0)
         res = run_path(Field.zero(grid), cfg, model, small_noise, seed=(1, 0))
-        assert np.all(res.trajectory.states == 0)
+        assert np.all(res.states == 0)
 
     def test_quiet_noise_is_backward_euler(self, grid, model, quiet_noise, rng):
         """With mu = 0 the first step of run_path is exactly implicit_solve."""
@@ -180,7 +196,7 @@ class TestStep:
         x0 = random_field(grid, rng, scale=0.1)
         res = run_path(x0, cfg, model, quiet_noise, seed=(1, 0))
         direct = implicit_solve(x0, dt, model)
-        np.testing.assert_array_equal(res.trajectory.states[1], direct.values)
+        np.testing.assert_array_equal(res.states[1], direct.values)
 
     def test_seed_replay(self, grid, model, small_noise, rng):
         """One noisy step replays bit for bit under the same (master, path) key."""
@@ -189,8 +205,8 @@ class TestStep:
         x0 = random_field(grid, rng, scale=0.1)
         a = run_path(x0, cfg, model, small_noise, seed=(4, 2))
         b = run_path(x0, cfg, model, small_noise, seed=(4, 2))
-        assert not np.array_equal(a.trajectory.states[1], x0.values)
-        np.testing.assert_array_equal(a.trajectory.states[1], b.trajectory.states[1])
+        assert not np.array_equal(a.states[1], x0.values)
+        np.testing.assert_array_equal(a.states[1], b.states[1])
 
 
 @pytest.fixture(scope="module")
@@ -210,12 +226,12 @@ class TestRunPath:
     def test_zero_start(self, grid, model, small_noise):
         cfg = SolverConfig(dt=1e-3, t_final=0.01)
         res = run_path(Field.zero(grid), cfg, model, small_noise, seed=(1, 0))
-        assert res.extinct and res.tau_hat == 0.0
-        assert np.all(res.trajectory.hm1_norms == 0)
+        assert res.tau_hat == 0.0
+        assert np.all(res.hm1_norms == 0)
 
     def test_deterministic_extinction(self, det_extinct_path):
         grid, res = det_extinct_path
-        assert res.extinct and res.tau_hat is not None
+        assert res.tau_hat is not None
         gamma = estimate_gamma(grid, 0.5, n_starts=8, seed=0).value
         t_det = deterministic_extinction_time(
             BoundInputs(x_norm_hm1=0.1, alpha=0.5, rho=1.0, gamma=gamma, c_star=0.0)
@@ -224,12 +240,11 @@ class TestRunPath:
 
     def test_noise_free_hm1_monotone(self, det_extinct_path):
         _, res = det_extinct_path
-        assert np.all(np.diff(res.trajectory.hm1_norms) <= 1e-12)
+        assert np.all(np.diff(res.hm1_norms) <= 1e-12)
 
     def test_absorption_exact_zero(self, det_extinct_path):
         _, res = det_extinct_path
-        tr = res.trajectory
-        after = tr.hm1_norms[tr.times > res.tau_hat]
+        after = res.hm1_norms[res.times > res.tau_hat]
         assert after.size > 0 and np.all(after == 0.0)
 
     def test_positivity_from_nonnegative_start(self, grid, model, small_noise, basis):
@@ -238,16 +253,16 @@ class TestRunPath:
         cfg = SolverConfig(dt=1e-3, t_final=0.05, record_every=5)
         for idx in range(5):
             res = run_path(x0, cfg, model, small_noise, seed=(77, idx))
-            floor = -1e-8 * max(1.0, res.x0_l2)
-            assert res.trajectory.min_values.min() >= floor
+            floor = -1e-8 * max(1.0, norm_l2(x0))
+            assert res.min_values.min() >= floor
 
     def test_bitwise_determinism(self, grid, model, small_noise, basis):
         x0 = basis.mode(1)
         cfg = SolverConfig(dt=1e-3, t_final=0.02, record_every=2)
         a = run_path(x0, cfg, model, small_noise, seed=(5, 9))
         b = run_path(x0, cfg, model, small_noise, seed=(5, 9))
-        np.testing.assert_array_equal(a.trajectory.hm1_norms, b.trajectory.hm1_norms)
-        np.testing.assert_array_equal(a.trajectory.max_values, b.trajectory.max_values)
+        np.testing.assert_array_equal(a.hm1_norms, b.hm1_norms)
+        np.testing.assert_array_equal(a.max_values, b.max_values)
 
     def test_failure_reporting(self, grid, model, small_noise, monkeypatch, rng):
         def always_fail(*args, **kwargs):
@@ -256,15 +271,15 @@ class TestRunPath:
         monkeypatch.setattr(stepper_mod, "_solve_implicit_array", always_fail)
         cfg = SolverConfig(dt=1e-3, t_final=0.01)
         res = run_path(random_field(grid, rng), cfg, model, small_noise, seed=(1, 0))
-        assert res.failed and "residual" in res.failure_reason
+        assert res.failure is not None and "residual" in res.failure
 
     def test_trajectory_csv(self, det_extinct_path, tmp_path):
         _, res = det_extinct_path
         out = tmp_path / "traj.csv"
-        res.trajectory.to_csv(out)
+        res.to_csv(out)
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,hm1_norm,lp_norm,min,max,supermartingale"
-        assert len(lines) == res.trajectory.times.size + 1
+        assert len(lines) == res.times.size + 1
 
     @staticmethod
     def _noisy_extinct_setup(basis, **solver):
@@ -286,7 +301,7 @@ class TestRunPath:
         monkeypatch.setattr(stepper_mod, "sample_increments", counting)
         res = run_path(x0, cfg, model, small_noise, seed=(8, 3))
         n_steps = round(cfg.t_final / cfg.dt)
-        assert res.extinct and len(draws) == round(res.tau_hat / cfg.dt) < n_steps
+        assert res.tau_hat is not None and len(draws) == round(res.tau_hat / cfg.dt) < n_steps
 
     def test_paths_match_scipy_wrappers(self, model, small_noise, basis, monkeypatch):
         """The LAPACK kernels give the paths of scipy's solve_banded and
@@ -311,10 +326,10 @@ class TestRunPath:
         wrapped = [run_path(x0, cfg, model, small_noise, seed=s) for s in seeds]
         assert calls["newton"] > 0 and calls["hm1"] > 0
         for a, b in zip(shipped, wrapped):
-            assert a.extinct and a.tau_hat == b.tau_hat
+            assert a.tau_hat is not None and a.tau_hat == b.tau_hat
             for f in dataclasses.fields(Trajectory):
                 np.testing.assert_array_equal(
-                    getattr(a.trajectory, f.name), getattr(b.trajectory, f.name)
+                    getattr(a, f.name), getattr(b, f.name)
                 )
 
     def test_solver_counts(self, model, small_noise, basis, monkeypatch):
@@ -376,7 +391,7 @@ class TestWeakFormResidual:
         residuals are pinned bit for bit."""
         x0, cfg = TestRunPath._noisy_extinct_setup(basis, store_states=True)
         res = run_path(x0, cfg, model, small_noise, seed=(8, 3))
-        assert res.extinct and res.tau_hat == 0.128
+        assert res.tau_hat == 0.128
         assert weak_form_residual(res, 1, basis, model, small_noise) == 0.0026278696268016628
         assert weak_form_residual(res, 2, basis, model, small_noise) == 2.346780767853527e-05
 
