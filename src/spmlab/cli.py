@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -47,6 +48,21 @@ def _load_config(path, seed):
     return cfg
 
 
+@contextmanager
+def _exit_on_error():
+    """Exit EXIT_CONFIG on a config error that shows only once the context is
+    built (an initial state that overflows), EXIT_NUMERICAL on a numerical
+    failure; print the error either way."""
+    try:
+        yield
+    except ConfigError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
+    except _NUMERICAL_ERRORS as exc:
+        click.echo(f"numerical failure: {exc}", err=True)
+        sys.exit(EXIT_NUMERICAL)
+
+
 def _outdir(out) -> Path:
     d = Path(out)
     d.mkdir(parents=True, exist_ok=True)
@@ -74,14 +90,11 @@ def main():
 def simulate(config_path, seed, out):
     """Run a single path and write its trajectory CSV."""
     cfg = _load_config(config_path, seed)
-    try:
+    with _exit_on_error():
         noise, x0 = _build_context(cfg)
         traj = run_path(x0, cfg.solver, cfg.model, noise, seed=(cfg.master_seed, 0))
-        if traj.failure is not None:
-            click.echo(f"path failed: {traj.failure}", err=True)
-            sys.exit(EXIT_NUMERICAL)
-    except _NUMERICAL_ERRORS as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
+    if traj.failure is not None:
+        click.echo(f"path failed: {traj.failure}", err=True)
         sys.exit(EXIT_NUMERICAL)
     path = _outdir(out) / "trajectory.csv"
     traj.to_csv(path)
@@ -97,11 +110,8 @@ def simulate(config_path, seed, out):
 def ensemble(config_path, seed, out, workers, strict):
     """Run a Monte Carlo ensemble; write summary JSON and tau CSV."""
     cfg = _load_config(config_path, seed)
-    try:
+    with _exit_on_error():
         summary = run_ensemble(cfg, workers=workers)
-    except _NUMERICAL_ERRORS as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
     inputs = summary.bound_inputs(cfg.model.diffusion.alpha, cfg.model.diffusion.rho)
     summary.comparison = compare_with_bound(summary, inputs)
     d = _outdir(out)
@@ -124,7 +134,8 @@ def ensemble(config_path, seed, out, workers, strict):
 def bound(config_path, seed, out):
     """Write the theoretical extinction-probability bound curve as CSV."""
     cfg = _load_config(config_path, seed)
-    noise, x0 = _build_context(cfg)
+    with _exit_on_error():
+        noise, x0 = _build_context(cfg)
     gamma = resolve_gamma(cfg)
     inputs = BoundInputs(
         x_norm_hm1=norm_hm1(x0),
@@ -147,16 +158,12 @@ def bound(config_path, seed, out):
 def gamma(config_path, seed, out):
     """Estimate the embedding coercivity constant and write it as JSON."""
     cfg = _load_config(config_path, seed)
-    est = estimate_gamma(
-        cfg.grid, cfg.model.diffusion.alpha,
-        n_starts=cfg.gamma_n_starts, seed=cfg.master_seed,
-    )
+    est = estimate_gamma(cfg.grid, cfg.model.diffusion.alpha)
     path = _outdir(out) / "gamma.json"
     path.write_text(json.dumps(
         {
             "value": est.value,
             "alpha": est.alpha,
-            "n_starts": est.n_starts,
             "minimizer": est.minimizer.values.tolist(),
         },
         indent=2,
@@ -169,15 +176,12 @@ def gamma(config_path, seed, out):
 def convergence(config_path, seed, out):
     """Regularization-parameter convergence study on a shared Brownian path."""
     cfg = _load_config(config_path, seed)
-    try:
+    with _exit_on_error():
         noise, x0 = _build_context(cfg)
         report = convergence_study(
             x0, cfg.solver, cfg.model, noise,
             cfg.convergence_lambdas, seed=(cfg.master_seed, 0),
         )
-    except _NUMERICAL_ERRORS as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
     path = _outdir(out) / "convergence.csv"
     report.to_csv(path)
     click.echo(f"wrote {path} ({len(report.rows)} pairs)")

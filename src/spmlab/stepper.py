@@ -13,12 +13,13 @@ where a Newton step is taken), so a Newton step is one tridiagonal solve
 (LAPACK gtsv, through operators.solve_banded) and needs no nested per-node
 resolvent solve. Convergence is tested on the residual above. The drift is
 maximal monotone, so the stage has exactly one solution; if Newton's line
-search gives up or its budget runs out, or the tolerance or the starting
-residual is not finite, the stage raises ImplicitStepError and the caller
-halves the step locally, the one recovery path. run_path returns one record
-per path, its Trajectory, which also counts the path's Newton iterations,
-line-search halvings and dt-halvings and keeps its worst accepted residual
-(SolverCounts).
+search gives up or its budget runs out, the stage raises ImplicitStepError
+and the caller halves the step locally, the one recovery path. If the
+tolerance or the starting residual is not finite, it raises
+NonFiniteStageError, which no halving can mend, and the caller re-raises it
+at once. run_path returns one record per path, its Trajectory, which also
+counts the path's Newton iterations, line-search halvings and dt-halvings
+and keeps its worst accepted residual (SolverCounts).
 
 Extinction is detected on the H^-1 norm against a small threshold, after
 which the state is clamped to exactly zero and held (zero is absorbing for
@@ -57,6 +58,17 @@ class ImplicitStepError(RuntimeError):
     def __init__(self, residual: float):
         self.residual = residual
         super().__init__(f"implicit solve stalled at residual {residual:.3e}")
+
+
+class NonFiniteStageError(ImplicitStepError):
+    """The stage's tolerance or starting residual is not finite; a smaller dt
+    keeps the same right-hand side, so the caller must not halve."""
+
+    def __str__(self):
+        return (
+            f"implicit stage has a non-finite right-hand side norm "
+            f"(starting residual {self.residual:.3e})"
+        )
 
 
 class PathFailedError(RuntimeError):
@@ -157,8 +169,9 @@ def _solve_implicit_array(
     Adds the Newton iterations and line-search halvings to counts and, on
     success, keeps the largest accepted residual in counts.worst_residual.
     Raises ImplicitStepError when the line search gives up or max_iter runs
-    out, and at once when the tolerance or the starting residual is not
-    finite (b too large or not finite), which no iteration could meet.
+    out, and NonFiniteStageError at once when the tolerance or the starting
+    residual is not finite (b too large or not finite), which no iteration
+    could meet.
     """
     k = dt / h**2
     sqrt_h = np.sqrt(h)
@@ -173,7 +186,7 @@ def _solve_implicit_array(
 
     w, y, ratio, res, rnorm = evaluate(psi0(b, model.diffusion))
     if not (math.isfinite(target) and math.isfinite(rnorm)):
-        raise ImplicitStepError(residual=float(rnorm))
+        raise NonFiniteStageError(residual=float(rnorm))
     for _ in range(max_iter):
         if rnorm <= target:
             break
@@ -231,14 +244,15 @@ def _drift_substeps(
 ) -> np.ndarray:
     """Backward-Euler over dt, recursively halving the step on failure.
 
-    Newton iterations and halvings are added to counts when it is given.
+    Newton iterations and halvings are added to counts when it is given. A
+    NonFiniteStageError is raised at once: halving leaves b as it is.
     """
     if counts is None:
         counts = SolverCounts()
     try:
         return _solve_implicit_array(b, h, dt, model, tol, max_iter, counts)
-    except ImplicitStepError:
-        if max_halvings == 0:
+    except ImplicitStepError as exc:
+        if max_halvings == 0 or isinstance(exc, NonFiniteStageError):
             raise
         counts.halvings += 1
         rest = (h, dt / 2, model, tol, max_iter, counts, max_halvings - 1)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import beta
 
 from spmlab import (
     DiffusionLaw,
@@ -46,6 +47,23 @@ def rng():
 
 def random_field(grid, rng, scale=1.0):
     return Field(scale * rng.standard_normal(grid.n_interior), grid)
+
+
+def gamma_continuum(alpha, length=1.0):
+    """The continuum coercivity constant inf |u|_{L^{1+alpha}} / |u|_{-1} on (0, L).
+
+    By duality it is 1 over the Sobolev constant of H^1_0 in L^q, q =
+    (1+alpha)/alpha, whose extremal solves the Lane-Emden problem
+    v'' + v^(q-1) = 0; its first integral gives the constant in Beta
+    functions (cf. E. Schmidt, Math. Ann. 117, 1940).
+    """
+    q = (1.0 + alpha) / alpha
+    i = beta(1.0 / q, 0.5) / q
+    j = beta(1.0 + 1.0 / q, 0.5) / q
+    c = np.sqrt(2.0 * q) * i
+    m = c ** (2.0 / (q - 2.0))
+    n = c * (j / i) * m ** (1.0 + q / 2.0)
+    return n ** (0.5 - 1.0 / q) * length ** (1.0 / (1.0 + alpha) - 1.5)
 
 
 def resolvent_half(r, rho, lam):

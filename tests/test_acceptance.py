@@ -57,7 +57,7 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def gamma_255():
-    return estimate_gamma(GridSpec(255), alpha=ALPHA, n_starts=32, seed=MASTER_SEED)
+    return estimate_gamma(GridSpec(255), alpha=ALPHA)
 
 
 def ensemble_config(gamma_value: float) -> dict:

@@ -29,17 +29,18 @@ class TestSimulate:
         assert lines[0] == "t,hm1_norm,lp_norm,min,max,supermartingale"
         assert len(lines) > 2
 
-    def test_overflowing_tolerance_exit_3(self, tmp_path):
-        """At target_hm1_norm 1e160 the implicit stage's tolerance overflows
-        to inf, so no residual could be checked against it: the stage raises,
-        the path fails after its halvings, and the run is a numerical failure."""
+    def test_overflowing_initial_state_exit_2(self, tmp_path):
+        """At target_hm1_norm 1e160 the initial state's h*x.x overflows, so the
+        implicit stage's tolerance could not be finite: a config error, found
+        before any step (the stage's own check is tested in test_stepper)."""
         p = tmp_path / "huge.yaml"
         p.write_text(yaml.safe_dump(base_raw(
             initial=dict(kind="eigenmode", mode=1, target_hm1_norm=1e160)
         )))
         r = run_cli("simulate", "--config", str(p), "--out", str(tmp_path / "o"))
-        assert r.exit_code == 3, r.output
-        assert "path failed" in r.output
+        assert r.exit_code == 2, r.output
+        assert "config error" in r.output
+        assert "target_hm1_norm" in r.output
 
     def test_bad_config_exit_2(self, tmp_path):
         p = tmp_path / "bad.yaml"
@@ -160,7 +161,8 @@ class TestBadValues:
         [
             dict(initial=dict(kind="eigenmode", mode=0, target_hm1_norm=0.1)),
             dict(initial=dict(kind="eigenmode", mode=40, target_hm1_norm=0.1)),
-            dict(gamma_n_starts=0),
+            # an initial state whose squared norm overflows
+            dict(initial=dict(kind="eigenmode", mode=1, target_hm1_norm=1e160)),
             dict(solver=dict(dt=2e-3, t_final=0.4, record_every=20, newton_tol=0.0)),
             dict(solver=dict(dt=2e-3, t_final=0.4, record_every=20, newton_max_iter=0)),
             # non-finite values

@@ -37,7 +37,6 @@ def base_raw(**overrides):
         n_paths=4,
         master_seed=17,
         checkpoints=[0.1, 0.2, 0.3, 0.4],
-        gamma_n_starts=4,
     )
     raw.update(overrides)
     return raw
@@ -150,10 +149,6 @@ class TestConfig:
         initial = dict(kind="eigenmode", mode=mode, target_hm1_norm=0.1)
         with pytest.raises(ConfigError, match=f"mode {mode} outside 1..31"):
             config_from_dict(base_raw(initial=initial))
-
-    def test_gamma_n_starts_below_one(self):
-        with pytest.raises(ConfigError, match="gamma_n_starts"):
-            config_from_dict(base_raw(gamma_n_starts=0))
 
     @pytest.mark.parametrize(
         "solver",

@@ -25,7 +25,7 @@ from spmlab import (
     weak_form_residual,
 )
 from spmlab.operators import _poisson_factor, laplacian_array, norm_l2
-from spmlab.stepper import ImplicitStepError, SolverCounts, Trajectory
+from spmlab.stepper import ImplicitStepError, NonFiniteStageError, SolverCounts, Trajectory
 from spmlab.theory import BoundInputs, deterministic_extinction_time
 
 from conftest import reference_stage, random_field, resolvent_bisect, resolvent_half
@@ -157,17 +157,24 @@ class TestImplicitSolve:
         """A right-hand side whose norm overflows (tolerance inf) or that holds
         an inf (starting residual not finite) raises before any Newton solve,
         instead of passing its starting guess or reaching the tridiagonal
-        solve's finiteness check."""
+        solve's finiteness check. Halving dt leaves the right-hand side as it
+        is, so _drift_substeps re-raises at once, with no halving."""
         huge = 1e160 * basis.modes[0]
         with_inf = basis.modes[0].copy()
         with_inf[3] = np.inf
         for b in (huge, with_inf):
-            counts = SolverCounts()
-            with pytest.raises(ImplicitStepError):
-                stepper_mod._solve_implicit_array(b, grid.spacing, 1e-3, model, 1e-10, 50, counts)
-            assert counts.newton_iters == 0
-            with pytest.raises(ImplicitStepError):
-                stepper_mod._drift_substeps(b, grid.spacing, 1e-3, model, 1e-10, 50)
+            # both overflow on purpose
+            with np.errstate(over="ignore", invalid="ignore"):
+                counts = SolverCounts()
+                with pytest.raises(NonFiniteStageError, match="non-finite right-hand side"):
+                    stepper_mod._solve_implicit_array(
+                        b, grid.spacing, 1e-3, model, 1e-10, 50, counts
+                    )
+                assert counts.newton_iters == 0
+                counts = SolverCounts()
+                with pytest.raises(NonFiniteStageError):
+                    stepper_mod._drift_substeps(b, grid.spacing, 1e-3, model, 1e-10, 50, counts)
+                assert counts.halvings == counts.newton_iters == 0
 
     def test_budget_exhausted_raises(self, grid, model, rng):
         b = random_field(grid, rng, scale=0.1).values
@@ -232,7 +239,7 @@ class TestRunPath:
     def test_deterministic_extinction(self, det_extinct_path):
         grid, res = det_extinct_path
         assert res.tau_hat is not None
-        gamma = estimate_gamma(grid, 0.5, n_starts=8, seed=0).value
+        gamma = estimate_gamma(grid, 0.5).value
         t_det = deterministic_extinction_time(
             BoundInputs(x_norm_hm1=0.1, alpha=0.5, rho=1.0, gamma=gamma, c_star=0.0)
         )
