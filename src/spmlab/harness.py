@@ -139,7 +139,7 @@ _CONFIG_KEYS = {
     "solver": {"dt", "t_final", "newton_tol", "newton_max_iter", "record_every", "extinction_eps"},
     "initial": {"kind", "mode", "values", "target_hm1_norm"},
 }
-# they set the budget of the resolvent, which no simulation path calls
+# retired: the resolvent has no tolerance or iteration budget to set
 _REMOVED_KEYS = ("model.solver_tol", "model.max_iter")
 
 

@@ -56,8 +56,12 @@ class ImplicitStepError(RuntimeError):
     """Implicit drift solve failed within its budget; caller should halve dt."""
 
     def __init__(self, residual: float):
+        # residual is the only argument, so that unpickling rebuilds the error
         self.residual = residual
-        super().__init__(f"implicit solve stalled at residual {residual:.3e}")
+        super().__init__(residual)
+
+    def __str__(self):
+        return f"implicit solve stalled at residual {self.residual:.3e}"
 
 
 class NonFiniteStageError(ImplicitStepError):

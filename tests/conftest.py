@@ -90,6 +90,21 @@ def resolvent_bisect(r, rho, alpha, lam):
         lo = np.where(above, lo, mid)
 
 
+def drift_oracle(r, model):
+    """(G, G') at r, with the resolvent J by resolvent_bisect.
+
+    G(r) = psi0(J(r)) + (lam + slope)*r. Implicit differentiation of
+    J + lam*psi0(J) = r gives psi0(J)' = psi0'(J) / (1 + lam*psi0'(J)), written
+    as 1 / (|J|^(1-alpha)/(alpha*rho) + lam) so that it is 1/lam at J = 0.
+    """
+    law, lam = model.diffusion, model.reg.lam
+    j = resolvent_bisect(r, law.rho, law.alpha, lam)
+    linear = lam + model.aux.slope  # a zero auxiliary law has slope 0
+    g = psi0(j, law) + linear * np.asarray(r, dtype=float)
+    gp = 1.0 / (np.abs(j) ** (1.0 - law.alpha) / (law.alpha * law.rho) + lam)
+    return g, gp + linear
+
+
 def padded_laplacian(v, h):
     """The three-point stencil on the zero-padded vector, as first written."""
     padded = np.zeros(v.size + 2)

@@ -208,9 +208,11 @@ class TestCriterion6:
             p1 = yosida(r1, law, reg)
             contraction = abs(y1 - y2) <= abs(r1 - r2) * (1 + 1e-12) + 1e-12
             monotone = (y1 - y2) * (r1 - r2) >= -1e-12
-            via_diff = (r1 - y1) / reg.lam
-            scale = max(1.0, abs(p1), abs(via_diff))
-            agreement = abs(p1 - via_diff) <= 1e-8 * scale
+            # (r1 - y1)/lam equals p1 by construction, since resolvent is
+            # r - lam*yosida; psi0(y1) equals it only if y1 solves the equation
+            via_psi0 = psi0(y1, law)
+            scale = max(1.0, abs(p1), abs(via_psi0))
+            agreement = abs(p1 - via_psi0) <= 1e-8 * scale
             dominated = abs(p1) <= abs(psi0(r1, law)) + 1e-12
             # pointwise lam -> 0 convergence at the same sample point
             tight = RegularizationParams(lam=1e-9)

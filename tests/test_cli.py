@@ -176,6 +176,9 @@ class TestBadValues:
             dict(model={"rho": 1.0, "alpha": 0.5, "lambda": float("inf")}),
             dict(model={"rho": 1.0, "alpha": 0.5, "lambda": 1e-4,
                         "aux": {"kind": "linear", "slope": float("inf")}}),
+            # a zero auxiliary law with a slope it would drop
+            dict(model={"rho": 1.0, "alpha": 0.5, "lambda": 1e-4,
+                        "aux": {"kind": "zero", "slope": 0.3}}),
             dict(checkpoints=[0.1, float("nan"), 0.4]),
             # convergence_lambdas: at least two, each positive and finite
             dict(convergence_lambdas=[float("inf"), 0.05]),

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import pickle
 
 import numpy as np
 import pytest
@@ -28,7 +29,13 @@ from spmlab.operators import _poisson_factor, laplacian_array, norm_l2
 from spmlab.stepper import ImplicitStepError, NonFiniteStageError, SolverCounts, Trajectory
 from spmlab.theory import BoundInputs, deterministic_extinction_time
 
-from conftest import reference_stage, random_field, resolvent_bisect, resolvent_half
+from conftest import (
+    drift_oracle,
+    reference_stage,
+    random_field,
+    resolvent_bisect,
+    resolvent_half,
+)
 
 
 def stress_grid(grid, basis, rng):
@@ -56,7 +63,7 @@ class TestImplicitSolve:
         B = random_field(grid, rng, scale=0.1)
         dt = 1e-3
         Y = implicit_solve(B, dt, model, newton_tol=1e-11)
-        g = model.drift_g(Y.values)
+        g, _ = drift_oracle(Y.values, model)
         res = Y.values - dt * laplacian_array(g, grid.spacing) - B.values
         assert np.sqrt(grid.spacing) * np.linalg.norm(res) <= 1e-11 * max(
             1.0, norm_l2(B)
@@ -182,6 +189,14 @@ class TestImplicitSolve:
         with pytest.raises(ImplicitStepError):
             stepper_mod._solve_implicit_array(b, grid.spacing, 1e-3, model, 1e-10, 1, counts)
         assert counts.newton_iters == 1
+
+    @pytest.mark.parametrize("error", [ImplicitStepError, NonFiniteStageError])
+    def test_stage_errors_pickle(self, error):
+        """A stage error that leaves a pool worker arrives whole in the parent."""
+        exc = error(1.0)
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is error
+        assert (back.residual, str(back)) == (exc.residual, str(exc))
 
 
 class TestStep:
