@@ -18,11 +18,8 @@ from .harness import (
     wilson_interval,
 )
 from .nonlinearity import (
-    AuxiliaryLaw,
     DiffusionLaw,
     ModelParams,
-    RegularizationParams,
-    aux_psi,
     psi0,
     psi0_inverse,
     resolvent,
@@ -47,7 +44,6 @@ from .stepper import (
     SolverCounts,
     Trajectory,
     convergence_study,
-    implicit_solve,
     run_path,
     weak_form_residual,
 )

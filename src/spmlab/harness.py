@@ -19,12 +19,7 @@ import numpy as np
 import yaml
 
 from .analysis import SupermartingaleReport, ensemble_supermartingale_test
-from .nonlinearity import (
-    AuxiliaryLaw,
-    DiffusionLaw,
-    ModelParams,
-    RegularizationParams,
-)
+from .nonlinearity import DiffusionLaw, ModelParams
 from .noise import NoiseSpec, c_star
 from .operators import (
     Field,
@@ -65,6 +60,10 @@ class InitialSpec:
         if self.kind == "custom":
             if self.values is None:
                 raise ConfigError("custom initial condition needs explicit values")
+            if self.target_hm1_norm is not None:
+                raise ConfigError("custom initial values are not rescaled; drop target_hm1_norm")
+        elif self.values is not None:
+            raise ConfigError(f"{self.kind} initial condition takes no values")
         elif not (self.target_hm1_norm and 0 < self.target_hm1_norm < np.inf):
             raise ConfigError(
                 f"{self.kind} initial condition needs a positive, finite target_hm1_norm"
@@ -134,13 +133,17 @@ _CONFIG_KEYS = {
     },
     "grid": {"n_interior", "length"},
     "model": {"rho", "alpha", "lambda", "aux"},
-    "model.aux": {"kind", "slope"},
+    "model.aux": {"slope"},
     "noise": {"mu"},
     "solver": {"dt", "t_final", "newton_tol", "newton_max_iter", "record_every", "extinction_eps"},
     "initial": {"kind", "mode", "values", "target_hm1_norm"},
 }
-# retired: the resolvent has no tolerance or iteration budget to set
-_REMOVED_KEYS = ("model.solver_tol", "model.max_iter")
+# retired keys, each with why it went
+_REMOVED_KEYS = {
+    "model.solver_tol": "the resolvent has no tolerance; the stage's is solver.newton_tol",
+    "model.max_iter": "the resolvent has no budget; the stage's is solver.newton_max_iter",
+    "model.aux.kind": "the auxiliary term is model.aux.slope times r, none at slope 0",
+}
 
 
 def _check_keys(section, path: str = "") -> None:
@@ -150,10 +153,7 @@ def _check_keys(section, path: str = "") -> None:
     for key, value in section.items():
         dotted = f"{path}.{key}" if path else str(key)
         if dotted in _REMOVED_KEYS:
-            raise ConfigError(
-                f"config key {dotted!r} was removed: the implicit stage is set by "
-                "solver.newton_tol and solver.newton_max_iter"
-            )
+            raise ConfigError(f"config key {dotted!r} was removed: {_REMOVED_KEYS[dotted]}")
         if key not in _CONFIG_KEYS[path]:
             raise ConfigError(f"unknown config key {dotted!r}")
         if dotted in _CONFIG_KEYS:
@@ -169,14 +169,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             length=float(raw["grid"].get("length", 1.0)),
         )
         m = raw["model"]
-        aux_raw = m.get("aux", {"kind": "zero"})
         model = ModelParams(
             diffusion=DiffusionLaw(rho=float(m["rho"]), alpha=float(m["alpha"])),
-            aux=AuxiliaryLaw(
-                kind=aux_raw.get("kind", "zero"),
-                slope=float(aux_raw.get("slope", 0.0)),
-            ),
-            reg=RegularizationParams(lam=float(m["lambda"])),
+            lam=float(m["lambda"]),
+            aux_slope=float(m.get("aux", {}).get("slope", 0.0)),
         )
         s = raw["solver"]
         solver = SolverConfig(
@@ -188,13 +184,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             extinction_eps=float(s.get("extinction_eps", 1e-6)),
         )
         ini = raw["initial"]
+        target = ini.get("target_hm1_norm")
         initial = InitialSpec(
             kind=ini["kind"],
             mode=int(ini.get("mode", 1)),
             values=tuple(float(v) for v in ini["values"]) if "values" in ini else None,
-            target_hm1_norm=(
-                float(ini["target_hm1_norm"]) if ini.get("target_hm1_norm") else None
-            ),
+            target_hm1_norm=None if target is None else float(target),
         )
         mu = tuple(float(v) for v in raw["noise"]["mu"])
         gamma = raw.get("gamma")

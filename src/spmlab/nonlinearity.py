@@ -13,7 +13,7 @@ r - lam*yosida(r); both accept scalars or numpy arrays.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,42 +31,24 @@ class DiffusionLaw:
 
 
 @dataclass(frozen=True)
-class AuxiliaryLaw:
-    """Extra monotone drift term: either identically zero or slope * r."""
+class ModelParams:
+    """Complete drift description: the power law, the regularization
+    parameter lam and the slope of the auxiliary term Psi~(r) = aux_slope*r."""
 
-    kind: str = "zero"
-    slope: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("zero", "linear"):
-            raise ValueError(f"unknown auxiliary kind {self.kind!r}")
-        if not (self.slope >= 0 and np.isfinite(self.slope)):
-            raise ValueError(f"slope must be nonnegative and finite, got {self.slope}")
-        if self.kind == "zero" and self.slope != 0:
-            raise ValueError(f"a zero auxiliary law has no slope, got {self.slope}")
-
-
-@dataclass(frozen=True)
-class RegularizationParams:
-    lam: float
+    diffusion: DiffusionLaw
+    lam: float = 1e-4
+    aux_slope: float = 0.0
 
     def __post_init__(self):
         if not (self.lam > 0 and np.isfinite(self.lam)):
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Complete drift description: power law, auxiliary term, regularization."""
-
-    diffusion: DiffusionLaw
-    aux: AuxiliaryLaw = field(default_factory=AuxiliaryLaw)
-    reg: RegularizationParams = field(default_factory=lambda: RegularizationParams(1e-4))
+        if not (self.aux_slope >= 0 and np.isfinite(self.aux_slope)):
+            raise ValueError(f"aux slope must be nonnegative and finite, got {self.aux_slope}")
 
     @property
     def linear_coeff(self) -> float:
-        """lam + aux slope: the part of G that is linear in r."""
-        return self.reg.lam + self.aux.slope
+        """lam + aux_slope: the part of G that is linear in r."""
+        return self.lam + self.aux_slope
 
     def pressure_values(self, w):
         """(Y, G, |w|/rho) at the pressure w = yosida(Y).
@@ -77,7 +59,7 @@ class ModelParams:
         law = self.diffusion
         w = np.asarray(w, dtype=float)
         ratio = np.abs(w) / law.rho
-        y = np.sign(w) * ratio ** (1.0 / law.alpha) + self.reg.lam * w
+        y = np.sign(w) * ratio ** (1.0 / law.alpha) + self.lam * w
         return y, w + self.linear_coeff * y, ratio
 
     def pressure_slopes(self, ratio):
@@ -86,7 +68,7 @@ class ModelParams:
         Y' (_pressure_slope) stays bounded near w = 0 because 1/alpha > 1,
         and G' = 1 + linear_coeff*Y'.
         """
-        yp = _pressure_slope(ratio, self.diffusion, self.reg.lam)
+        yp = _pressure_slope(ratio, self.diffusion, self.lam)
         return yp, 1.0 + self.linear_coeff * yp
 
 
@@ -109,7 +91,7 @@ def psi0_inverse(w, law: DiffusionLaw):
     return out if out.ndim else float(out)
 
 
-def yosida(r, law: DiffusionLaw, reg: RegularizationParams):
+def yosida(r, law: DiffusionLaw, lam: float):
     """The pressure w with Y(w) = r, by monotone Newton; equals psi0(resolvent(r)).
 
     By oddness w = sign(r)*v with Y(v) = |r|, v >= 0. Y is convex and
@@ -119,12 +101,14 @@ def yosida(r, law: DiffusionLaw, reg: RegularizationParams):
     (|r| + (1/alpha - 1)*P)/Y'(v), P = (v/rho)^(1/alpha), whose terms are all
     >= 0: v never goes negative, and r = 0 gives v = 0 exactly.
     """
+    if not (lam > 0 and np.isfinite(lam)):
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     r = np.asarray(r, dtype=float)
     a = np.abs(r)
     v = law.rho * a**law.alpha
     while True:
         ratio = v / law.rho
-        slope = _pressure_slope(ratio, law, reg.lam)
+        slope = _pressure_slope(ratio, law, lam)
         step = (a + (1.0 / law.alpha - 1.0) * ratio ** (1.0 / law.alpha)) / slope
         falling = step < v
         if not falling.any():
@@ -134,13 +118,7 @@ def yosida(r, law: DiffusionLaw, reg: RegularizationParams):
     return out if out.ndim else float(out)
 
 
-def resolvent(r, law: DiffusionLaw, reg: RegularizationParams):
+def resolvent(r, law: DiffusionLaw, lam: float):
     """Unique y with y + lam*psi0(y) = r, as r - lam*yosida(r)."""
-    out = np.asarray(r, dtype=float) - reg.lam * yosida(r, law, reg)
-    return out if out.ndim else float(out)
-
-
-def aux_psi(r, law: AuxiliaryLaw):
-    r = np.asarray(r, dtype=float)
-    out = law.slope * r if law.kind == "linear" else np.zeros_like(r)
+    out = np.asarray(r, dtype=float) - lam * yosida(r, law, lam)
     return out if out.ndim else float(out)

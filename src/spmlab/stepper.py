@@ -4,7 +4,7 @@ Each step applies the multiplicative noise explicitly and then solves the
 stiff monotone drift implicitly (backward Euler), which is unconditionally
 stable. The implicit stage
 
-    Y - dt * Laplacian(G(Y)) = B,    G(r) = yosida(r) + lam*r + aux(r),
+    Y - dt * Laplacian(G(Y)) = B,    G(r) = yosida(r) + (lam + aux_slope)*r,
 
 is solved by damped Newton for the pressure w = yosida(Y), not for Y. Y and
 G are explicit in w (ModelParams.pressure_values, evaluated at every trial
@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .nonlinearity import ModelParams, aux_psi, psi0
+from .nonlinearity import ModelParams, psi0
 from .noise import NoiseSpec, c_star, make_stream, noise_kick, sample_increments
 from .operators import (
     Field,
@@ -92,6 +92,9 @@ class SolverConfig:
     def __post_init__(self):
         if not (0 < self.dt < self.t_final and np.isfinite(self.t_final)):
             raise ValueError(f"need 0 < dt < t_final < inf, got dt={self.dt}, T={self.t_final}")
+        # run_path takes round(T/dt) steps, so any other dt would end elsewhere
+        if abs(round(self.t_final / self.dt) * self.dt - self.t_final) > 1e-9 * self.t_final:
+            raise ValueError(f"dt={self.dt} must divide t_final={self.t_final}")
         if not (self.newton_tol > 0 and np.isfinite(self.newton_tol)):
             raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
         if self.newton_max_iter < 1:
@@ -215,27 +218,6 @@ def _solve_implicit_array(
     return y
 
 
-def implicit_solve(
-    B: Field,
-    dt: float,
-    model: ModelParams,
-    *,
-    newton_tol: float = 1e-10,
-    newton_max_iter: int = 50,
-) -> Field:
-    """Backward-Euler drift step: find Y with Y - dt*Laplacian(G(Y)) = B.
-
-    This is the drift stage that run_path solves after each noise kick.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    y = _solve_implicit_array(
-        B.values.copy(), B.grid.spacing, dt, model, newton_tol, newton_max_iter,
-        SolverCounts(),
-    )
-    return B.with_values(y)
-
-
 def _drift_substeps(
     b: np.ndarray,
     h: float,
@@ -243,16 +225,15 @@ def _drift_substeps(
     model: ModelParams,
     tol: float,
     max_iter: int,
-    counts: Optional[SolverCounts] = None,
+    counts: SolverCounts,
     max_halvings: int = 5,
 ) -> np.ndarray:
-    """Backward-Euler over dt, recursively halving the step on failure.
+    """Backward-Euler over dt, recursively halving the step on failure: the
+    drift stage that run_path solves after each noise kick.
 
-    Newton iterations and halvings are added to counts when it is given. A
-    NonFiniteStageError is raised at once: halving leaves b as it is.
+    Newton iterations and halvings are added to counts. A NonFiniteStageError
+    is raised at once: halving leaves b as it is.
     """
-    if counts is None:
-        counts = SolverCounts()
     try:
         return _solve_implicit_array(b, h, dt, model, tol, max_iter, counts)
     except ImplicitStepError as exc:
@@ -276,7 +257,7 @@ def run_path(
 
     Each step applies the explicit noise kick X*(1 + sum_k mu_k e_k dbeta_k)
     (noise_kick) and then solves the drift stage implicitly (see
-    implicit_solve). The stream is keyed by (master_seed, path_index) and
+    _drift_substeps). The stream is keyed by (master_seed, path_index) and
     step i of a live path always takes the i-th draw, because a path stops
     only once; after extinction or failure no increments are drawn. The
     path's one record is its Trajectory: the observables, tau_hat or the
@@ -393,7 +374,7 @@ def weak_form_residual(
     states = traj.states  # (n_steps+1, n)
 
     lhs = h * states @ ej
-    drift_vals = h * (psi0(states, model.diffusion) + aux_psi(states, model.aux)) @ lap_ej
+    drift_vals = h * (psi0(states, model.diffusion) + model.aux_slope * states) @ lap_ej
     cum_drift = np.zeros(states.shape[0])
     cum_drift[1:] = dt * (np.cumsum(drift_vals[1:]) + np.cumsum(drift_vals[:-1])) / 2.0
 
@@ -449,7 +430,7 @@ def convergence_study(
     cfg = replace(config, store_states=True)
     runs = []
     for lam in lambdas:
-        m = replace(model, reg=replace(model.reg, lam=float(lam)))
+        m = replace(model, lam=float(lam))
         traj = run_path(x0, cfg, m, noise, seed)
         if traj.failure is not None:
             raise PathFailedError(f"lambda={lam}: {traj.failure}")

@@ -8,7 +8,6 @@ from spmlab import (
     GridSpec,
     ModelParams,
     NoiseSpec,
-    RegularizationParams,
     build_basis,
     psi0,
 )
@@ -37,7 +36,7 @@ def small_noise(basis):
 
 @pytest.fixture
 def model():
-    return ModelParams(DiffusionLaw(rho=1.0, alpha=0.5), reg=RegularizationParams(1e-4))
+    return ModelParams(DiffusionLaw(rho=1.0, alpha=0.5), lam=1e-4)
 
 
 @pytest.fixture
@@ -97,9 +96,9 @@ def drift_oracle(r, model):
     J + lam*psi0(J) = r gives psi0(J)' = psi0'(J) / (1 + lam*psi0'(J)), written
     as 1 / (|J|^(1-alpha)/(alpha*rho) + lam) so that it is 1/lam at J = 0.
     """
-    law, lam = model.diffusion, model.reg.lam
+    law, lam = model.diffusion, model.lam
     j = resolvent_bisect(r, law.rho, law.alpha, lam)
-    linear = lam + model.aux.slope  # a zero auxiliary law has slope 0
+    linear = lam + model.aux_slope
     g = psi0(j, law) + linear * np.asarray(r, dtype=float)
     gp = 1.0 / (np.abs(j) ** (1.0 - law.alpha) / (law.alpha * law.rho) + lam)
     return g, gp + linear
@@ -120,7 +119,7 @@ def reference_stage(b, h, dt, model, tol, max_iter):
     np.linalg.norm. Returns (Y or None on a stall, Newton iterations,
     rejected line-search trials).
     """
-    law, lam, c = model.diffusion, model.reg.lam, model.linear_coeff
+    law, lam, c = model.diffusion, model.lam, model.linear_coeff
     k = dt / h**2
     scale = max(1.0, np.sqrt(h) * np.linalg.norm(b))
 

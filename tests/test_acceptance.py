@@ -14,7 +14,6 @@ from spmlab import (
     InitialSpec,
     ModelParams,
     NoiseSpec,
-    RegularizationParams,
     SolverConfig,
     apply_laplacian,
     build_basis,
@@ -88,7 +87,7 @@ class TestCriterion1:
         x0 = make_initial(
             InitialSpec(kind="eigenmode", mode=1, target_hm1_norm=X0_HM1), grid, basis
         )
-        model = ModelParams(DiffusionLaw(RHO, ALPHA), reg=RegularizationParams(LAM))
+        model = ModelParams(DiffusionLaw(RHO, ALPHA), lam=LAM)
         noise = NoiseSpec(mu=np.zeros(1), basis=basis)
         cfg = SolverConfig(dt=1e-4, t_final=0.16, record_every=10)
         res = run_path(x0, cfg, model, noise, seed=(MASTER_SEED, 0))
@@ -146,7 +145,7 @@ class TestCriterion4:
         grid = GridSpec(127)
         basis = build_basis(grid, 2)
         noise = NoiseSpec(mu=np.array(MU), basis=basis)
-        model = ModelParams(DiffusionLaw(1.0, 0.2), reg=RegularizationParams(LAM))
+        model = ModelParams(DiffusionLaw(1.0, 0.2), lam=LAM)
         x0 = make_initial(
             InitialSpec(kind="eigenmode", mode=1, target_hm1_norm=X0_HM1), grid, basis
         )
@@ -170,7 +169,7 @@ class TestCriterion5:
         grid = GridSpec(127)
         basis = build_basis(grid, 3)
         noise = NoiseSpec(mu=np.zeros(3), basis=basis)
-        model = ModelParams(DiffusionLaw(RHO, ALPHA), reg=RegularizationParams(1e-5))
+        model = ModelParams(DiffusionLaw(RHO, ALPHA), lam=1e-5)
         mix = basis.modes[0] + 0.5 * basis.modes[1] + 0.3 * basis.modes[2]
         x0 = Field(mix, grid)
         x0 = x0.with_values(x0.values * (X0_HM1 / norm_hm1(x0)))
@@ -202,10 +201,10 @@ class TestCriterion6:
             law = DiffusionLaw(
                 rho=float(rng.uniform(0.2, 3.0)), alpha=float(rng.uniform(0.05, 0.95))
             )
-            reg = RegularizationParams(lam=float(10.0 ** rng.uniform(-5, -0.5)))
+            lam = float(10.0 ** rng.uniform(-5, -0.5))
             r1, r2 = rng.uniform(-10, 10, size=2)
-            y1, y2 = resolvent(r1, law, reg), resolvent(r2, law, reg)
-            p1 = yosida(r1, law, reg)
+            y1, y2 = resolvent(r1, law, lam), resolvent(r2, law, lam)
+            p1 = yosida(r1, law, lam)
             contraction = abs(y1 - y2) <= abs(r1 - r2) * (1 + 1e-12) + 1e-12
             monotone = (y1 - y2) * (r1 - r2) >= -1e-12
             # (r1 - y1)/lam equals p1 by construction, since resolvent is
@@ -215,7 +214,7 @@ class TestCriterion6:
             agreement = abs(p1 - via_psi0) <= 1e-8 * scale
             dominated = abs(p1) <= abs(psi0(r1, law)) + 1e-12
             # pointwise lam -> 0 convergence at the same sample point
-            tight = RegularizationParams(lam=1e-9)
+            tight = 1e-9
             converged = abs(yosida(r1, law, tight) - psi0(r1, law)) <= 1e-4 * max(
                 1.0, abs(psi0(r1, law))
             )

@@ -175,16 +175,23 @@ class TestBadValues:
             dict(model={"rho": float("inf"), "alpha": 0.5, "lambda": 1e-4}),
             dict(model={"rho": 1.0, "alpha": 0.5, "lambda": float("inf")}),
             dict(model={"rho": 1.0, "alpha": 0.5, "lambda": 1e-4,
-                        "aux": {"kind": "linear", "slope": float("inf")}}),
-            # a zero auxiliary law with a slope it would drop
-            dict(model={"rho": 1.0, "alpha": 0.5, "lambda": 1e-4,
-                        "aux": {"kind": "zero", "slope": 0.3}}),
+                        "aux": {"slope": float("inf")}}),
+            # a negative auxiliary slope: the term slope*r would be decreasing
+            dict(model={"rho": 1.0, "alpha": 0.5, "lambda": 1e-4, "aux": {"slope": -0.1}}),
             dict(checkpoints=[0.1, float("nan"), 0.4]),
             # convergence_lambdas: at least two, each positive and finite
             dict(convergence_lambdas=[float("inf"), 0.05]),
             dict(convergence_lambdas=[0.05]),
             dict(convergence_lambdas=[0.0, 0.05]),
             dict(convergence_lambdas=[-0.1, 0.05]),
+            # dt must divide t_final: run_path takes round(t_final/dt) steps
+            dict(solver=dict(dt=0.03, t_final=0.4, record_every=20)),
+            # initial fields that the kind would ignore
+            dict(initial=dict(kind="custom", values=[0.1] * 31, target_hm1_norm=123.0)),
+            dict(initial=dict(kind="eigenmode", mode=1, target_hm1_norm=0.1, values=[0.1] * 31)),
+            # the removed model.aux.kind
+            dict(model={"rho": 1.0, "alpha": 0.5, "lambda": 1e-4,
+                        "aux": {"kind": "linear", "slope": 0.4}}),
         ],
     )
     def test_exit_2(self, tmp_path, overrides):

@@ -76,7 +76,7 @@ class TestConfigKeys:
         ("initial", "initial.target_norm"),
     ])
     def test_unknown_key_is_named(self, section, dotted):
-        raw = base_raw(model={"rho": 1.0, "alpha": 0.5, "lambda": 1e-4, "aux": {"kind": "zero"}})
+        raw = base_raw(model={"rho": 1.0, "alpha": 0.5, "lambda": 1e-4, "aux": {"slope": 0.0}})
         target = raw
         for name in (section.split(".") if section else []):
             target = target[name]
@@ -84,11 +84,19 @@ class TestConfigKeys:
         with pytest.raises(ConfigError, match=f"unknown config key '{re.escape(dotted)}'"):
             config_from_dict(raw)
 
-    @pytest.mark.parametrize("key", ["solver_tol", "max_iter"])
-    def test_retired_model_keys_say_removed(self, key):
+    @pytest.mark.parametrize("key, value, reason", [
+        ("solver_tol", 1e-12, "solver.newton_tol"),
+        ("max_iter", 100, "solver.newton_max_iter"),
+        ("aux.kind", "linear", "model.aux.slope"),
+    ], ids=["solver_tol", "max_iter", "aux.kind"])
+    def test_retired_model_keys_say_removed(self, key, value, reason):
         raw = base_raw()
-        raw["model"][key] = 1e-12
-        with pytest.raises(ConfigError, match=f"'model.{key}' was removed"):
+        *parents, name = key.split(".")
+        section = raw["model"]
+        for parent in parents:
+            section = section.setdefault(parent, {})
+        section[name] = value
+        with pytest.raises(ConfigError, match=f"'model.{key}' was removed: .*{reason}"):
             config_from_dict(raw)
 
     def test_section_must_be_a_mapping(self):
@@ -112,8 +120,13 @@ class TestConfig:
         p.write_text(yaml.safe_dump(base_raw()))
         cfg = config_from_yaml(p)
         assert cfg.grid.n_interior == 31
-        assert cfg.model.reg.lam == 1e-4
+        assert cfg.model.lam == 1e-4
         assert cfg.mu == (0.05, 0.02)
+
+    def test_aux_slope(self):
+        model = {"rho": 1.0, "alpha": 0.5, "lambda": 1e-4, "aux": {"slope": 0.4}}
+        assert config_from_dict(base_raw(model=model)).model.aux_slope == 0.4
+        assert config_from_dict(base_raw()).model.aux_slope == 0.0
 
     def test_missing_section(self):
         raw = base_raw()
@@ -197,6 +210,16 @@ class TestMakeInitial:
     def test_missing_target(self):
         with pytest.raises(ConfigError):
             InitialSpec(kind="eigenmode")
+
+    @pytest.mark.parametrize("kind", ["eigenmode", "bump"])
+    def test_values_rejected_where_ignored(self, kind):
+        with pytest.raises(ConfigError, match="takes no values"):
+            InitialSpec(kind, values=(0.1,), target_hm1_norm=0.1)
+
+    def test_target_rejected_for_custom(self):
+        # custom values pass through unscaled, so a target would be dropped
+        with pytest.raises(ConfigError, match="drop target_hm1_norm"):
+            InitialSpec("custom", values=(0.1,), target_hm1_norm=0.1)
 
 
 class TestWilson:

@@ -5,11 +5,8 @@ import numpy as np
 import pytest
 
 from spmlab import (
-    AuxiliaryLaw,
     DiffusionLaw,
     ModelParams,
-    RegularizationParams,
-    aux_psi,
     psi0,
     psi0_inverse,
     resolvent,
@@ -20,7 +17,7 @@ from conftest import drift_oracle, resolvent_bisect, resolvent_half
 
 
 LAW = DiffusionLaw(rho=1.0, alpha=0.5)
-REG = RegularizationParams(lam=1.0)
+LAM = 1.0
 
 
 class TestPsi0:
@@ -49,13 +46,13 @@ class TestPsi0:
 class TestResolvent:
     def test_closed_form(self):
         # 1 + sqrt(1) = 2
-        assert resolvent(2.0, LAW, REG) == pytest.approx(1.0, abs=1e-12)
+        assert resolvent(2.0, LAW, LAM) == pytest.approx(1.0, abs=1e-12)
 
     def test_zero(self):
-        assert resolvent(0.0, LAW, REG) == 0.0
+        assert resolvent(0.0, LAW, LAM) == 0.0
 
     def test_odd(self):
-        assert resolvent(-2.0, LAW, REG) == pytest.approx(-1.0, abs=1e-12)
+        assert resolvent(-2.0, LAW, LAM) == pytest.approx(-1.0, abs=1e-12)
 
     def test_against_bisection_oracle(self):
         rng = np.random.default_rng(42)
@@ -65,21 +62,19 @@ class TestResolvent:
             alpha = rng.uniform(0.05, 0.95)
             lam = 10.0 ** rng.uniform(-3, 1)
             law = DiffusionLaw(rho, alpha)
-            reg = RegularizationParams(lam)
             expected = resolvent_bisect(r, rho, alpha, lam)
-            assert resolvent(r, law, reg) == pytest.approx(expected, abs=1e-10)
+            assert resolvent(r, law, lam) == pytest.approx(expected, abs=1e-10)
 
     def test_contraction(self):
         rng = np.random.default_rng(7)
         a = rng.uniform(-10, 10, 1000)
         b = rng.uniform(-10, 10, 1000)
-        reg = RegularizationParams(0.3)
-        ra, rb = resolvent(a, LAW, reg), resolvent(b, LAW, reg)
+        ra, rb = resolvent(a, LAW, 0.3), resolvent(b, LAW, 0.3)
         assert np.all(np.abs(ra - rb) <= np.abs(a - b) + 1e-12)
 
     def test_monotone_in_r(self):
         r = np.linspace(-5, 5, 500)
-        v = resolvent(r, LAW, RegularizationParams(0.1))
+        v = resolvent(r, LAW, 0.1)
         assert np.all(np.diff(v) >= 0)
 
     def test_against_closed_form_half(self):
@@ -87,7 +82,7 @@ class TestResolvent:
         r = np.concatenate([rng.uniform(-10, 10, 500), 10.0 ** rng.uniform(-12, 2, 500)])
         for lam in (1.0, 1e-2, 1e-4):
             expected = resolvent_half(r, LAW.rho, lam)
-            got = resolvent(r, LAW, RegularizationParams(lam))
+            got = resolvent(r, LAW, lam)
             assert np.all(np.abs(got - expected) <= 1e-15 * np.maximum(1.0, np.abs(r)))
 
     def test_extreme_grid(self):
@@ -100,7 +95,7 @@ class TestResolvent:
         ):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                w = yosida(r, DiffusionLaw(rho, alpha), RegularizationParams(lam))
+                w = yosida(r, DiffusionLaw(rho, alpha), lam)
             v = np.abs(w)
             assert np.all(np.sign(w) == np.sign(r))
             assert w[0] == 0.0
@@ -110,19 +105,26 @@ class TestResolvent:
 
 class TestYosida:
     def test_closed_form(self):
-        assert yosida(2.0, LAW, REG) == pytest.approx(1.0, abs=1e-10)
+        assert yosida(2.0, LAW, LAM) == pytest.approx(1.0, abs=1e-10)
 
     def test_zero(self):
-        assert yosida(0.0, LAW, REG) == 0.0
+        assert yosida(0.0, LAW, LAM) == 0.0
+
+    @pytest.mark.parametrize("lam", [0.0, -1e-4, np.inf, np.nan])
+    def test_lambda_validation(self, lam):
+        """A lam that is not positive and finite raises instead of giving a wrong w."""
+        with pytest.raises(ValueError, match="lambda"):
+            yosida(1.0, LAW, lam)
+        with pytest.raises(ValueError, match="lambda"):
+            resolvent(1.0, LAW, lam)
 
     def test_two_formula_agreement(self):
         rng = np.random.default_rng(3)
         r = rng.uniform(-20, 20, 1000)
         lam = 0.05
-        reg = RegularizationParams(lam)
-        y = resolvent(r, LAW, reg)
+        y = resolvent(r, LAW, lam)
         via_diff = (r - y) / lam
-        via_psi = yosida(r, LAW, reg)
+        via_psi = yosida(r, LAW, lam)
         np.testing.assert_allclose(via_psi, via_diff, rtol=1e-8, atol=1e-8)
         # resolvent is r - lam*yosida, so only this one shows the equation solved
         np.testing.assert_allclose(psi0(y, LAW), via_psi, rtol=1e-12, atol=1e-12)
@@ -131,23 +133,22 @@ class TestYosida:
         rng = np.random.default_rng(5)
         a = rng.uniform(-10, 10, 1000)
         b = rng.uniform(-10, 10, 1000)
-        reg = RegularizationParams(0.2)
         assert np.all(
-            (yosida(a, LAW, reg) - yosida(b, LAW, reg)) * (a - b) >= -1e-12
+            (yosida(a, LAW, 0.2) - yosida(b, LAW, 0.2)) * (a - b) >= -1e-12
         )
 
     def test_dominated_by_psi0(self):
         rng = np.random.default_rng(6)
         r = rng.uniform(-10, 10, 1000)
         for lam in (1.0, 0.1, 0.01):
-            v = yosida(r, LAW, RegularizationParams(lam))
+            v = yosida(r, LAW, lam)
             assert np.all(np.abs(v) <= np.abs(psi0(r, LAW)) + 1e-12)
 
     def test_pointwise_convergence_to_psi0(self):
         # lam = 2^-j gives decreasing error toward rho*|r|^alpha
         r = 1.0
         errors = [
-            abs(yosida(r, LAW, RegularizationParams(2.0**-j)) - psi0(r, LAW))
+            abs(yosida(r, LAW, 2.0**-j) - psi0(r, LAW))
             for j in range(1, 10)
         ]
         assert all(a > b for a, b in zip(errors, errors[1:]))
@@ -155,18 +156,17 @@ class TestYosida:
 
     def test_monotone_increasing_in_shrinking_lambda(self):
         values = [
-            yosida(1.0, LAW, RegularizationParams(lam)) for lam in (1e-1, 1e-2, 1e-3)
+            yosida(1.0, LAW, lam) for lam in (1e-1, 1e-2, 1e-3)
         ]
         assert values[0] < values[1] < values[2] < psi0(1.0, LAW) + 1e-12
 
     def test_lipschitz_bound(self):
         rng = np.random.default_rng(8)
         lam = 0.25
-        reg = RegularizationParams(lam)
         a = rng.uniform(-5, 5, 500)
         b = rng.uniform(-5, 5, 500)
         assert np.all(
-            np.abs(yosida(a, LAW, reg) - yosida(b, LAW, reg))
+            np.abs(yosida(a, LAW, lam) - yosida(b, LAW, lam))
             <= np.abs(a - b) / lam + 1e-12
         )
 
@@ -182,15 +182,13 @@ class TestPressureState:
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
     def test_parametrizes_the_drift(self, alpha):
         model = ModelParams(
-            DiffusionLaw(rho=1.3, alpha=alpha),
-            aux=AuxiliaryLaw(kind="linear", slope=0.4),
-            reg=RegularizationParams(0.05),
+            DiffusionLaw(rho=1.3, alpha=alpha), lam=0.05, aux_slope=0.4
         )
         r = np.random.default_rng(13).uniform(-4, 4, 200)
-        w = yosida(r, model.diffusion, model.reg)
+        w = yosida(r, model.diffusion, model.lam)
         y, g, ratio = model.pressure_values(w)
         yp, gp = model.pressure_slopes(ratio)
-        np.testing.assert_array_equal(y, psi0_inverse(w, model.diffusion) + model.reg.lam * w)
+        np.testing.assert_array_equal(y, psi0_inverse(w, model.diffusion) + model.lam * w)
         np.testing.assert_allclose(y, r, rtol=1e-12, atol=1e-12)
         g_exact, gp_exact = drift_oracle(r, model)
         np.testing.assert_allclose(g, g_exact, rtol=1e-10, atol=1e-10)
@@ -198,29 +196,26 @@ class TestPressureState:
         np.testing.assert_allclose(gp / yp, gp_exact, rtol=1e-10)
 
     def test_derivatives_match_finite_differences(self):
-        model = ModelParams(DiffusionLaw(rho=1.0, alpha=0.3), reg=RegularizationParams(1e-3))
+        model = ModelParams(DiffusionLaw(rho=1.0, alpha=0.3), lam=1e-3)
         w = np.array([-2.0, -0.3, 0.0, 1e-3, 0.7, 3.0])
         eps = 1e-6
         up, down = model.pressure_values(w + eps), model.pressure_values(w - eps)
         yp, gp = model.pressure_slopes(model.pressure_values(w)[2])
         np.testing.assert_allclose(yp, (up[0] - down[0]) / (2 * eps), rtol=1e-6, atol=1e-9)
         np.testing.assert_allclose(gp, (up[1] - down[1]) / (2 * eps), rtol=1e-6, atol=1e-9)
-        assert yp[2] == model.reg.lam
+        assert yp[2] == model.lam
 
 
-class TestAuxPsi:
-    def test_zero_kind(self):
-        assert aux_psi(5.0, AuxiliaryLaw(kind="zero")) == 0.0
 
-    def test_linear_kind(self):
-        assert aux_psi(2.0, AuxiliaryLaw(kind="linear", slope=0.3)) == pytest.approx(0.6)
+class TestModelParams:
+    def test_defaults(self):
+        model = ModelParams(LAW)
+        assert (model.lam, model.aux_slope, model.linear_coeff) == (1e-4, 0.0, 1e-4)
 
-    def test_monotone(self):
-        law = AuxiliaryLaw(kind="linear", slope=0.7)
-        rng = np.random.default_rng(9)
-        a, b = rng.uniform(-5, 5, 100), rng.uniform(-5, 5, 100)
-        assert np.all((aux_psi(a, law) - aux_psi(b, law)) * (a - b) >= 0)
-
-    def test_bad_kind(self):
+    @pytest.mark.parametrize("fields", [
+        dict(lam=0.0), dict(lam=-1e-4), dict(lam=np.inf), dict(lam=np.nan),
+        dict(aux_slope=-0.1), dict(aux_slope=np.inf), dict(aux_slope=np.nan),
+    ])
+    def test_parameter_validation(self, fields):
         with pytest.raises(ValueError):
-            AuxiliaryLaw(kind="quadratic")
+            ModelParams(LAW, **fields)

@@ -8,18 +8,15 @@ import scipy.linalg
 
 import spmlab.stepper as stepper_mod
 from spmlab import (
-    AuxiliaryLaw,
     DiffusionLaw,
     Field,
     GridSpec,
     ModelParams,
     NoiseSpec,
-    RegularizationParams,
     SolverConfig,
     build_basis,
     convergence_study,
     estimate_gamma,
-    implicit_solve,
     norm_hm1,
     psi0,
     run_path,
@@ -46,7 +43,7 @@ def stress_grid(grid, basis, rng):
     sparse = rng.standard_normal(grid.n_interior)
     sparse[::2] = 0.0
     return [
-        (amplitude * data, dt, ModelParams(DiffusionLaw(1.0, alpha), reg=RegularizationParams(lam)))
+        (amplitude * data, dt, ModelParams(DiffusionLaw(1.0, alpha), lam=lam))
         for data in (dense, sparse, basis.modes[0])
         for alpha, lam, dt, amplitude in itertools.product(
             (0.2, 0.5, 0.8), (1e-2, 1e-4, 1e-6), (1e-4, 1e-2, 1.0), (1.0, 1e-4, 1e-8)
@@ -56,15 +53,20 @@ def stress_grid(grid, basis, rng):
 
 class TestImplicitSolve:
     def test_zero_rhs(self, grid, model):
-        out = implicit_solve(Field.zero(grid), 1e-3, model)
-        assert np.all(out.values == 0)
+        zero = np.zeros(grid.n_interior)
+        out = stepper_mod._drift_substeps(
+            zero, grid.spacing, 1e-3, model, 1e-10, 50, SolverCounts()
+        )
+        assert np.all(out == 0)
 
     def test_nonlinear_residual_small(self, grid, model, rng):
         B = random_field(grid, rng, scale=0.1)
         dt = 1e-3
-        Y = implicit_solve(B, dt, model, newton_tol=1e-11)
-        g, _ = drift_oracle(Y.values, model)
-        res = Y.values - dt * laplacian_array(g, grid.spacing) - B.values
+        Y = stepper_mod._drift_substeps(
+            B.values, grid.spacing, dt, model, 1e-11, 50, SolverCounts()
+        )
+        g, _ = drift_oracle(Y, model)
+        res = Y - dt * laplacian_array(g, grid.spacing) - B.values
         assert np.sqrt(grid.spacing) * np.linalg.norm(res) <= 1e-11 * max(
             1.0, norm_l2(B)
         )
@@ -80,11 +82,11 @@ class TestImplicitSolve:
         """
         lam, dt, tol = 1e-4, 1e-3, 1e-10
         law = DiffusionLaw(1.0, alpha)
-        model = ModelParams(law, reg=RegularizationParams(lam))
+        model = ModelParams(law, lam=lam)
         h = grid.spacing
         for data in (rng.standard_normal(grid.n_interior), basis.modes[1]):
             B = Field(amplitude * data, grid)
-            Y = implicit_solve(B, dt, model, newton_tol=tol).values
+            Y = stepper_mod._drift_substeps(B.values, h, dt, model, tol, 50, SolverCounts())
             if alpha == 0.5:
                 J = resolvent_half(Y, law.rho, lam)
             else:
@@ -111,11 +113,7 @@ class TestImplicitSolve:
         cases = stress_grid(grid, basis, rng)
         dense = cases[0][0]  # amplitude 1
         for alpha in (0.2, 0.5, 0.8):
-            aux = ModelParams(
-                DiffusionLaw(1.3, alpha),
-                aux=AuxiliaryLaw(kind="linear", slope=0.4),
-                reg=RegularizationParams(1e-4),
-            )
+            aux = ModelParams(DiffusionLaw(1.3, alpha), lam=1e-4, aux_slope=0.4)
             cases += [(0.3 * dense, 1e-3, aux), (1e3 * dense, 1e-3, aux)]
         backtracked = 0
         for b, dt, model in cases:
@@ -205,20 +203,23 @@ class TestStep:
         cfg = SolverConfig(dt=1e-3, t_final=5e-3, store_states=True)
         zero = np.zeros(grid.n_interior)
         stage = stepper_mod._drift_substeps(
-            zero, grid.spacing, cfg.dt, model, cfg.newton_tol, cfg.newton_max_iter
+            zero, grid.spacing, cfg.dt, model, cfg.newton_tol, cfg.newton_max_iter,
+            SolverCounts(),
         )
         assert np.all(stage == 0)
         res = run_path(Field.zero(grid), cfg, model, small_noise, seed=(1, 0))
         assert np.all(res.states == 0)
 
     def test_quiet_noise_is_backward_euler(self, grid, model, quiet_noise, rng):
-        """With mu = 0 the first step of run_path is exactly implicit_solve."""
+        """With mu = 0 the first step of run_path is exactly the drift stage."""
         dt = 1e-3
         cfg = SolverConfig(dt=dt, t_final=2 * dt, store_states=True)
         x0 = random_field(grid, rng, scale=0.1)
         res = run_path(x0, cfg, model, quiet_noise, seed=(1, 0))
-        direct = implicit_solve(x0, dt, model)
-        np.testing.assert_array_equal(res.states[1], direct.values)
+        direct = stepper_mod._drift_substeps(
+            x0.values, grid.spacing, dt, model, 1e-10, 50, SolverCounts()
+        )
+        np.testing.assert_array_equal(res.states[1], direct)
 
     def test_seed_replay(self, grid, model, small_noise, rng):
         """One noisy step replays bit for bit under the same (master, path) key."""
@@ -236,7 +237,7 @@ def det_extinct_path():
     grid = GridSpec(63)
     basis = build_basis(grid, 2)
     noise = NoiseSpec(mu=np.zeros(2), basis=basis)
-    model = ModelParams(DiffusionLaw(1.0, 0.5), reg=RegularizationParams(1e-4))
+    model = ModelParams(DiffusionLaw(1.0, 0.5), lam=1e-4)
     e1 = basis.mode(1)
     x0 = e1.with_values(e1.values * (0.1 / norm_hm1(e1)))
     cfg = SolverConfig(dt=2e-4, t_final=0.16, record_every=10)
@@ -418,7 +419,7 @@ class TestWeakFormResidual:
         assert weak_form_residual(res, 2, basis, model, small_noise) == 2.346780767853527e-05
 
     def test_halving_ratio_window(self, grid, basis, quiet_noise):
-        model = ModelParams(DiffusionLaw(1.0, 0.5), reg=RegularizationParams(1e-5))
+        model = ModelParams(DiffusionLaw(1.0, 0.5), lam=1e-5)
         mix = Field(
             basis.modes[0] + 0.5 * basis.modes[1] + 0.3 * basis.modes[2], grid
         )
@@ -463,3 +464,14 @@ class TestSolverConfig:
     def test_dt_bounds(self):
         with pytest.raises(ValueError):
             SolverConfig(dt=1.0, t_final=0.5)
+
+    @pytest.mark.parametrize("dt", [0.04, 0.06])
+    def test_dt_must_divide_t_final(self, dt):
+        """run_path takes round(T/dt) steps: at dt = 0.04 it would stop at
+        t = 0.08 and at dt = 0.06 run on to t = 0.12, not end at T = 0.1."""
+        with pytest.raises(ValueError, match="must divide"):
+            SolverConfig(dt=dt, t_final=0.1)
+
+    def test_dt_dividing_t_final_up_to_rounding(self):
+        # 0.3 / 0.1 is 2.9999999999999996 and 3 * 0.1 is 0.30000000000000004
+        assert SolverConfig(dt=0.1, t_final=0.3).t_final == 0.3
