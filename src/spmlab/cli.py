@@ -17,7 +17,6 @@ import numpy as np
 from .harness import (
     ConfigError,
     EnsembleFailure,
-    compare_with_bound,
     config_from_yaml,
     resolve_gamma,
     run_ensemble,
@@ -40,11 +39,11 @@ def _load_config(path, seed):
     print it and exit EXIT_CONFIG."""
     try:
         cfg = config_from_yaml(path)
+        if seed is not None:
+            cfg = replace(cfg, master_seed=seed)
     except (ConfigError, OSError) as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    if seed is not None:
-        cfg = replace(cfg, master_seed=seed)
     return cfg
 
 
@@ -112,8 +111,6 @@ def ensemble(config_path, seed, out, workers, strict):
     cfg = _load_config(config_path, seed)
     with _exit_on_error():
         summary = run_ensemble(cfg, workers=workers)
-    inputs = summary.bound_inputs(cfg.model.diffusion.alpha, cfg.model.diffusion.rho)
-    summary.comparison = compare_with_bound(summary, inputs)
     d = _outdir(out)
     (d / "summary.json").write_text(summary.to_json() + "\n")
     with open(d / "tau.csv", "w") as fh:

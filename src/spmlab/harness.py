@@ -12,6 +12,7 @@ import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from datetime import datetime, timezone
+from fractions import Fraction
 from functools import partial
 from typing import Optional
 
@@ -93,6 +94,8 @@ class ExperimentConfig:
             raise ConfigError(f"mu must be finite, got {list(self.mu)}")
         if self.n_paths < 1:
             raise ConfigError("n_paths must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError(f"master_seed must be >= 0, got {self.master_seed}")
         cps = self.checkpoints
         if not cps:
             raise ConfigError("at least one checkpoint is required")
@@ -124,89 +127,91 @@ class ExperimentConfig:
                 raise ConfigError("custom initial values must be finite")
 
 
-# the keys config_from_dict accepts, by section; any other key is a config error
+def _integer(value) -> int:
+    """An int, integral float or string of either, read exactly; not a bool."""
+    exact = Fraction(value)
+    if isinstance(value, bool) or exact.denominator != 1:
+        raise ValueError(f"{value!r} is not an integer")
+    return int(exact)
+
+
+def _reals(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
+
+
+def _optional_real(value) -> Optional[float]:
+    return None if value is None else float(value)
+
+
+# Every key that config_from_dict accepts, by section, with the reader of its
+# value; a nested table is a subsection. Any other key is a config error, and
+# a key that a config leaves out takes its record's default.
 _CONFIG_KEYS = {
-    "": {
-        "grid", "K", "model", "noise", "solver", "initial", "n_paths", "master_seed",
-        "checkpoints", "gamma", "convergence_lambdas",
-        "gamma_n_starts",  # read by nothing; perfbench writes it until it moves to _REMOVED_KEYS
+    "grid": {"n_interior": _integer, "length": float},
+    "K": _integer,
+    "model": {"rho": float, "alpha": float, "lambda": float, "aux": {"slope": float}},
+    "noise": {"mu": _reals},
+    "solver": {"dt": float, "t_final": float, "record_every": _integer, "extinction_eps": float},
+    "initial": {
+        "kind": str, "mode": _integer, "values": _reals, "target_hm1_norm": _optional_real,
     },
-    "grid": {"n_interior", "length"},
-    "model": {"rho", "alpha", "lambda", "aux"},
-    "model.aux": {"slope"},
-    "noise": {"mu"},
-    "solver": {"dt", "t_final", "newton_tol", "newton_max_iter", "record_every", "extinction_eps"},
-    "initial": {"kind", "mode", "values", "target_hm1_norm"},
+    "n_paths": _integer,
+    "master_seed": _integer,
+    "checkpoints": _reals,
+    "gamma": _optional_real,
+    "convergence_lambdas": _reals,
+    "gamma_n_starts": None,  # read by nothing; perfbench writes it until it moves to _REMOVED_KEYS
 }
 # retired keys, each with why it went
 _REMOVED_KEYS = {
-    "model.solver_tol": "the resolvent has no tolerance; the stage's is solver.newton_tol",
-    "model.max_iter": "the resolvent has no budget; the stage's is solver.newton_max_iter",
+    "model.solver_tol": "the resolvent is explicit in the pressure and has no tolerance",
+    "model.max_iter": "the resolvent is explicit in the pressure and has no iteration budget",
     "model.aux.kind": "the auxiliary term is model.aux.slope times r, none at slope 0",
+    "solver.newton_tol": "the drift stage's tolerance is fixed (stepper._NEWTON_TOL)",
+    "solver.newton_max_iter": "the drift stage's budget is fixed (stepper._NEWTON_MAX_ITER)",
 }
 
 
-def _check_keys(section, path: str = "") -> None:
-    """Raise ConfigError naming the dotted key that config_from_dict would ignore."""
+def _read(section, table: dict, path: str = "") -> dict:
+    """The values of section's keys, each read by table, nested as table is."""
     if not isinstance(section, dict):
         raise ConfigError(f"config section {path or '(top level)'!r} must be a mapping")
+    values = {}
     for key, value in section.items():
         dotted = f"{path}.{key}" if path else str(key)
         if dotted in _REMOVED_KEYS:
             raise ConfigError(f"config key {dotted!r} was removed: {_REMOVED_KEYS[dotted]}")
-        if key not in _CONFIG_KEYS[path]:
+        if key not in table:
             raise ConfigError(f"unknown config key {dotted!r}")
-        if dotted in _CONFIG_KEYS:
-            _check_keys(value, dotted)
+        reader = table[key]
+        if isinstance(reader, dict):
+            values[key] = _read(value, reader, dotted)
+        elif reader is not None:
+            try:
+                values[key] = reader(value)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ConfigError(f"bad value for config key {dotted!r}: {exc}") from exc
+    return values
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Parse a raw config mapping; an unknown or removed key is a ConfigError."""
     try:
-        _check_keys(raw)
-        grid = GridSpec(
-            n_interior=int(raw["grid"]["n_interior"]),
-            length=float(raw["grid"].get("length", 1.0)),
-        )
-        m = raw["model"]
+        c = _read(raw, _CONFIG_KEYS)
+        m = c.pop("model")
         model = ModelParams(
-            diffusion=DiffusionLaw(rho=float(m["rho"]), alpha=float(m["alpha"])),
-            lam=float(m["lambda"]),
-            aux_slope=float(m.get("aux", {}).get("slope", 0.0)),
+            DiffusionLaw(rho=m["rho"], alpha=m["alpha"]),
+            lam=m["lambda"],
+            # model.aux.slope is ModelParams.aux_slope
+            **{f"aux_{key}": v for key, v in m.get("aux", {}).items()},
         )
-        s = raw["solver"]
-        solver = SolverConfig(
-            dt=float(s["dt"]),
-            t_final=float(s["t_final"]),
-            newton_tol=float(s.get("newton_tol", 1e-10)),
-            newton_max_iter=int(s.get("newton_max_iter", 50)),
-            record_every=int(s.get("record_every", 1)),
-            extinction_eps=float(s.get("extinction_eps", 1e-6)),
-        )
-        ini = raw["initial"]
-        target = ini.get("target_hm1_norm")
-        initial = InitialSpec(
-            kind=ini["kind"],
-            mode=int(ini.get("mode", 1)),
-            values=tuple(float(v) for v in ini["values"]) if "values" in ini else None,
-            target_hm1_norm=None if target is None else float(target),
-        )
-        mu = tuple(float(v) for v in raw["noise"]["mu"])
-        gamma = raw.get("gamma")
         return ExperimentConfig(
-            grid=grid,
-            K=int(raw["K"]),
+            grid=GridSpec(**c.pop("grid")),
             model=model,
-            mu=mu,
-            solver=solver,
-            initial=initial,
-            n_paths=int(raw["n_paths"]),
-            master_seed=int(raw["master_seed"]),
-            checkpoints=tuple(float(t) for t in raw["checkpoints"]),
-            gamma=float(gamma) if gamma is not None else None,
-            convergence_lambdas=tuple(
-                float(v) for v in raw.get("convergence_lambdas", (1e-1, 5e-2, 2.5e-2, 1.25e-2))
-            ),
+            mu=c.pop("noise")["mu"],
+            solver=SolverConfig(**c.pop("solver")),
+            initial=InitialSpec(**c.pop("initial")),
+            **c,
         )
     except ConfigError:
         raise
@@ -300,6 +305,7 @@ class EnsembleSummary:
     # solver work summed (worst residual: maxed) over all paths;
     # deterministic, so serialized
     diagnostics: SolverCounts
+    # against the theory bound at the default slack; run_ensemble sets it
     comparison: Optional[ComparisonReport] = None
     # the trajectories of the paths that did not fail, in path order;
     # never serialized
@@ -362,7 +368,8 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
 
     Paths are distributed over worker processes; results are collected in
     path order so the summary does not depend on scheduling. Fails hard if
-    more than 1% of paths fail (silent exclusion would bias the CDF).
+    more than 1% of paths fail (silent exclusion would bias the CDF). The
+    summary carries its comparison with the theory bound.
     """
     noise, x0 = _build_context(config)
     gamma = resolve_gamma(config)
@@ -396,8 +403,9 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
         hi.append(w[1])
 
     law = config.model.diffusion
+    x0_norm = norm_hm1(x0)
     inputs = BoundInputs(
-        x_norm_hm1=norm_hm1(x0), alpha=law.alpha, rho=law.rho, gamma=gamma, c_star=cs,
+        x_norm_hm1=x0_norm, alpha=law.alpha, rho=law.rho, gamma=gamma, c_star=cs,
     )
     bounds = [extinction_bound(t, inputs) for t in checkpoints]
 
@@ -418,7 +426,7 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
         gamma_used=gamma,
         c_star=cs,
         n_paths=config.n_paths,
-        x0_norm_hm1=norm_hm1(x0),
+        x0_norm_hm1=x0_norm,
         tau_hats=[r.tau_hat for r in results],
         positivity_violations=(
             sum(not np.all(r.min_values >= floor) for r in ok) if nonnegative_start else 0
@@ -433,6 +441,7 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
         ),
         trajectories=ok,
     )
+    summary.comparison = compare_with_bound(summary, inputs)
     return summary
 
 

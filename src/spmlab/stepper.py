@@ -51,6 +51,11 @@ from .theory import discounted_norm
 from scipy.linalg import cho_solve_banded, cholesky_banded  # noqa: F401
 from .nonlinearity import resolvent  # noqa: F401
 
+# the implicit stage is solved once its residual is <= _NEWTON_TOL * max(1, |b|_L2)
+_NEWTON_TOL = 1e-10
+# Newton iterations before the stage gives up and the caller halves dt
+_NEWTON_MAX_ITER = 50
+
 
 class ImplicitStepError(RuntimeError):
     """Implicit drift solve failed within its budget; caller should halve dt."""
@@ -83,8 +88,6 @@ class PathFailedError(RuntimeError):
 class SolverConfig:
     dt: float
     t_final: float
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 50
     record_every: int = 1
     extinction_eps: float = 1e-6
     store_states: bool = False
@@ -95,10 +98,6 @@ class SolverConfig:
         # run_path takes round(T/dt) steps, so any other dt would end elsewhere
         if abs(round(self.t_final / self.dt) * self.dt - self.t_final) > 1e-9 * self.t_final:
             raise ValueError(f"dt={self.dt} must divide t_final={self.t_final}")
-        if not (self.newton_tol > 0 and np.isfinite(self.newton_tol)):
-            raise ValueError(f"newton_tol must be positive and finite, got {self.newton_tol}")
-        if self.newton_max_iter < 1:
-            raise ValueError(f"newton_max_iter must be >= 1, got {self.newton_max_iter}")
         if not (self.extinction_eps > 0 and np.isfinite(self.extinction_eps)):
             raise ValueError(
                 f"extinction_eps must be positive and finite, got {self.extinction_eps}"
@@ -112,7 +111,7 @@ class SolverCounts:
     """Work of the implicit drift stage: Newton iterations (one tridiagonal
     solve each, failed attempts included), line-search step halvings
     (backtracks) and dt-halvings, and the largest residual of an accepted
-    stage as a fraction of its tolerance, rnorm / (tol * scale) <= 1."""
+    stage as a fraction of its tolerance, rnorm / (_NEWTON_TOL * scale) <= 1."""
 
     newton_iters: int = 0
     halvings: int = 0
@@ -167,23 +166,21 @@ def _solve_implicit_array(
     h: float,
     dt: float,
     model: ModelParams,
-    tol: float,
-    max_iter: int,
     counts: SolverCounts,
 ) -> np.ndarray:
     """Solve Y - dt*Laplacian(G(Y)) = b by Newton in the pressure w = yosida(Y).
 
     Adds the Newton iterations and line-search halvings to counts and, on
     success, keeps the largest accepted residual in counts.worst_residual.
-    Raises ImplicitStepError when the line search gives up or max_iter runs
-    out, and NonFiniteStageError at once when the tolerance or the starting
-    residual is not finite (b too large or not finite), which no iteration
-    could meet.
+    Raises ImplicitStepError when the line search gives up or the
+    _NEWTON_MAX_ITER budget runs out, and NonFiniteStageError at once when the
+    tolerance or the starting residual is not finite (b too large or not
+    finite), which no iteration could meet.
     """
     k = dt / h**2
     sqrt_h = np.sqrt(h)
     scale = max(1.0, sqrt_h * np.linalg.norm(b))
-    target = tol * scale
+    target = _NEWTON_TOL * scale
 
     def evaluate(w):
         y, g, ratio = model.pressure_values(w)
@@ -194,7 +191,7 @@ def _solve_implicit_array(
     w, y, ratio, res, rnorm = evaluate(psi0(b, model.diffusion))
     if not (math.isfinite(target) and math.isfinite(rnorm)):
         raise NonFiniteStageError(residual=float(rnorm))
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         if rnorm <= target:
             break
         # Newton matrix diag(Y') - dt*Laplacian*diag(G'), as its three diagonals
@@ -223,8 +220,6 @@ def _drift_substeps(
     h: float,
     dt: float,
     model: ModelParams,
-    tol: float,
-    max_iter: int,
     counts: SolverCounts,
     max_halvings: int = 5,
 ) -> np.ndarray:
@@ -235,12 +230,12 @@ def _drift_substeps(
     is raised at once: halving leaves b as it is.
     """
     try:
-        return _solve_implicit_array(b, h, dt, model, tol, max_iter, counts)
+        return _solve_implicit_array(b, h, dt, model, counts)
     except ImplicitStepError as exc:
         if max_halvings == 0 or isinstance(exc, NonFiniteStageError):
             raise
         counts.halvings += 1
-        rest = (h, dt / 2, model, tol, max_iter, counts, max_halvings - 1)
+        rest = (h, dt / 2, model, counts, max_halvings - 1)
         half = _drift_substeps(b, *rest)
         return _drift_substeps(half, *rest)
 
@@ -307,10 +302,7 @@ def run_path(
             dbeta = sample_increments(config.dt, noise.n_modes, stream)
             perturbed = noise_kick(x, dbeta, scaled_modes)
             try:
-                x = _drift_substeps(
-                    perturbed, h, config.dt, model,
-                    config.newton_tol, config.newton_max_iter, counts,
-                )
+                x = _drift_substeps(perturbed, h, config.dt, model, counts)
             except ImplicitStepError as exc:
                 failure = str(exc)
                 x = perturbed

@@ -163,6 +163,7 @@ class TestBadValues:
             dict(initial=dict(kind="eigenmode", mode=40, target_hm1_norm=0.1)),
             # an initial state whose squared norm overflows
             dict(initial=dict(kind="eigenmode", mode=1, target_hm1_norm=1e160)),
+            # the removed Newton settings
             dict(solver=dict(dt=2e-3, t_final=0.4, record_every=20, newton_tol=0.0)),
             dict(solver=dict(dt=2e-3, t_final=0.4, record_every=20, newton_max_iter=0)),
             # non-finite values
@@ -192,14 +193,39 @@ class TestBadValues:
             # the removed model.aux.kind
             dict(model={"rho": 1.0, "alpha": 0.5, "lambda": 1e-4,
                         "aux": {"kind": "linear", "slope": 0.4}}),
+            # integers that are not integral, or are bools
+            dict(n_paths=2.9),
+            dict(grid=dict(n_interior=31.5)),
+            dict(master_seed=17.5),
+            dict(solver=dict(dt=2e-3, t_final=0.4, record_every=1.5)),
+            dict(initial=dict(kind="eigenmode", mode=1.5, target_hm1_norm=0.1)),
+            dict(n_paths=True),
+            dict(K=2.5),
+            dict(n_paths="2.5"),
+            dict(n_paths=float("inf")),
+            dict(n_paths=float("nan")),
         ],
     )
     def test_exit_2(self, tmp_path, overrides):
         p = tmp_path / "bad.yaml"
-        p.write_text(yaml.safe_dump(base_raw(n_paths=3, **overrides)))
+        p.write_text(yaml.safe_dump(base_raw(**{"n_paths": 3, **overrides})))
         r = run_cli("ensemble", "--config", str(p), "--out", str(tmp_path / "o"))
         assert r.exit_code == 2, r.output
         assert "config error" in r.output
+
+
+class TestNegativeSeed:
+    """numpy's SeedSequence refuses a negative seed, so it is a config error."""
+
+    @pytest.mark.parametrize("command", ["simulate", "ensemble", "convergence"])
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_exit_2(self, tmp_path, command, where):
+        p = tmp_path / "seed.yaml"
+        p.write_text(yaml.safe_dump(base_raw(n_paths=3, master_seed=-1 if where == "config" else 17)))
+        flag = ["--seed", "-1"] if where == "flag" else []
+        r = run_cli(command, "--config", str(p), *flag, "--out", str(tmp_path / "o"))
+        assert r.exit_code == 2, r.output
+        assert "master_seed must be >= 0" in r.output
 
 
 class TestMissingConfig:

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import re
@@ -10,7 +11,12 @@ import yaml
 from scipy.stats import binomtest
 
 from spmlab import (
+    DiffusionLaw,
+    ExperimentConfig,
+    GridSpec,
     InitialSpec,
+    ModelParams,
+    SolverConfig,
     build_basis,
     compare_with_bound,
     config_from_dict,
@@ -85,8 +91,8 @@ class TestConfigKeys:
             config_from_dict(raw)
 
     @pytest.mark.parametrize("key, value, reason", [
-        ("solver_tol", 1e-12, "solver.newton_tol"),
-        ("max_iter", 100, "solver.newton_max_iter"),
+        ("solver_tol", 1e-12, "no tolerance"),
+        ("max_iter", 100, "no iteration budget"),
         ("aux.kind", "linear", "model.aux.slope"),
     ], ids=["solver_tol", "max_iter", "aux.kind"])
     def test_retired_model_keys_say_removed(self, key, value, reason):
@@ -97,6 +103,17 @@ class TestConfigKeys:
             section = section.setdefault(parent, {})
         section[name] = value
         with pytest.raises(ConfigError, match=f"'model.{key}' was removed: .*{reason}"):
+            config_from_dict(raw)
+
+    @pytest.mark.parametrize("key, value, reason", [
+        ("newton_tol", 1e-10, "tolerance is fixed"),
+        ("newton_max_iter", 50, "budget is fixed"),
+    ])
+    def test_retired_solver_keys_say_removed(self, key, value, reason):
+        """Even the values that were the defaults are rejected."""
+        raw = base_raw()
+        raw["solver"][key] = value
+        with pytest.raises(ConfigError, match=f"'solver.{key}' was removed: .*{reason}"):
             config_from_dict(raw)
 
     def test_section_must_be_a_mapping(self):
@@ -174,10 +191,41 @@ class TestConfig:
         ],
     )
     def test_bad_newton_settings(self, solver):
+        """The Newton settings are no longer config keys, whatever their value."""
         raw = base_raw()
         raw["solver"].update(solver)
-        with pytest.raises(ConfigError, match="newton_"):
+        with pytest.raises(ConfigError, match=r"'solver\.newton_\w+' was removed"):
             config_from_dict(raw)
+
+    def test_defaults_come_from_the_records(self):
+        """A key that the config leaves out takes its record's default."""
+        cfg = config_from_dict(base_raw())
+        assert cfg.grid == GridSpec(31)
+        assert cfg.model == ModelParams(DiffusionLaw(1.0, 0.5), lam=1e-4)
+        assert cfg.solver == SolverConfig(dt=2e-3, t_final=0.4, record_every=20)
+        assert cfg.gamma is None
+        defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+        assert cfg.convergence_lambdas == defaults["convergence_lambdas"]
+
+    @pytest.mark.parametrize("key, value, expected", [
+        ("n_paths", "2", 2),
+        ("n_paths", 2.0, 2),
+        ("n_paths", "2.0", 2),
+        ("master_seed", 2**70 + 1, 2**70 + 1),
+        ("master_seed", str(2**70 + 1), 2**70 + 1),
+    ], ids=["str", "float", "float-str", "2**70+1", "2**70+1-str"])
+    def test_integer_forms(self, key, value, expected):
+        """Integers may be written as strings or integral floats, and are
+        read exactly: 2**70 + 1 is not a float."""
+        got = getattr(config_from_dict(base_raw(**{key: value})), key)
+        assert type(got) is int and got == expected
+
+    def test_yaml_exponent_without_dot(self, tmp_path):
+        """PyYAML reads 2e-3 (no dot) as a string; it is still a number."""
+        p = tmp_path / "cfg.yaml"
+        p.write_text(yaml.safe_dump(base_raw()).replace("dt: 0.002", "dt: 2e-3"))
+        assert yaml.safe_load(p.read_text())["solver"]["dt"] == "2e-3"
+        assert config_from_yaml(p).solver.dt == 2e-3
 
     def test_alpha_out_of_range(self):
         with pytest.raises(ConfigError):
@@ -310,6 +358,15 @@ class TestRunEnsemble:
             "backtracks": 0, "worst_residual": 0.9990491988926051,
         }
 
+    def test_coercivity_check_can_fail(self):
+        """Every step satisfies |X|_{1+alpha} >= gamma |X|_{-1} at the
+        estimated gamma, and a gamma 0.1% above the estimate is caught."""
+        cfg = config_from_dict(base_raw(n_paths=4))
+        summary = run_ensemble(cfg)
+        assert summary.coercivity_violations == 0
+        inflated = run_ensemble(dataclasses.replace(cfg, gamma=1.001 * summary.gamma_used))
+        assert inflated.coercivity_violations > 0
+
     def test_interval_shrinks_with_n(self):
         # quadrupling n_paths should at least halve the mean half-width at a
         # checkpoint with nondegenerate counts
@@ -375,6 +432,11 @@ class TestCompareWithBound:
         inputs = s.bound_inputs(cfg.model.diffusion.alpha, cfg.model.diffusion.rho)
         rep = compare_with_bound(s, inputs)
         assert rep.overall_pass
+
+    def test_summary_carries_its_comparison(self, tiny_summary):
+        cfg, s = tiny_summary
+        law = cfg.model.diffusion
+        assert s.comparison == compare_with_bound(s, s.bound_inputs(law.alpha, law.rho))
 
     def test_unreachable_bound_fails(self, tiny_summary):
         _, s = tiny_summary

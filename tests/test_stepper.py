@@ -54,17 +54,14 @@ def stress_grid(grid, basis, rng):
 class TestImplicitSolve:
     def test_zero_rhs(self, grid, model):
         zero = np.zeros(grid.n_interior)
-        out = stepper_mod._drift_substeps(
-            zero, grid.spacing, 1e-3, model, 1e-10, 50, SolverCounts()
-        )
+        out = stepper_mod._drift_substeps(zero, grid.spacing, 1e-3, model, SolverCounts())
         assert np.all(out == 0)
 
-    def test_nonlinear_residual_small(self, grid, model, rng):
+    def test_nonlinear_residual_small(self, grid, model, rng, monkeypatch):
+        monkeypatch.setattr(stepper_mod, "_NEWTON_TOL", 1e-11)
         B = random_field(grid, rng, scale=0.1)
         dt = 1e-3
-        Y = stepper_mod._drift_substeps(
-            B.values, grid.spacing, dt, model, 1e-11, 50, SolverCounts()
-        )
+        Y = stepper_mod._drift_substeps(B.values, grid.spacing, dt, model, SolverCounts())
         g, _ = drift_oracle(Y, model)
         res = Y - dt * laplacian_array(g, grid.spacing) - B.values
         assert np.sqrt(grid.spacing) * np.linalg.norm(res) <= 1e-11 * max(
@@ -86,7 +83,7 @@ class TestImplicitSolve:
         h = grid.spacing
         for data in (rng.standard_normal(grid.n_interior), basis.modes[1]):
             B = Field(amplitude * data, grid)
-            Y = stepper_mod._drift_substeps(B.values, h, dt, model, tol, 50, SolverCounts())
+            Y = stepper_mod._drift_substeps(B.values, h, dt, model, SolverCounts())
             if alpha == 0.5:
                 J = resolvent_half(Y, law.rho, lam)
             else:
@@ -100,7 +97,7 @@ class TestImplicitSolve:
         worst = 0
         for b, dt, model in stress_grid(grid, basis, rng):
             counts = SolverCounts()
-            stepper_mod._solve_implicit_array(b, grid.spacing, dt, model, 1e-10, 50, counts)
+            stepper_mod._solve_implicit_array(b, grid.spacing, dt, model, counts)
             worst = max(worst, counts.newton_iters)
         assert worst <= 12
 
@@ -118,7 +115,7 @@ class TestImplicitSolve:
         backtracked = 0
         for b, dt, model in cases:
             counts = SolverCounts()
-            y = stepper_mod._solve_implicit_array(b, h, dt, model, 1e-10, 50, counts)
+            y = stepper_mod._solve_implicit_array(b, h, dt, model, counts)
             ref_y, ref_iters, ref_rejected = reference_stage(b, h, dt, model, 1e-10, 50)
             assert np.array_equal(y, ref_y)
             assert (counts.newton_iters, counts.backtracks) == (ref_iters, ref_rejected)
@@ -143,7 +140,7 @@ class TestImplicitSolve:
         monkeypatch.setattr(stepper_mod, "solve_banded", stall_first)
         counts = SolverCounts()
         with pytest.raises(ImplicitStepError) as err:
-            stepper_mod._solve_implicit_array(b, h, dt, model, 1e-10, 50, counts)
+            stepper_mod._solve_implicit_array(b, h, dt, model, counts)
         assert len(solves) == counts.newton_iters == 1
         assert counts.backtracks == 9
         # the reported residual is the one of the starting guess: nothing ran after
@@ -153,7 +150,7 @@ class TestImplicitSolve:
 
         solves.clear()
         counts = SolverCounts()
-        y = stepper_mod._drift_substeps(b, h, dt, model, 1e-10, 50, counts)
+        y = stepper_mod._drift_substeps(b, h, dt, model, counts)
         assert counts.halvings == 1
         assert counts.newton_iters == len(solves) > 1
         assert np.all(np.isfinite(y))
@@ -172,20 +169,19 @@ class TestImplicitSolve:
             with np.errstate(over="ignore", invalid="ignore"):
                 counts = SolverCounts()
                 with pytest.raises(NonFiniteStageError, match="non-finite right-hand side"):
-                    stepper_mod._solve_implicit_array(
-                        b, grid.spacing, 1e-3, model, 1e-10, 50, counts
-                    )
+                    stepper_mod._solve_implicit_array(b, grid.spacing, 1e-3, model, counts)
                 assert counts.newton_iters == 0
                 counts = SolverCounts()
                 with pytest.raises(NonFiniteStageError):
-                    stepper_mod._drift_substeps(b, grid.spacing, 1e-3, model, 1e-10, 50, counts)
+                    stepper_mod._drift_substeps(b, grid.spacing, 1e-3, model, counts)
                 assert counts.halvings == counts.newton_iters == 0
 
-    def test_budget_exhausted_raises(self, grid, model, rng):
+    def test_budget_exhausted_raises(self, grid, model, rng, monkeypatch):
+        monkeypatch.setattr(stepper_mod, "_NEWTON_MAX_ITER", 1)
         b = random_field(grid, rng, scale=0.1).values
         counts = SolverCounts()
         with pytest.raises(ImplicitStepError):
-            stepper_mod._solve_implicit_array(b, grid.spacing, 1e-3, model, 1e-10, 1, counts)
+            stepper_mod._solve_implicit_array(b, grid.spacing, 1e-3, model, counts)
         assert counts.newton_iters == 1
 
     @pytest.mark.parametrize("error", [ImplicitStepError, NonFiniteStageError])
@@ -202,10 +198,7 @@ class TestStep:
         """Zero is a fixed point of the noise factor and of the drift stage."""
         cfg = SolverConfig(dt=1e-3, t_final=5e-3, store_states=True)
         zero = np.zeros(grid.n_interior)
-        stage = stepper_mod._drift_substeps(
-            zero, grid.spacing, cfg.dt, model, cfg.newton_tol, cfg.newton_max_iter,
-            SolverCounts(),
-        )
+        stage = stepper_mod._drift_substeps(zero, grid.spacing, cfg.dt, model, SolverCounts())
         assert np.all(stage == 0)
         res = run_path(Field.zero(grid), cfg, model, small_noise, seed=(1, 0))
         assert np.all(res.states == 0)
@@ -216,9 +209,7 @@ class TestStep:
         cfg = SolverConfig(dt=dt, t_final=2 * dt, store_states=True)
         x0 = random_field(grid, rng, scale=0.1)
         res = run_path(x0, cfg, model, quiet_noise, seed=(1, 0))
-        direct = stepper_mod._drift_substeps(
-            x0.values, grid.spacing, dt, model, 1e-10, 50, SolverCounts()
-        )
+        direct = stepper_mod._drift_substeps(x0.values, grid.spacing, dt, model, SolverCounts())
         np.testing.assert_array_equal(res.states[1], direct)
 
     def test_seed_replay(self, grid, model, small_noise, rng):
