@@ -58,6 +58,10 @@ class InitialSpec:
     def __post_init__(self):
         if self.kind not in ("eigenmode", "bump", "custom"):
             raise ConfigError(f"unknown initial condition kind {self.kind!r}")
+        # mode is read only for an eigenmode; 1 is its default, which
+        # perfbench's configs also write for the other kinds
+        if self.kind != "eigenmode" and self.mode != 1:
+            raise ConfigError(f"{self.kind} initial condition takes no mode, got {self.mode}")
         if self.kind == "custom":
             if self.values is None:
                 raise ConfigError("custom initial condition needs explicit values")
@@ -135,23 +139,30 @@ def _integer(value) -> int:
     return int(exact)
 
 
+def _real(value) -> float:
+    """A float, or a number or string that float reads; not a bool."""
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a real number")
+    return float(value)
+
+
 def _reals(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple(_real(v) for v in values)
 
 
 def _optional_real(value) -> Optional[float]:
-    return None if value is None else float(value)
+    return None if value is None else _real(value)
 
 
 # Every key that config_from_dict accepts, by section, with the reader of its
 # value; a nested table is a subsection. Any other key is a config error, and
 # a key that a config leaves out takes its record's default.
 _CONFIG_KEYS = {
-    "grid": {"n_interior": _integer, "length": float},
+    "grid": {"n_interior": _integer, "length": _real},
     "K": _integer,
-    "model": {"rho": float, "alpha": float, "lambda": float, "aux": {"slope": float}},
+    "model": {"rho": _real, "alpha": _real, "lambda": _real, "aux": {"slope": _real}},
     "noise": {"mu": _reals},
-    "solver": {"dt": float, "t_final": float, "record_every": _integer, "extinction_eps": float},
+    "solver": {"dt": _real, "t_final": _real, "record_every": _integer, "extinction_eps": _real},
     "initial": {
         "kind": str, "mode": _integer, "values": _reals, "target_hm1_norm": _optional_real,
     },

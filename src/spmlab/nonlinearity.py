@@ -5,7 +5,9 @@ The pressure w = psi0(resolvent(r)) parametrizes its regularization
 explicitly: r = Y(w) = psi0_inverse(w) + lam*w. ModelParams.pressure_values
 evaluates Y and the drift G at w, and ModelParams.pressure_slopes their
 derivatives in w, both without a nested solve; the implicit stage asks for the
-slopes only where it takes a Newton step.
+slopes only where it takes a Newton step. Both rest on one power of |w| per
+point, q = |w|^(1/alpha - 1) * rho^(-1/alpha) (_pressure_power): then
+psi0_inverse(w) = w*q and Y'(w) = q/alpha + lam.
 
 The regularized map yosida(r) = w is the inverse of Y, found nodewise by a
 monotone Newton iteration in w, and the resolvent (1 + lam*psi0)^(-1) is
@@ -51,30 +53,35 @@ class ModelParams:
         return self.lam + self.aux_slope
 
     def pressure_values(self, w):
-        """(Y, G, |w|/rho) at the pressure w = yosida(Y).
+        """(Y, G, q) at the pressure w = yosida(Y), q = _pressure_power(w).
 
-        Y(w) = psi0_inverse(w) + lam*w and G = w + linear_coeff*Y are
-        explicit. The third entry is what pressure_slopes needs at this w.
+        Y(w) = psi0_inverse(w) + lam*w = w*q + lam*w and G = w +
+        linear_coeff*Y are explicit. q is what pressure_slopes needs at
+        this w.
         """
-        law = self.diffusion
         w = np.asarray(w, dtype=float)
-        ratio = np.abs(w) / law.rho
-        y = np.sign(w) * ratio ** (1.0 / law.alpha) + self.lam * w
-        return y, w + self.linear_coeff * y, ratio
+        q = _pressure_power(w, self.diffusion)
+        y = w * q + self.lam * w
+        return y, w + self.linear_coeff * y, q
 
-    def pressure_slopes(self, ratio):
-        """(Y', G'), the derivatives in w, from ratio = |w|/rho.
+    def pressure_slopes(self, q):
+        """(Y', G'), the derivatives in w, from q = _pressure_power(w).
 
         Y' (_pressure_slope) stays bounded near w = 0 because 1/alpha > 1,
         and G' = 1 + linear_coeff*Y'.
         """
-        yp = _pressure_slope(ratio, self.diffusion, self.lam)
+        yp = _pressure_slope(q, self.diffusion, self.lam)
         return yp, 1.0 + self.linear_coeff * yp
 
 
-def _pressure_slope(ratio, law: DiffusionLaw, lam: float):
-    """Y'(w) = (|w|/rho)^(1/alpha - 1) / (alpha*rho) + lam, from ratio = |w|/rho."""
-    return ratio ** (1.0 / law.alpha - 1.0) / (law.alpha * law.rho) + lam
+def _pressure_power(w, law: DiffusionLaw):
+    """q = |w|^(1/alpha - 1) * rho^(-1/alpha), so that psi0_inverse(w) = w*q."""
+    return np.abs(w) ** (1.0 / law.alpha - 1.0) * law.rho ** (-1.0 / law.alpha)
+
+
+def _pressure_slope(q, law: DiffusionLaw, lam: float):
+    """Y'(w) = q/alpha + lam, from q = _pressure_power(w)."""
+    return q / law.alpha + lam
 
 
 def psi0(r, law: DiffusionLaw):
@@ -85,9 +92,10 @@ def psi0(r, law: DiffusionLaw):
 
 
 def psi0_inverse(w, law: DiffusionLaw):
-    """sign(w) * (|w|/rho)^(1/alpha), the inverse of psi0; C^1 since 1/alpha > 1."""
+    """sign(w) * (|w|/rho)^(1/alpha) = w*_pressure_power(w), the inverse of
+    psi0; C^1 since 1/alpha > 1."""
     w = np.asarray(w, dtype=float)
-    out = np.sign(w) * (np.abs(w) / law.rho) ** (1.0 / law.alpha)
+    out = w * _pressure_power(w, law)
     return out if out.ndim else float(out)
 
 
@@ -98,8 +106,8 @@ def yosida(r, law: DiffusionLaw, lam: float):
     increasing there, and the start v = psi0(|r|) has Y(v) = |r| + lam*v >=
     |r|, so Newton falls onto the root from the right; each node stops when v
     stops falling. The update v - (Y(v) - |r|)/Y'(v) is written as
-    (|r| + (1/alpha - 1)*P)/Y'(v), P = (v/rho)^(1/alpha), whose terms are all
-    >= 0: v never goes negative, and r = 0 gives v = 0 exactly.
+    (|r| + (1/alpha - 1)*v*q)/Y'(v), q = _pressure_power(v), whose terms are
+    all >= 0: v never goes negative, and r = 0 gives v = 0 exactly.
     """
     if not (lam > 0 and np.isfinite(lam)):
         raise ValueError(f"lambda must be positive and finite, got {lam}")
@@ -107,9 +115,8 @@ def yosida(r, law: DiffusionLaw, lam: float):
     a = np.abs(r)
     v = law.rho * a**law.alpha
     while True:
-        ratio = v / law.rho
-        slope = _pressure_slope(ratio, law, lam)
-        step = (a + (1.0 / law.alpha - 1.0) * ratio ** (1.0 / law.alpha)) / slope
+        q = _pressure_power(v, law)
+        step = (a + (1.0 / law.alpha - 1.0) * (v * q)) / _pressure_slope(q, law, lam)
         falling = step < v
         if not falling.any():
             break

@@ -1,10 +1,11 @@
 """1-D spatial discretization on (0, L) with homogeneous Dirichlet conditions.
 
 Provides the uniform interior grid, the standard three-point Laplacian, direct
-Poisson and tridiagonal solves (LAPACK pbtrs and gtsv, called directly), the
-discrete eigenbasis, L^2 / L^p / H^-1 inner products and norms, and the
-coercivity constant of the L^{alpha+1} -> H^-1 embedding on the discrete
-space, found by a dual power iteration of one Poisson solve per step.
+Poisson and symmetric positive definite tridiagonal solves (LAPACK pbtrs and
+ptsv, called directly), the discrete eigenbasis, L^2 / L^p / H^-1 inner
+products and norms, and the coercivity constant of the L^{alpha+1} -> H^-1
+embedding on the discrete space, found by a dual power iteration of one
+Poisson solve per step.
 
 All inner products are h-weighted sums over interior nodes, which makes the
 discrete Laplacian self-adjoint and the eigenbasis exactly orthonormal.
@@ -16,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import LinAlgError, cholesky_banded, eigh_tridiagonal
-from scipy.linalg.lapack import dgtsv, dpbtrs
+from scipy.linalg.lapack import dpbtrs, dptsv
 
 
 class GridError(ValueError):
@@ -126,22 +127,22 @@ def poisson_solve_array(f: np.ndarray, h: float) -> np.ndarray:
     return x
 
 
-def solve_banded(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a tridiagonal system by LAPACK gtsv, given its three diagonals.
+def solve_banded(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve a symmetric positive definite tridiagonal system by LAPACK ptsv.
 
-    d is the main diagonal (n,), dl the sub- and du the superdiagonal (n-1,),
-    as gtsv takes them; b is (n,) or (n, k). These are the diagonals
-    scipy.linalg.solve_banded((1, 1), ...) passes to gtsv, so the result is
-    the same bit for bit, without the banded array and the per-call wrapper.
-    The inputs are left unchanged. Raises ValueError on non-finite input and
-    LinAlgError if the matrix is singular.
+    d is the main diagonal (n,) and e the off-diagonal (n-1,); b is (n,) or
+    (n, k). These are the diagonals scipy.linalg.solveh_banded passes to
+    ptsv for a two-row band, so the result is the same bit for bit, without
+    the banded array and the per-call wrapper. The inputs are left
+    unchanged. Raises ValueError on non-finite input and LinAlgError if the
+    matrix is not positive definite.
     """
-    _check_finite(dl, d, du, b)
-    _, _, _, x, info = dgtsv(dl, d, du, b)
+    _check_finite(d, e, b)
+    _, _, x, info = dptsv(d, e, b)
     if info > 0:
-        raise LinAlgError("singular matrix")
+        raise LinAlgError(f"{info}th leading minor not positive definite")
     if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK gtsv")
+        raise ValueError(f"illegal value in argument {-info} of LAPACK ptsv")
     return x
 
 

@@ -7,19 +7,22 @@ stable. The implicit stage
     Y - dt * Laplacian(G(Y)) = B,    G(r) = yosida(r) + (lam + aux_slope)*r,
 
 is solved by damped Newton for the pressure w = yosida(Y), not for Y. Y and
-G are explicit in w (ModelParams.pressure_values, evaluated at every trial
-point) and so are their slopes (ModelParams.pressure_slopes, evaluated only
-where a Newton step is taken), so a Newton step is one tridiagonal solve
-(LAPACK gtsv, through operators.solve_banded) and needs no nested per-node
-resolvent solve. Convergence is tested on the residual above. The drift is
-maximal monotone, so the stage has exactly one solution; if Newton's line
-search gives up or its budget runs out, the stage raises ImplicitStepError
-and the caller halves the step locally, the one recovery path. If the
-tolerance or the starting residual is not finite, it raises
-NonFiniteStageError, which no halving can mend, and the caller re-raises it
-at once. run_path returns one record per path, its Trajectory, which also
-counts the path's Newton iterations, line-search halvings and dt-halvings
-and keeps its worst accepted residual (SolverCounts).
+G are explicit in w (ModelParams.pressure_values, one power per trial point)
+and so are their slopes (ModelParams.pressure_slopes, evaluated only where a
+Newton step is taken), so a Newton step needs no nested per-node resolvent
+solve. With k = dt/h^2 and T = tridiag(-1, 2, -1) the Newton matrix is M =
+diag(Y') + k*T*diag(G'), and M*diag(G')^-1 = S = diag(Y'/G') + k*T is
+symmetric positive definite (Y' >= lam > 0, G' >= 1). So a step solves
+S z = res, one symmetric tridiagonal solve (LAPACK ptsv, through
+operators.solve_banded), and is delta = z/G'. Convergence is tested on the
+residual above. The drift is maximal monotone, so the stage has exactly one
+solution; if Newton's line search gives up or its budget runs out, the stage
+raises ImplicitStepError and the caller halves the step locally, the one
+recovery path. If the tolerance or the starting residual is not finite, it
+raises NonFiniteStageError, which no halving can mend, and the caller
+re-raises it at once. run_path returns one record per path, its Trajectory,
+which also counts the path's Newton iterations, line-search halvings and
+dt-halvings and keeps its worst accepted residual (SolverCounts).
 
 Extinction is detected on the H^-1 norm against a small threshold, after
 which the state is clamped to exactly zero and held (zero is absorbing for
@@ -181,28 +184,34 @@ def _solve_implicit_array(
     sqrt_h = np.sqrt(h)
     scale = max(1.0, sqrt_h * np.linalg.norm(b))
     target = _NEWTON_TOL * scale
+    off = np.full(b.size - 1, -k)  # the off-diagonal of S (module docstring)
 
     def evaluate(w):
-        y, g, ratio = model.pressure_values(w)
-        res = y - dt * laplacian_array(g, h) - b
+        y, g, q = model.pressure_values(w)
+        # y - dt*Laplacian(g) - b as (y - b) + 2k*g - k*g[i-1] - k*g[i+1]
+        kg = k * g
+        res = y - b
+        res += 2.0 * kg
+        res[1:] -= kg[:-1]
+        res[:-1] -= kg[1:]
         # np.linalg.norm of a 1-D array is sqrt(res . res)
-        return w, y, ratio, res, sqrt_h * np.sqrt(np.dot(res, res))
+        return w, y, q, res, sqrt_h * np.sqrt(np.dot(res, res))
 
-    w, y, ratio, res, rnorm = evaluate(psi0(b, model.diffusion))
+    w, y, q, res, rnorm = evaluate(psi0(b, model.diffusion))
     if not (math.isfinite(target) and math.isfinite(rnorm)):
         raise NonFiniteStageError(residual=float(rnorm))
     for _ in range(_NEWTON_MAX_ITER):
         if rnorm <= target:
             break
-        # Newton matrix diag(Y') - dt*Laplacian*diag(G'), as its three diagonals
-        yp, gp = model.pressure_slopes(ratio)
+        # M delta = res as S z = res, delta = z/G' (module docstring)
+        yp, gp = model.pressure_slopes(q)
         counts.newton_iters += 1
-        delta = solve_banded(-k * gp[:-1], yp + 2.0 * k * gp, -k * gp[1:], res)
+        delta = solve_banded(yp / gp + 2.0 * k, off, res) / gp
         s, step = 1.0, delta
         for _ in range(9):
             trial = evaluate(w - step)
             if trial[-1] < rnorm:
-                w, y, ratio, res, rnorm = trial
+                w, y, q, res, rnorm = trial
                 break
             counts.backtracks += 1
             s *= 0.5

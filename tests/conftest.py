@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import beta
 
 from spmlab import (
@@ -11,7 +12,6 @@ from spmlab import (
     build_basis,
     psi0,
 )
-from spmlab.operators import solve_banded
 
 
 @pytest.fixture(scope="session")
@@ -112,12 +112,47 @@ def padded_laplacian(v, h):
 
 
 def reference_stage(b, h, dt, model, tol, max_iter):
-    """The implicit stage as first written, kept as an oracle for the tuned one.
+    """The implicit stage written plainly, kept as an oracle for the tuned one.
 
-    Damped Newton in the pressure w for Y - dt*Laplacian(G(Y)) = b, with Y,
-    Y', G and G' evaluated together at every trial and the residual norm by
-    np.linalg.norm. Returns (Y or None on a stall, Newton iterations,
-    rejected line-search trials).
+    Damped Newton in the pressure w for Y - dt*Laplacian(G(Y)) = b. Y, Y', G
+    and G' are evaluated together at every trial from the one power q =
+    |w|^(1/alpha - 1) * rho^(-1/alpha); the residual is (Y - b) + 2k*G -
+    k*G[i-1] - k*G[i+1] on the zero-padded k*G, k = dt/h^2, and its norm is
+    np.linalg.norm. A Newton step solves S z = res with the symmetric S =
+    diag(Y'/G') + k*tridiag(-1, 2, -1) by scipy's solveh_banded and is z/G'.
+    Returns (Y or None on a stall, Newton iterations, rejected line-search
+    trials).
+    """
+    law, lam, c = model.diffusion, model.lam, model.linear_coeff
+    k = dt / h**2
+    n = b.size
+    scale = max(1.0, np.sqrt(h) * np.linalg.norm(b))
+
+    def evaluate(w):
+        q = np.abs(w) ** (1.0 / law.alpha - 1.0) * law.rho ** (-1.0 / law.alpha)
+        y = w * q + lam * w
+        yp = q / law.alpha + lam
+        g, gp = w + c * y, 1.0 + c * yp
+        kg = np.zeros(n + 2)
+        kg[1:-1] = k * g
+        res = (y - b) + 2.0 * kg[1:-1] - kg[:-2] - kg[2:]
+        return w, y, yp, gp, res, np.sqrt(h) * np.linalg.norm(res)
+
+    def newton_step(yp, gp, res):
+        band = np.zeros((2, n))  # upper form: band[0, 1:] is the off-diagonal
+        band[0, 1:] = -k
+        band[1] = yp / gp + 2.0 * k
+        return scipy.linalg.solveh_banded(band, res) / gp
+
+    return _damped_newton(evaluate, newton_step, psi0(b, law), tol * scale, max_iter)
+
+
+def gtsv_reference_stage(b, h, dt, model, tol, max_iter):
+    """The implicit stage as first written: the Newton matrix diag(Y') -
+    dt*Laplacian*diag(G') as three diagonals, solved by scipy's solve_banded
+    (LAPACK gtsv), with Y from sign(w)*(|w|/rho)^(1/alpha), Y' from a second
+    power and the residual from the padded Laplacian. Same returns as
+    reference_stage.
     """
     law, lam, c = model.diffusion, model.lam, model.linear_coeff
     k = dt / h**2
@@ -130,13 +165,23 @@ def reference_stage(b, h, dt, model, tol, max_iter):
         res = y - dt * padded_laplacian(g, h) - b
         return w, y, yp, gp, res, np.sqrt(h) * np.linalg.norm(res)
 
+    def newton_step(yp, gp, res):
+        ab = np.zeros((3, b.size))
+        ab[0, 1:], ab[1], ab[2, :-1] = -k * gp[1:], yp + 2.0 * k * gp, -k * gp[:-1]
+        return scipy.linalg.solve_banded((1, 1), ab, res)
+
+    return _damped_newton(evaluate, newton_step, psi0(b, law), tol * scale, max_iter)
+
+
+def _damped_newton(evaluate, newton_step, w0, target, max_iter):
+    """The stage's Newton iteration and its line search of nine halvings."""
     iters = rejected = 0
-    w, y, yp, gp, res, rnorm = evaluate(psi0(b, law))
+    w, y, yp, gp, res, rnorm = evaluate(w0)
     for _ in range(max_iter):
-        if rnorm <= tol * scale:
+        if rnorm <= target:
             return y, iters, rejected
         iters += 1
-        delta = solve_banded(-k * gp[:-1], yp + 2.0 * k * gp, -k * gp[1:], res)
+        delta = newton_step(yp, gp, res)
         s = 1.0
         for _ in range(9):
             trial = evaluate(w - s * delta)
@@ -147,4 +192,4 @@ def reference_stage(b, h, dt, model, tol, max_iter):
             s *= 0.5
         else:
             break
-    return (y if rnorm <= tol * scale else None), iters, rejected
+    return (y if rnorm <= target else None), iters, rejected

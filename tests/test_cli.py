@@ -204,6 +204,11 @@ class TestBadValues:
             dict(n_paths="2.5"),
             dict(n_paths=float("inf")),
             dict(n_paths=float("nan")),
+            # bools where a real number goes
+            dict(model={"rho": True, "alpha": 0.5, "lambda": 1e-4}),
+            dict(solver=dict(dt=2e-3, t_final=0.4, extinction_eps=True)),
+            # a mode that a bump start would ignore
+            dict(initial=dict(kind="bump", mode=7, target_hm1_norm=0.1)),
         ],
     )
     def test_exit_2(self, tmp_path, overrides):

@@ -220,6 +220,36 @@ class TestConfig:
         got = getattr(config_from_dict(base_raw(**{key: value})), key)
         assert type(got) is int and got == expected
 
+    @pytest.mark.parametrize("dotted", [
+        "grid.length", "model.rho", "model.lambda", "solver.extinction_eps",
+        "initial.target_hm1_norm", "gamma", "noise.mu", "checkpoints",
+    ])
+    def test_bools_are_not_reals(self, dotted):
+        """float(True) is 1.0, but a bool is no real-valued setting, in a
+        list neither; a number written as a string still is one."""
+        *parents, key = dotted.split(".")
+        raw = base_raw()
+        section = raw
+        for parent in parents:
+            section = section[parent]
+        good = section.get(key)
+        section[key] = [True, *good[1:]] if isinstance(good, list) else True
+        with pytest.raises(ConfigError, match=f"'{dotted}'.*True is not a real number"):
+            config_from_dict(raw)
+        section[key] = [str(v) for v in good] if isinstance(good, list) else str(good or 0.5)
+        config_from_dict(raw)
+
+    @pytest.mark.parametrize("initial", [
+        dict(kind="bump", mode=7, target_hm1_norm=0.1),
+        dict(kind="custom", mode=2, values=[0.1] * 31),
+    ])
+    def test_mode_only_for_eigenmodes(self, initial):
+        """A mode other than the default 1 would be ignored by a bump or
+        custom start, so it is refused; mode 1 parses."""
+        with pytest.raises(ConfigError, match=f"takes no mode, got {initial['mode']}"):
+            config_from_dict(base_raw(initial=initial))
+        config_from_dict(base_raw(initial=dict(initial, mode=1)))
+
     def test_yaml_exponent_without_dot(self, tmp_path):
         """PyYAML reads 2e-3 (no dot) as a string; it is still a number."""
         p = tmp_path / "cfg.yaml"
@@ -342,8 +372,9 @@ class TestRunEnsemble:
     def test_newton_count_matches_traced_benchmark(self):
         """The acceptance workload of perfbench at seed 17: its traced run
         counts 25463 Newton solves over these 10 paths (stepper.newton_iters).
-        No Newton step is halved there, and the worst accepted stage ends just
-        under its tolerance."""
+        No Newton step is halved there, the worst accepted stage ends just
+        under its tolerance, and every tau_hat is the one stored in
+        perfbench/reference/acceptance.json."""
         cfg = config_from_dict(base_raw(
             grid=dict(n_interior=255),
             solver=dict(dt=1e-4, t_final=0.278, record_every=5),
@@ -355,8 +386,11 @@ class TestRunEnsemble:
         diagnostics = json.loads(summary.to_json())["diagnostics"]
         assert diagnostics == {
             "newton_iters": 25463, "halvings": 0,
-            "backtracks": 0, "worst_residual": 0.9990491988926051,
+            "backtracks": 0, "worst_residual": 0.9990492026035571,
         }
+        reference = json.loads((ROOT / "perfbench" / "reference" / "acceptance.json").read_text())
+        (ensemble,) = reference["ensembles"]
+        assert list(summary.tau_hats) == ensemble["tau_hats"]
 
     def test_coercivity_check_can_fail(self):
         """Every step satisfies |X|_{1+alpha} >= gamma |X|_{-1} at the

@@ -186,8 +186,8 @@ class TestPressureState:
         )
         r = np.random.default_rng(13).uniform(-4, 4, 200)
         w = yosida(r, model.diffusion, model.lam)
-        y, g, ratio = model.pressure_values(w)
-        yp, gp = model.pressure_slopes(ratio)
+        y, g, q = model.pressure_values(w)
+        yp, gp = model.pressure_slopes(q)
         np.testing.assert_array_equal(y, psi0_inverse(w, model.diffusion) + model.lam * w)
         np.testing.assert_allclose(y, r, rtol=1e-12, atol=1e-12)
         g_exact, gp_exact = drift_oracle(r, model)

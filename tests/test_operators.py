@@ -133,37 +133,58 @@ class TestPoisson:
         )
 
 
-def badly_scaled_tridiagonal(n, rng):
-    """(3, n) banded layout with entries spread over 16 decades."""
-    ab = rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (3, n))
-    ab[0, 0] = ab[2, -1] = 0.0
-    return ab
+def badly_scaled_spd_tridiagonal(n, rng):
+    """(d, e) of a symmetric positive definite tridiagonal matrix, its
+    off-diagonal spread over 16 decades: d is diagonally dominant by a
+    margin that is spread as widely."""
+    e = rng.standard_normal(n - 1) * 10.0 ** rng.uniform(-8.0, 8.0, n - 1)
+    d = 10.0 ** rng.uniform(-8.0, 8.0, n)
+    d[:-1] += np.abs(e)
+    d[1:] += np.abs(e)
+    return d, e
 
 
-def diagonals(ab):
-    """(dl, d, du) of a (3, n) banded array, the order gtsv takes them in."""
-    return ab[2, :-1], ab[1], ab[0, 1:]
+def upper_band(d, e):
+    """The (2, n) upper-form band of scipy's solveh_banded."""
+    band = np.zeros((2, d.size))
+    band[0, 1:], band[1] = e, d
+    return band
 
 
 class TestLapackKernels:
     """The direct LAPACK calls against the scipy wrappers they replace."""
 
     @pytest.mark.parametrize("n", [3, 63, 255])
-    def test_gtsv_matches_scipy_solve_banded(self, n, rng):
+    def test_ptsv_matches_scipy_solveh_banded(self, n, rng):
         for _ in range(20):
-            ab = badly_scaled_tridiagonal(n, rng)
+            d, e = badly_scaled_spd_tridiagonal(n, rng)
             for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
                 np.testing.assert_array_equal(
-                    solve_banded(*diagonals(ab), b), scipy.linalg.solve_banded((1, 1), ab, b)
+                    solve_banded(d, e, b), scipy.linalg.solveh_banded(upper_band(d, e), b)
                 )
 
-    def test_gtsv_leaves_inputs_unchanged(self, rng):
-        ab = badly_scaled_tridiagonal(63, rng)
+    def test_ptsv_leaves_inputs_unchanged(self, rng):
+        d, e = badly_scaled_spd_tridiagonal(63, rng)
         b = rng.standard_normal(63)
-        ab_copy, b_copy = ab.copy(), b.copy()
-        solve_banded(*diagonals(ab), b)
-        np.testing.assert_array_equal(ab, ab_copy)
-        np.testing.assert_array_equal(b, b_copy)
+        copies = d.copy(), e.copy(), b.copy()
+        solve_banded(d, e, b)
+        for a, copy in zip((d, e, b), copies):
+            np.testing.assert_array_equal(a, copy)
+
+    def test_stacked_blocks_solve_separately(self, rng):
+        """Two systems stacked with a zero off-diagonal entry at the seam
+        give each system's own solution bit for bit: ptsv's recurrences pass
+        the seam as exact zeros."""
+        for _ in range(200):
+            n1, n2 = rng.integers(3, 64, size=2)
+            (d1, e1), (d2, e2) = (badly_scaled_spd_tridiagonal(m, rng) for m in (n1, n2))
+            b1, b2 = rng.standard_normal(n1), rng.standard_normal(n2)
+            stacked = solve_banded(
+                np.concatenate([d1, d2]), np.concatenate([e1, [0.0], e2]),
+                np.concatenate([b1, b2]),
+            )
+            separate = np.concatenate([solve_banded(d1, e1, b1), solve_banded(d2, e2, b2)])
+            assert stacked.tobytes() == separate.tobytes()
 
     @pytest.mark.parametrize("n", [3, 63, 255])
     def test_pbtrs_matches_scipy_cho_solve_banded(self, n, rng):
@@ -177,23 +198,24 @@ class TestLapackKernels:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, bad, rng):
         n = 31
-        ab = badly_scaled_tridiagonal(n, rng)
+        d, e = badly_scaled_spd_tridiagonal(n, rng)
         b = rng.standard_normal(n)
-        for row, col in ((0, 4), (1, 5), (2, 6)):
-            bad_ab = ab.copy()
-            bad_ab[row, col] = bad
+        for which in range(3):
+            args = [d.copy(), e.copy(), b.copy()]
+            args[which][4] = bad
             with pytest.raises(ValueError, match="infs or NaNs"):
-                solve_banded(*diagonals(bad_ab), b)
+                solve_banded(*args)
         bad_b = b.copy()
         bad_b[7] = bad
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            solve_banded(*diagonals(ab), bad_b)
         with pytest.raises(ValueError, match="infs or NaNs"):
             poisson_solve_array(bad_b, 1.0 / (n + 1))
 
     def test_singular_matrix(self):
-        with pytest.raises(LinAlgError, match="singular matrix"):
-            solve_banded(np.zeros(6), np.zeros(7), np.zeros(6), np.ones(7))
+        """The singular zero matrix and a nonsingular indefinite one are both
+        refused: ptsv needs a positive definite matrix."""
+        for d in (np.zeros(7), np.array([1.0, 1.0, -1.0, 1.0, 1.0, 1.0, 1.0])):
+            with pytest.raises(LinAlgError, match="not positive definite"):
+                solve_banded(d, np.zeros(6), np.ones(7))
 
 
 class TestInnerHm1:

@@ -28,6 +28,7 @@ from spmlab.theory import BoundInputs, deterministic_extinction_time
 
 from conftest import (
     drift_oracle,
+    gtsv_reference_stage,
     reference_stage,
     random_field,
     resolvent_bisect,
@@ -49,6 +50,18 @@ def stress_grid(grid, basis, rng):
             (0.2, 0.5, 0.8), (1e-2, 1e-4, 1e-6), (1e-4, 1e-2, 1.0), (1.0, 1e-4, 1e-8)
         )
     ]
+
+
+def oracle_cases(grid, basis, rng):
+    """The stress grid, plus alpha x (amplitude 0.3, 1e3) with rho = 1.3 and
+    a linear auxiliary slope of 0.4: 249 stages, and the 1e3 ones halve
+    line-search steps."""
+    cases = stress_grid(grid, basis, rng)
+    dense = cases[0][0]  # amplitude 1
+    for alpha in (0.2, 0.5, 0.8):
+        aux = ModelParams(DiffusionLaw(1.3, alpha), lam=1e-4, aux_slope=0.4)
+        cases += [(0.3 * dense, 1e-3, aux), (1e3 * dense, 1e-3, aux)]
+    return cases
 
 
 class TestImplicitSolve:
@@ -102,18 +115,13 @@ class TestImplicitSolve:
         assert worst <= 12
 
     def test_matches_reference_stage(self, grid, basis, rng):
-        """The stage equals the oracle copy in conftest bit for bit, with the
-        same Newton iterations and line-search halvings: on the stress grid,
-        which never halves a step, and with rho = 1.3 and a linear auxiliary
-        slope of 0.4, where data of amplitude 1e3 does."""
+        """The stage equals the plainly written oracle in conftest bit for
+        bit, with the same Newton iterations and line-search halvings: on the
+        stress grid, which never halves a step, and with rho = 1.3 and a
+        linear auxiliary slope of 0.4, where data of amplitude 1e3 does."""
         h = grid.spacing
-        cases = stress_grid(grid, basis, rng)
-        dense = cases[0][0]  # amplitude 1
-        for alpha in (0.2, 0.5, 0.8):
-            aux = ModelParams(DiffusionLaw(1.3, alpha), lam=1e-4, aux_slope=0.4)
-            cases += [(0.3 * dense, 1e-3, aux), (1e3 * dense, 1e-3, aux)]
         backtracked = 0
-        for b, dt, model in cases:
+        for b, dt, model in oracle_cases(grid, basis, rng):
             counts = SolverCounts()
             y = stepper_mod._solve_implicit_array(b, h, dt, model, counts)
             ref_y, ref_iters, ref_rejected = reference_stage(b, h, dt, model, 1e-10, 50)
@@ -122,6 +130,54 @@ class TestImplicitSolve:
             assert 0.0 < counts.worst_residual <= 1.0
             backtracked += counts.backtracks
         assert backtracked > 0  # the halved steps are compared too
+
+    def test_matches_gtsv_reference_stage(self, grid, basis, rng):
+        """The stage as first written (the nonsymmetric Newton matrix by
+        gtsv, two powers per point) takes the same Newton iterations and
+        halvings on the same cases, and its Y is within the stage tolerance
+        of the stage's."""
+        h = grid.spacing
+        for b, dt, model in oracle_cases(grid, basis, rng):
+            counts = SolverCounts()
+            y = stepper_mod._solve_implicit_array(b, h, dt, model, counts)
+            ref_y, ref_iters, ref_rejected = gtsv_reference_stage(b, h, dt, model, 1e-10, 50)
+            assert (counts.newton_iters, counts.backtracks) == (ref_iters, ref_rejected)
+            scale = max(1.0, np.sqrt(h) * np.linalg.norm(b))
+            assert np.sqrt(h) * np.linalg.norm(y - ref_y) <= 1e-10 * scale
+
+    def test_newton_step_solves_the_newton_system(self, grid, basis, rng, monkeypatch):
+        """Every Newton step delta = z/G' of the symmetric solve S z = res
+        satisfies the Newton system (diag(Y') + k*T*diag(G')) delta = res, T =
+        tridiag(-1, 2, -1), to 1e-12 relative, checked against the dense
+        matrix on the stress grid and the auxiliary-slope cases."""
+        h, n = grid.spacing, grid.n_interior
+        tri = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        slopes, solves = [], []
+        pressure_slopes, solve_banded = ModelParams.pressure_slopes, stepper_mod.solve_banded
+
+        def recording_slopes(self, q):
+            slopes.append(pressure_slopes(self, q))
+            return slopes[-1]
+
+        def recording_solve(d, e, res):
+            solves.append((res.copy(), solve_banded(d, e, res)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(ModelParams, "pressure_slopes", recording_slopes)
+        monkeypatch.setattr(stepper_mod, "solve_banded", recording_solve)
+        checked = 0
+        for b, dt, model in oracle_cases(grid, basis, rng):
+            slopes.clear()
+            solves.clear()
+            stepper_mod._solve_implicit_array(b, h, dt, model, SolverCounts())
+            assert len(slopes) == len(solves) > 0
+            k = dt / h**2
+            for (yp, gp), (res, z) in zip(slopes, solves):
+                newton = np.diag(yp) + k * tri @ np.diag(gp)
+                defect = newton @ (z / gp) - res
+                assert np.linalg.norm(defect) <= 1e-12 * np.linalg.norm(res)
+                checked += 1
+        assert checked > 243
 
     def test_stall_raises_at_once(self, grid, model, rng, monkeypatch):
         """A line search that gives up ends the stage after that one solve,
@@ -145,7 +201,9 @@ class TestImplicitSolve:
         assert counts.backtracks == 9
         # the reported residual is the one of the starting guess: nothing ran after
         y, g, _ = model.pressure_values(psi0(b, model.diffusion))
-        start = np.sqrt(h) * np.linalg.norm(y - dt * laplacian_array(g, h) - b)
+        kg = np.zeros(b.size + 2)  # the stage's stencil on the zero-padded k*g
+        kg[1:-1] = dt / h**2 * g
+        start = np.sqrt(h) * np.linalg.norm((y - b) + 2.0 * kg[1:-1] - kg[:-2] - kg[2:])
         assert err.value.residual == start
 
         solves.clear()
@@ -318,18 +376,18 @@ class TestRunPath:
         assert res.tau_hat is not None and len(draws) == round(res.tau_hat / cfg.dt) < n_steps
 
     def test_paths_match_scipy_wrappers(self, model, small_noise, basis, monkeypatch):
-        """The LAPACK kernels give the paths of scipy's solve_banded and
+        """The LAPACK kernels give the paths of scipy's solveh_banded and
         cho_solve_banded bit for bit."""
         x0, cfg = self._noisy_extinct_setup(basis, store_states=True)
         seeds = [(6, 0), (6, 1)]
         shipped = [run_path(x0, cfg, model, small_noise, seed=s) for s in seeds]
         calls = {"newton": 0, "hm1": 0}
 
-        def scipy_newton(dl, d, du, b):
+        def scipy_newton(d, e, b):
             calls["newton"] += 1
-            ab = np.zeros((3, d.size))
-            ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
-            return scipy.linalg.solve_banded((1, 1), ab, b)
+            band = np.zeros((2, d.size))  # upper form
+            band[0, 1:], band[1] = e, d
+            return scipy.linalg.solveh_banded(band, b)
 
         def scipy_poisson(f, h):
             calls["hm1"] += 1
@@ -406,8 +464,8 @@ class TestWeakFormResidual:
         x0, cfg = TestRunPath._noisy_extinct_setup(basis, store_states=True)
         res = run_path(x0, cfg, model, small_noise, seed=(8, 3))
         assert res.tau_hat == 0.128
-        assert weak_form_residual(res, 1, basis, model, small_noise) == 0.0026278696268016628
-        assert weak_form_residual(res, 2, basis, model, small_noise) == 2.346780767853527e-05
+        assert weak_form_residual(res, 1, basis, model, small_noise) == 0.00262786962680177
+        assert weak_form_residual(res, 2, basis, model, small_noise) == 2.3467807678304118e-05
 
     def test_halving_ratio_window(self, grid, basis, quiet_noise):
         model = ModelParams(DiffusionLaw(1.0, 0.5), lam=1e-5)
