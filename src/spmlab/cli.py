@@ -17,15 +17,15 @@ import numpy as np
 from .harness import (
     ConfigError,
     EnsembleFailure,
+    build_bound_inputs,
     config_from_yaml,
     resolve_gamma,
     run_ensemble,
     _build_context,
 )
-from .noise import c_star as compute_c_star
-from .operators import estimate_gamma, norm_hm1
+from .operators import estimate_gamma
 from .stepper import ImplicitStepError, PathFailedError, convergence_study, run_path
-from .theory import BoundInputs, extinction_bound
+from .theory import extinction_bound
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -134,13 +134,7 @@ def bound(config_path, seed, out):
     with _exit_on_error():
         noise, x0 = _build_context(cfg)
     gamma = resolve_gamma(cfg)
-    inputs = BoundInputs(
-        x_norm_hm1=norm_hm1(x0),
-        alpha=cfg.model.diffusion.alpha,
-        rho=cfg.model.diffusion.rho,
-        gamma=gamma,
-        c_star=compute_c_star(noise),
-    )
+    inputs = build_bound_inputs(cfg, x0, noise, gamma)
     ts = np.linspace(cfg.solver.t_final / 200, cfg.solver.t_final, 200)
     path = _outdir(out) / "bound.csv"
     with open(path, "w") as fh:

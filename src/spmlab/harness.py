@@ -374,6 +374,20 @@ def resolve_gamma(config: ExperimentConfig) -> float:
     return estimate_gamma(config.grid, config.model.diffusion.alpha).value
 
 
+def build_bound_inputs(
+    config: ExperimentConfig, x0: Field, noise: NoiseSpec, gamma: float
+) -> BoundInputs:
+    """The theory bound's inputs: |x0|_-1, the diffusion law, gamma and c_star."""
+    law = config.model.diffusion
+    return BoundInputs(
+        x_norm_hm1=norm_hm1(x0),
+        alpha=law.alpha,
+        rho=law.rho,
+        gamma=gamma,
+        c_star=c_star(noise),
+    )
+
+
 def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
     """Run n_paths independent paths and aggregate the extinction statistics.
 
@@ -384,7 +398,6 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
     """
     noise, x0 = _build_context(config)
     gamma = resolve_gamma(config)
-    cs = c_star(noise)
     run_one = partial(_run_one, config, noise, x0, gamma)
     indices = range(config.n_paths)
     if workers <= 1:
@@ -413,11 +426,7 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
         lo.append(w[0])
         hi.append(w[1])
 
-    law = config.model.diffusion
-    x0_norm = norm_hm1(x0)
-    inputs = BoundInputs(
-        x_norm_hm1=x0_norm, alpha=law.alpha, rho=law.rho, gamma=gamma, c_star=cs,
-    )
+    inputs = build_bound_inputs(config, x0, noise, gamma)
     bounds = [extinction_bound(t, inputs) for t in checkpoints]
 
     sm_report = ensemble_supermartingale_test(ok, checkpoints) if n_ok >= 100 else None
@@ -435,9 +444,9 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
         extinct_fraction=sum(r.tau_hat is not None for r in ok) / n_ok,
         n_failed=n_failed,
         gamma_used=gamma,
-        c_star=cs,
+        c_star=inputs.c_star,
         n_paths=config.n_paths,
-        x0_norm_hm1=x0_norm,
+        x0_norm_hm1=inputs.x_norm_hm1,
         tau_hats=[r.tau_hat for r in results],
         positivity_violations=(
             sum(not np.all(r.min_values >= floor) for r in ok) if nonnegative_start else 0

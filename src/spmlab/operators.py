@@ -1,11 +1,11 @@
 """1-D spatial discretization on (0, L) with homogeneous Dirichlet conditions.
 
 Provides the uniform interior grid, the standard three-point Laplacian, direct
-Poisson and symmetric positive definite tridiagonal solves (LAPACK pbtrs and
-ptsv, called directly), the discrete eigenbasis, L^2 / L^p / H^-1 inner
-products and norms, and the coercivity constant of the L^{alpha+1} -> H^-1
-embedding on the discrete space, found by a dual power iteration of one
-Poisson solve per step.
+Poisson and symmetric positive definite tridiagonal solves (LAPACK pttrs on a
+cached LDL^T factor, and ptsv, called directly), the discrete eigenbasis and
+its closed-form first mode, L^2 / L^p / H^-1 inner products and norms, and
+the coercivity constant of the L^{alpha+1} -> H^-1 embedding on the discrete
+space, found by a dual power iteration of one Poisson solve per step.
 
 All inner products are h-weighted sums over interior nodes, which makes the
 discrete Laplacian self-adjoint and the eigenbasis exactly orthonormal.
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import LinAlgError, cholesky_banded, eigh_tridiagonal
-from scipy.linalg.lapack import dpbtrs, dptsv
+from scipy.linalg import LinAlgError, eigh_tridiagonal
+from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
 
 
 class GridError(ValueError):
@@ -98,13 +98,16 @@ def laplacian_array(v: np.ndarray, h: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _poisson_factor(n: int, h: float):
-    """Banded Cholesky factor of A = -Laplacian (SPD tridiagonal)."""
-    ab = np.empty((2, n))
-    ab[0, :] = -1.0 / h**2
-    ab[0, 0] = 0.0
-    ab[1, :] = 2.0 / h**2
-    return cholesky_banded(ab)
+def _poisson_factor(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """LDL^T factor of A = -Laplacian by LAPACK pttrf: the diagonal of D (n,)
+    and the subdiagonal of the unit bidiagonal L (n-1,), both read-only,
+    since every solve on this (n, h) shares them."""
+    d, e, info = dpttrf(np.full(n, 2.0 / h**2), np.full(n - 1, -1.0 / h**2))
+    if info != 0:
+        raise LinAlgError(f"LAPACK pttrf failed on the Poisson matrix (info {info})")
+    d.flags.writeable = False
+    e.flags.writeable = False
+    return d, e
 
 
 def _check_finite(*arrays: np.ndarray) -> None:
@@ -116,14 +119,16 @@ def _check_finite(*arrays: np.ndarray) -> None:
 def poisson_solve_array(f: np.ndarray, h: float) -> np.ndarray:
     """Solve -Laplacian(u) = f for an (n,) or (n, k) right-hand side.
 
-    LAPACK pbtrs on the cached Cholesky factor: the arithmetic of
-    scipy.linalg.cho_solve_banded without its per-call wrapper. The factor
-    is finite because cholesky_banded checked its input.
+    LAPACK pttrs on the cached LDL^T factor. ptsv is pttrf followed by
+    pttrs, so this is the arithmetic of scipy.linalg.solveh_banded on the
+    Poisson band, bit for bit, without refactoring A and without the
+    per-call wrapper. f is left unchanged; ValueError on non-finite input.
     """
     _check_finite(f)
-    x, info = dpbtrs(_poisson_factor(f.shape[0], h), f)
+    d, e = _poisson_factor(f.shape[0], h)
+    x, info = dpttrs(d, e, f)
     if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of LAPACK pbtrs")
+        raise ValueError(f"illegal value in argument {-info} of LAPACK pttrs")
     return x
 
 
@@ -152,7 +157,7 @@ def apply_laplacian(u: Field) -> Field:
 
 
 def solve_poisson(f: Field) -> Field:
-    """Return u with -Laplacian(u) = f, by direct banded Cholesky solve."""
+    """Return u with -Laplacian(u) = f, by LAPACK pttrs on the cached LDL^T factor."""
     return f.with_values(poisson_solve_array(f.values, f.grid.spacing))
 
 
@@ -234,6 +239,16 @@ def lambda1_exact(grid: GridSpec) -> float:
     return 4.0 / h**2 * np.sin(np.pi * h / (2.0 * L)) ** 2
 
 
+def mode1_exact(grid: GridSpec) -> np.ndarray:
+    """Closed form for the first discrete eigenvector, up to scale: sin(pi x_i/L).
+
+    It is positive at every node, with a single maximum, so it has no sign
+    to choose. build_basis(grid, 1).modes[0] is sqrt(2/L) times this vector,
+    to within LAPACK's eigenvector accuracy (about 1e-11).
+    """
+    return np.sin(np.pi / grid.length * grid.nodes)
+
+
 @dataclass(frozen=True)
 class GammaEstimate:
     """Coercivity constant: largest g with |u|_{L^{a+1}} >= g |u|_{-1}.
@@ -277,14 +292,15 @@ def estimate_gamma(grid: GridSpec, alpha: float) -> GammaEstimate:
     The h-weighted L^p and L^q norms are dual, and so are the H^-1 and H^1_0
     norms, so 1/gamma = sup_v |v|_q / |v|_{H^1_0}, q = (1+alpha)/alpha. The
     p-norm power method (D. W. Boyd, 1974; N. J. Higham, 1992) climbs that
-    convex ratio from the first eigenmode in about ten Poisson solves
-    (_dual_power). At alpha = 1 it is the linear power method and R =
-    sqrt(lambda_1). Every R is the ratio of a field, so the result is an
+    convex ratio from the closed-form first eigenmode (mode1_exact, so no
+    eigensolve) in about ten Poisson solves (_dual_power), each a pttrs on
+    the cached LDL^T factor. At alpha = 1 it is the linear power method and
+    R = sqrt(lambda_1). Every R is the ratio of a field, so the result is an
     upper estimate of the true infimum.
     """
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    u, ratios = _dual_power(build_basis(grid, 1).modes[0], grid.spacing, alpha + 1.0)
+    u, ratios = _dual_power(mode1_exact(grid), grid.spacing, alpha + 1.0)
     return GammaEstimate(
         value=min(ratios), alpha=alpha, minimizer=Field(u / np.linalg.norm(u), grid)
     )

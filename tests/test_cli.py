@@ -4,6 +4,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from spmlab import cli, config_from_yaml, extinction_bound, run_ensemble
 from spmlab.cli import main
 
 from test_harness import base_raw
@@ -98,6 +99,24 @@ class TestBound:
         vals = [float(line.split(",")[1]) for line in lines[1:]]
         assert all(0.0 <= v <= 1.0 for v in vals)
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+    def test_inputs_equal_the_ensembles(self, cfg_file, tmp_path, monkeypatch):
+        """spmlab bound draws its curve from the inputs that run_ensemble
+        compares against: one builder makes both."""
+        seen = []
+
+        def recording(t, inputs):
+            seen.append(inputs)
+            return extinction_bound(t, inputs)
+
+        monkeypatch.setattr(cli, "extinction_bound", recording)
+        r = run_cli("bound", "--config", str(cfg_file), "--out", str(tmp_path / "bnd"))
+        assert r.exit_code == 0, r.output
+        cfg = config_from_yaml(cfg_file)
+        law = cfg.model.diffusion
+        summary = run_ensemble(cfg)
+        assert len(seen) == 200
+        assert set(seen) == {summary.bound_inputs(law.alpha, law.rho)}
 
 
 class TestGamma:

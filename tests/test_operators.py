@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg import LinAlgError, cho_solve_banded
+from scipy.linalg import LinAlgError
 
 from spmlab import (
     Field,
@@ -22,15 +22,15 @@ from spmlab import (
 from spmlab.operators import (
     GridError,
     _dual_power,
-    _poisson_factor,
     lambda1_exact,
     laplacian_array,
+    mode1_exact,
     norm_l2,
     poisson_solve_array,
     solve_banded,
 )
 
-from conftest import gamma_continuum, padded_laplacian, random_field
+from conftest import gamma_continuum, padded_laplacian, random_field, scipy_poisson_solve
 
 
 def dense_laplacian(grid):
@@ -186,14 +186,18 @@ class TestLapackKernels:
             separate = np.concatenate([solve_banded(d1, e1, b1), solve_banded(d2, e2, b2)])
             assert stacked.tobytes() == separate.tobytes()
 
-    @pytest.mark.parametrize("n", [3, 63, 255])
-    def test_pbtrs_matches_scipy_cho_solve_banded(self, n, rng):
+    @pytest.mark.parametrize("n", [3, 63, 255, 2047])
+    def test_pttrs_matches_scipy_solveh_banded(self, n, rng):
+        """ptsv is pttrf followed by pttrs, so the solve on the cached factor
+        is scipy's solveh_banded on the Poisson band bit for bit, in both
+        forms, and leaves its right-hand side unchanged."""
         h = 1.0 / (n + 1)
-        factor = _poisson_factor(n, h)
         for f in (rng.standard_normal(n), rng.standard_normal((n, 4))):
-            np.testing.assert_array_equal(
-                poisson_solve_array(f, h), cho_solve_banded((factor, False), f)
-            )
+            before = f.copy()
+            got = poisson_solve_array(f, h)
+            assert got.shape == f.shape
+            assert got.tobytes() == scipy_poisson_solve(f, h).tobytes()
+            assert f.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, bad, rng):
@@ -295,6 +299,31 @@ class TestBasis:
             )
             assert rel <= 1e-10
 
+    @pytest.mark.parametrize("n", [3, 127, 255, 2047])
+    def test_mode1_exact_is_the_first_mode(self, n):
+        """The closed-form start of the gamma estimate is LAPACK's first
+        eigenvector up to scale, within 1e-10, and positive at every node."""
+        grid = GridSpec(n)
+        start = mode1_exact(grid)
+        mode = build_basis(grid, 1).modes[0]
+        assert np.all(start > 0)
+        scaled = start * (np.dot(start, mode) / np.dot(start, start))
+        assert np.abs(scaled - mode).max() <= 1e-10 * np.abs(mode).max()
+
+    def test_mode_signs_pinned(self):
+        """build_basis makes each mode's largest-magnitude entry positive, but
+        every mode k >= 2 has tied extrema (mode 2 is antisymmetric), so
+        LAPACK's rounding picks which of them wins and hence the sign. Every
+        workload kicks mode 2, so a LAPACK build that breaks the tie the other
+        way changes every path."""
+        for n, signs in ((127, [1.0, 1.0]), (255, [1.0, -1.0]), (2047, [1.0, -1.0])):
+            first = np.sign(build_basis(GridSpec(n), 2).modes[:, 0]).tolist()
+            assert first == signs, (
+                f"n={n}: the modes start with signs {first}, not {signs}: this "
+                "LAPACK build broke the tie between mode 2's extrema the other "
+                "way, so mode 2's sign and every noisy path change"
+            )
+
     def test_lambda1_richardson_to_continuum(self):
         # lam1^h = pi^2 - C h^2 + O(h^4); Richardson on h, h/2 cancels the h^2 term
         v1 = build_basis(GridSpec(255), 1).eigenvalues[0]
@@ -347,12 +376,12 @@ class TestGamma:
         np.testing.assert_array_equal(a.minimizer.values, b.minimizer.values)
 
     @pytest.mark.parametrize("n, alpha, value, digest", [
-        (127, 0.3, "2.782713552956968", "8f179200587c7c0b"),
-        (255, 0.5, "2.9481790034005635", "07cdd21dd0492edb"),
-        (3, 0.9, "3.0332872438236644", "50d8cb3b210b7a71"),
+        (127, 0.3, "2.782713552956906", "7e346c99563e2b58"),
+        (255, 0.5, "2.9481790034004884", "c4beea913a71bfca"),
+        (3, 0.9, "3.0332872438236644", "8d1ba3410a4a99bc"),
         # the multi-start L-BFGS search it replaced returned 2.649972630341472
         # here, above the continuum constant 2.649958125428175
-        (2047, 0.2, "2.6499577673156396", "3d7495b812ad8129"),
+        (2047, 0.2, "2.649957767315685", "4bf2dc9e7669a58e"),
     ])
     def test_pinned_estimates(self, n, alpha, value, digest):
         """The estimate and its minimizer, to the last bit, below the

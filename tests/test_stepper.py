@@ -22,7 +22,7 @@ from spmlab import (
     run_path,
     weak_form_residual,
 )
-from spmlab.operators import _poisson_factor, laplacian_array, norm_l2
+from spmlab.operators import laplacian_array, norm_l2
 from spmlab.stepper import ImplicitStepError, NonFiniteStageError, SolverCounts, Trajectory
 from spmlab.theory import BoundInputs, deterministic_extinction_time
 
@@ -33,6 +33,7 @@ from conftest import (
     random_field,
     resolvent_bisect,
     resolvent_half,
+    scipy_poisson_solve,
 )
 
 
@@ -376,8 +377,8 @@ class TestRunPath:
         assert res.tau_hat is not None and len(draws) == round(res.tau_hat / cfg.dt) < n_steps
 
     def test_paths_match_scipy_wrappers(self, model, small_noise, basis, monkeypatch):
-        """The LAPACK kernels give the paths of scipy's solveh_banded and
-        cho_solve_banded bit for bit."""
+        """The LAPACK kernels give the paths of scipy's solveh_banded bit for
+        bit, for the Newton step and for the Poisson solve."""
         x0, cfg = self._noisy_extinct_setup(basis, store_states=True)
         seeds = [(6, 0), (6, 1)]
         shipped = [run_path(x0, cfg, model, small_noise, seed=s) for s in seeds]
@@ -391,7 +392,7 @@ class TestRunPath:
 
         def scipy_poisson(f, h):
             calls["hm1"] += 1
-            return scipy.linalg.cho_solve_banded((_poisson_factor(f.shape[0], h), False), f)
+            return scipy_poisson_solve(f, h)
 
         monkeypatch.setattr(stepper_mod, "solve_banded", scipy_newton)
         monkeypatch.setattr(stepper_mod, "poisson_solve_array", scipy_poisson)
@@ -464,8 +465,8 @@ class TestWeakFormResidual:
         x0, cfg = TestRunPath._noisy_extinct_setup(basis, store_states=True)
         res = run_path(x0, cfg, model, small_noise, seed=(8, 3))
         assert res.tau_hat == 0.128
-        assert weak_form_residual(res, 1, basis, model, small_noise) == 0.00262786962680177
-        assert weak_form_residual(res, 2, basis, model, small_noise) == 2.3467807678304118e-05
+        assert weak_form_residual(res, 1, basis, model, small_noise) == 0.002627869626801719
+        assert weak_form_residual(res, 2, basis, model, small_noise) == 2.3467807678471302e-05
 
     def test_halving_ratio_window(self, grid, basis, quiet_noise):
         model = ModelParams(DiffusionLaw(1.0, 0.5), lam=1e-5)
