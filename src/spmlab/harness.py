@@ -30,6 +30,7 @@ from .operators import (
     estimate_gamma,
     norm_hm1,
     norm_l2,
+    norm_l2_array,
 )
 from .stepper import SolverConfig, SolverCounts, Trajectory, run_path
 from .theory import BoundInputs, extinction_bound
@@ -241,29 +242,26 @@ def config_from_yaml(path) -> ExperimentConfig:
 def make_initial(spec: InitialSpec, grid: GridSpec, basis: SpectralBasis) -> Field:
     """Construct the initial state and rescale it to the target H^-1 norm.
 
-    Custom values pass through unscaled. A scaled state whose h*x.x is not
-    finite cannot be integrated, so it is a ConfigError.
+    Custom values pass through unscaled. A state of any kind whose L^2 norm
+    overflows is a ConfigError: the implicit stage's tolerance scales with it.
     """
     if spec.kind == "custom":
-        return Field(np.asarray(spec.values, dtype=float), grid)
-    if spec.kind == "eigenmode":
-        profile = basis.mode(spec.mode)
-    else:  # hat bump centered in the domain
-        x = grid.nodes
-        c, w = grid.length / 2.0, grid.length / 4.0
-        profile = Field(np.maximum(0.0, 1.0 - np.abs(x - c) / w), grid)
-    nrm = norm_hm1(profile)
-    if nrm == 0.0:
-        raise ConfigError("zero initial profile with a positive target norm")
-    x = profile.values * (spec.target_hm1_norm / nrm)
+        x, source = np.asarray(spec.values, dtype=float), "custom values give"
+    else:
+        if spec.kind == "eigenmode":
+            profile = basis.mode(spec.mode)
+        else:  # hat bump centered in the domain
+            c, w = grid.length / 2.0, grid.length / 4.0
+            profile = Field(np.maximum(0.0, 1.0 - np.abs(grid.nodes - c) / w), grid)
+        nrm = norm_hm1(profile)
+        if nrm == 0.0:
+            raise ConfigError("zero initial profile with a positive target norm")
+        x = profile.values * (spec.target_hm1_norm / nrm)
+        source = f"target_hm1_norm {spec.target_hm1_norm:g} gives"
     with np.errstate(over="ignore", invalid="ignore"):
-        # the sum that the implicit stage's residual norm squares
-        if not np.isfinite(grid.spacing * np.dot(x, x)):
-            raise ConfigError(
-                f"target_hm1_norm {spec.target_hm1_norm:g} gives an initial state "
-                "whose squared L^2 norm overflows"
-            )
-    return profile.with_values(x)
+        if not np.isfinite(norm_l2_array(x, grid.spacing)):
+            raise ConfigError(f"{source} an initial state whose squared L^2 norm overflows")
+    return Field(x, grid)
 
 
 def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, float]:

@@ -8,10 +8,13 @@ the coercivity constant of the L^{alpha+1} -> H^-1 embedding on the discrete
 space, found by a dual power iteration of one Poisson solve per step.
 
 All inner products are h-weighted sums over interior nodes, which makes the
-discrete Laplacian self-adjoint and the eigenbasis exactly orthonormal.
+discrete Laplacian self-adjoint and the eigenbasis exactly orthonormal. Each
+array operator works on the last axis: on a C-ordered (P, n) block, each row
+of its result is its (n,) result bit for bit. The Field functions wrap them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -75,11 +78,6 @@ class Field:
         return cls(np.zeros(grid.n_interior), grid)
 
 
-def _check_same_grid(u: Field, v: Field) -> None:
-    if u.grid != v.grid:
-        raise GridError("fields live on different grids")
-
-
 def laplacian_array(v: np.ndarray, h: float) -> np.ndarray:
     """Three-point stencil ((v[i-1] - 2 v[i]) + v[i+1]) / h^2, zero outside.
 
@@ -89,10 +87,10 @@ def laplacian_array(v: np.ndarray, h: float) -> np.ndarray:
     without the padded copy.
     """
     out = -2.0 * v
-    out[1:] += v[:-1]
-    out[0] += 0.0
-    out[:-1] += v[1:]
-    out[-1] += 0.0
+    out[..., 1:] += v[..., :-1]
+    out[..., 0] += 0.0
+    out[..., :-1] += v[..., 1:]
+    out[..., -1] += 0.0
     out /= h**2
     return out
 
@@ -117,19 +115,18 @@ def _check_finite(*arrays: np.ndarray) -> None:
 
 
 def poisson_solve_array(f: np.ndarray, h: float) -> np.ndarray:
-    """Solve -Laplacian(u) = f for an (n,) or (n, k) right-hand side.
-
-    LAPACK pttrs on the cached LDL^T factor. ptsv is pttrf followed by
-    pttrs, so this is the arithmetic of scipy.linalg.solveh_banded on the
-    Poisson band, bit for bit, without refactoring A and without the
-    per-call wrapper. f is left unchanged; ValueError on non-finite input.
-    """
+    """Solve -Laplacian(u) = f on the last axis, by LAPACK pttrs on the
+    cached LDL^T factor (a block's transpose is the column-major (n, P)
+    right-hand side pttrs takes). ptsv is pttrf followed by pttrs, so this is
+    the arithmetic of scipy.linalg.solveh_banded on the Poisson band, without
+    refactoring A or the per-call wrapper. f is left unchanged; ValueError
+    on non-finite input."""
     _check_finite(f)
-    d, e = _poisson_factor(f.shape[0], h)
-    x, info = dpttrs(d, e, f)
+    d, e = _poisson_factor(f.shape[-1], h)
+    x, info = dpttrs(d, e, f.T)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK pttrs")
-    return x
+    return x.T
 
 
 def solve_banded(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -151,6 +148,37 @@ def solve_banded(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _dot(u: np.ndarray, w: np.ndarray):
+    """u . w on the last axis: np.dot on a vector and, on a block, the batched
+    matmul (P,1,n) @ (P,n,1), np.dot row by row bit for bit (at 3x its cost)."""
+    if u.ndim == 1:
+        return np.dot(u, w)
+    return (u[..., None, :] @ w[..., :, None])[..., 0, 0]
+
+
+def norm_l2_array(v: np.ndarray, h: float):
+    """sqrt(h) * sqrt(v . v) on the last axis: sqrt(h) * np.linalg.norm(v) bit
+    for bit, math.sqrt rounding as np.sqrt does at a fraction of its cost."""
+    return math.sqrt(h) * np.sqrt(_dot(v, v))
+
+
+def norm_hm1_array(u: np.ndarray, w: np.ndarray, h: float):
+    """sqrt(max(h * u . w, 0)) on the last axis (a vector's max is Python's, at
+    a third of the cost), given w = A^-1 u, which the caller solves through its
+    own module's poisson_solve_array (the tracer counts spmlab.stepper's)."""
+    s = h * _dot(u, w)
+    return np.sqrt(np.maximum(s, 0.0) if s.ndim else max(s, 0.0))
+
+
+def norm_lp_array(v: np.ndarray, h: float, p: float):
+    """(h * sum |v_i|^p)^(1/p) on the last axis; a block's roots are scalar
+    pows row by row, since numpy's SIMD array pow may round otherwise."""
+    s = h * np.sum(np.abs(v) ** p, axis=-1)
+    if s.ndim == 0:
+        return s ** (1.0 / p)
+    return np.array([r ** (1.0 / p) for r in s])
+
+
 def apply_laplacian(u: Field) -> Field:
     """Discrete Dirichlet Laplacian (negative semidefinite)."""
     return u.with_values(laplacian_array(u.values, u.grid.spacing))
@@ -162,22 +190,18 @@ def solve_poisson(f: Field) -> Field:
 
 
 def norm_l2(u: Field) -> float:
-    return float(np.sqrt(u.grid.spacing) * np.linalg.norm(u.values))
+    return float(norm_l2_array(u.values, u.grid.spacing))
 
 
 def inner_hm1(u: Field, v: Field) -> float:
     """Dual-norm inner product <u, (-Laplacian)^(-1) v> with h-weighting."""
-    _check_same_grid(u, v)
-    return u.grid.spacing * float(np.dot(u.values, solve_poisson(v).values))
+    if u.grid != v.grid:
+        raise GridError("fields live on different grids")
+    return float(u.grid.spacing * _dot(u.values, solve_poisson(v).values))
 
 
 def norm_hm1(u: Field) -> float:
-    return float(np.sqrt(max(inner_hm1(u, u), 0.0)))
-
-
-def norm_lp_array(v: np.ndarray, h: float, p: float):
-    """Discrete quadrature norm (h * sum |v_i|^p)^(1/p) of nodal values."""
-    return (h * np.sum(np.abs(v) ** p)) ** (1.0 / p)
+    return float(norm_hm1_array(u.values, solve_poisson(u).values, u.grid.spacing))
 
 
 def norm_lp(u: Field, p: float) -> float:
@@ -200,12 +224,10 @@ class SpectralBasis:
     modes: np.ndarray  # shape (K, n_interior)
 
     def __post_init__(self):
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        m = np.asarray(self.modes, dtype=float)
-        ev.flags.writeable = False
-        m.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", ev)
-        object.__setattr__(self, "modes", m)
+        for name in ("eigenvalues", "modes"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def size(self) -> int:
@@ -278,7 +300,7 @@ def _dual_power(v: np.ndarray, h: float, p: float):
         v = v / np.abs(v).max()
         u = np.abs(v) ** (q - 2.0) * v
         v = poisson_solve_array(u, h)
-        r = float(norm_lp_array(u, h, p) / np.sqrt(h * np.dot(u, v)))
+        r = float(norm_lp_array(u, h, p) / norm_hm1_array(u, v, h))
         if r <= ratios[-1]:
             best = u
         ratios.append(r)

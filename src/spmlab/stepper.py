@@ -41,7 +41,8 @@ from .noise import NoiseSpec, c_star, make_stream, noise_kick, sample_increments
 from .operators import (
     Field,
     laplacian_array,
-    norm_hm1,
+    norm_hm1_array,
+    norm_l2_array,
     norm_lp_array,
     poisson_solve_array,
     solve_banded,
@@ -181,8 +182,7 @@ def _solve_implicit_array(
     finite), which no iteration could meet.
     """
     k = dt / h**2
-    sqrt_h = np.sqrt(h)
-    scale = max(1.0, sqrt_h * np.linalg.norm(b))
+    scale = max(1.0, norm_l2_array(b, h))
     target = _NEWTON_TOL * scale
     off = np.full(b.size - 1, -k)  # the off-diagonal of S (module docstring)
 
@@ -194,8 +194,7 @@ def _solve_implicit_array(
         res += 2.0 * kg
         res[1:] -= kg[:-1]
         res[:-1] -= kg[1:]
-        # np.linalg.norm of a 1-D array is sqrt(res . res)
-        return w, y, q, res, sqrt_h * np.sqrt(np.dot(res, res))
+        return w, y, q, res, norm_l2_array(res, h)
 
     w, y, q, res, rnorm = evaluate(psi0(b, model.diffusion))
     if not (math.isfinite(target) and math.isfinite(rnorm)):
@@ -267,78 +266,58 @@ def run_path(
     path's one record is its Trajectory: the observables, tau_hat or the
     failure, and the solver work in solver_counts.
     """
-    grid = x0.grid
-    h = grid.spacing
+    h = x0.grid.spacing
     alpha = model.diffusion.alpha
     p = alpha + 1.0
     stream = make_stream(*seed)
     n_steps = int(round(config.t_final / config.dt))
     scaled_modes = noise.scaled_modes()
 
-    times, hm1s, lps, mins, maxs = [], [], [], [], []
+    rows = []  # (t, hm1, lp, min, max) at each recorded step
     states = [] if config.store_states else None
     coercivity_violations = 0
     counts = SolverCounts()
 
     x = x0.values.copy()
-
-    def observe(t, xv, hm1, lp):
-        times.append(t)
-        hm1s.append(hm1)
-        lps.append(lp)
-        mins.append(float(xv.min()))
-        maxs.append(float(xv.max()))
-        if states is not None:
-            states.append(xv.copy())
-
-    def hm1_of(xv):
-        w = poisson_solve_array(xv, h)
-        return float(np.sqrt(max(h * np.dot(xv, w), 0.0)))
-
-    hm1 = hm1_of(x)
     tau_hat: Optional[float] = None
-    if hm1 <= config.extinction_eps:
-        tau_hat = 0.0
-        x = np.zeros_like(x)
-        hm1 = 0.0
-    lp = float(norm_lp_array(x, h, p))
-    observe(0.0, x, hm1, lp)
-
     failure: Optional[str] = None
-    for i in range(1, n_steps + 1):
+    for i in range(n_steps + 1):
         t = i * config.dt
         if tau_hat is None and failure is None:
-            dbeta = sample_increments(config.dt, noise.n_modes, stream)
-            perturbed = noise_kick(x, dbeta, scaled_modes)
-            try:
-                x = _drift_substeps(perturbed, h, config.dt, model, counts)
-            except ImplicitStepError as exc:
-                failure = str(exc)
-                x = perturbed
+            if i > 0:
+                dbeta = sample_increments(config.dt, noise.n_modes, stream)
+                perturbed = noise_kick(x, dbeta, scaled_modes)
+                try:
+                    x = _drift_substeps(perturbed, h, config.dt, model, counts)
+                except ImplicitStepError as exc:
+                    failure = str(exc)
+                    x = perturbed
             lp = float(norm_lp_array(x, h, p))
             if failure is None:
-                hm1 = hm1_of(x)
-                if gamma_check is not None:
+                # this module's solve: the tracer counts one at t = 0 and one per live step
+                hm1 = float(norm_hm1_array(x, poisson_solve_array(x, h), h))
+                if i > 0 and gamma_check is not None:
                     if lp < gamma_check * hm1 * (1.0 - 1e-9) - 1e-14:
                         coercivity_violations += 1
                 if hm1 <= config.extinction_eps:
                     tau_hat = t
                     x = np.zeros_like(x)
-                    hm1 = 0.0
-                    lp = 0.0
+                    hm1 = lp = 0.0
         # uniform recording grid regardless of path history, so trajectories
         # from different runs of one config stay aligned
         if i % config.record_every == 0 or i == n_steps:
-            observe(t, x, hm1, lp)
+            rows.append((t, hm1, lp, float(x.min()), float(x.max())))
+            if states is not None:
+                states.append(x.copy())
 
-    times_arr, hm1_arr = np.array(times), np.array(hm1s)
+    times, hm1s, lps, mins, maxs = np.array(rows).T.copy()  # contiguous columns
     return Trajectory(
-        times=times_arr,
-        hm1_norms=hm1_arr,
-        lp_norms=np.array(lps),
-        min_values=np.array(mins),
-        max_values=np.array(maxs),
-        supermartingale_values=discounted_norm(times_arr, hm1_arr, c_star(noise), alpha),
+        times=times,
+        hm1_norms=hm1s,
+        lp_norms=lps,
+        min_values=mins,
+        max_values=maxs,
+        supermartingale_values=discounted_norm(times, hm1s, c_star(noise), alpha),
         seed=seed,
         config=config,
         tau_hat=tau_hat,
@@ -441,7 +420,7 @@ def convergence_study(
     report = ConvergenceReport()
     for a, b, la, lb in zip(runs, runs[1:], lambdas, lambdas[1:]):
         diff = a.states - b.states
-        sup_hm1 = max(norm_hm1(Field(row, x0.grid)) for row in diff)
+        sup_hm1 = norm_hm1_array(diff, poisson_solve_array(diff, h), h).max()
         l2sq = h * np.sum(diff**2, axis=1)
         # trapezoid rule, written out: np.trapezoid needs numpy >= 2.0
         l2l2 = float(np.sqrt(np.sum(np.diff(a.times) * (l2sq[1:] + l2sq[:-1]) / 2.0)))

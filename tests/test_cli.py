@@ -31,7 +31,7 @@ class TestSimulate:
         assert len(lines) > 2
 
     def test_overflowing_initial_state_exit_2(self, tmp_path):
-        """At target_hm1_norm 1e160 the initial state's h*x.x overflows, so the
+        """At target_hm1_norm 1e160 the initial state's x.x overflows, so the
         implicit stage's tolerance could not be finite: a config error, found
         before any step (the stage's own check is tested in test_stepper)."""
         p = tmp_path / "huge.yaml"
@@ -172,6 +172,24 @@ class TestWrongSizedInitialValues:
         p.write_text(yaml.safe_dump(raw))
         r = run_cli(command, "--config", str(p), "--out", str(tmp_path / "o"))
         assert r.exit_code == 2, r.output
+
+
+class TestOverflowingInitialState:
+    """An initial state whose squared L^2 norm overflows is a config error
+    for every kind of start, custom values included, which are not rescaled."""
+
+    @pytest.mark.parametrize("command", ["simulate", "ensemble", "bound"])
+    @pytest.mark.parametrize("initial", [
+        dict(kind="custom", values=[1e200] * 31),
+        dict(kind="bump", target_hm1_norm=1e200),
+    ])
+    def test_exit_2(self, tmp_path, command, initial):
+        p = tmp_path / "huge.yaml"
+        p.write_text(yaml.safe_dump(base_raw(initial=initial)))
+        r = run_cli(command, "--config", str(p), "--out", str(tmp_path / "o"))
+        assert r.exit_code == 2, r.output
+        assert "config error" in r.output
+        assert "an initial state whose squared L^2 norm overflows" in r.output
 
 
 class TestBadValues:
