@@ -4,8 +4,9 @@ The forcing is sum_{k<=K} mu_k * X * e_k * dbeta_k with independent Brownian
 motions beta_k, so the zero state is absorbing. Streams are counter-based:
 one Philox stream per (master_seed, path_index), which makes ensembles
 bitwise reproducible regardless of worker scheduling. A step's increments
-are a plain (K,) array: sample_increments draws them and noise_kick applies
-them; nothing else keeps them.
+are a plain (K,) array: sample_increments draws them and kick_factor turns
+them into the step's nodewise factor, which run_path (like noise_kick)
+multiplies the state by; nothing else keeps them.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ class NoiseSpec:
         return self.mu.size
 
     def scaled_modes(self) -> np.ndarray:
-        """(K, n) array whose rows are mu_k * e_k, the weights of noise_kick."""
+        """(K, n) array whose rows are mu_k * e_k, the weights of kick_factor."""
         return self.mu[:, None] * self.basis.modes[: self.n_modes]
 
 
@@ -66,17 +67,25 @@ def sample_increments(dt: float, n_modes: int, stream: np.random.Generator) -> n
     return stream.normal(0.0, np.sqrt(dt), n_modes)
 
 
-def noise_kick(x: np.ndarray, dbeta: np.ndarray, scaled_modes: np.ndarray) -> np.ndarray:
-    """Explicit noise step x * (1 + sum_k mu_k * e_k * dbeta_k), nodewise.
+def kick_factor(dbeta: np.ndarray, scaled_modes: np.ndarray) -> np.ndarray:
+    """The nodewise noise factor 1 + sum_k mu_k * e_k * dbeta_k of one step.
 
     dbeta is one step's (K,) increments (sample_increments); scaled_modes is
-    NoiseSpec.scaled_modes(), which run_path builds once per path. The zero
-    state stays zero.
+    NoiseSpec.scaled_modes(), which run_path builds once per path.
     """
     if dbeta.size != scaled_modes.shape[0]:
         raise ValueError(
             f"got {dbeta.size} increments for {scaled_modes.shape[0]} noise modes"
         )
+    return 1.0 + dbeta @ scaled_modes
+
+
+def noise_kick(x: np.ndarray, dbeta: np.ndarray, scaled_modes: np.ndarray) -> np.ndarray:
+    """Explicit noise step x * kick_factor(dbeta, scaled_modes), nodewise.
+
+    The zero state stays zero.
+    """
+    factor = kick_factor(dbeta, scaled_modes)
     if x.shape != scaled_modes.shape[1:]:
         raise GridError("field and noise basis live on different grids")
-    return x * (1.0 + dbeta @ scaled_modes)
+    return x * factor

@@ -108,10 +108,9 @@ def _poisson_factor(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return d, e
 
 
-def _check_finite(*arrays: np.ndarray) -> None:
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise ValueError("array must not contain infs or NaNs")
+def _check_finite(a: np.ndarray) -> None:
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def poisson_solve_array(f: np.ndarray, h: float) -> np.ndarray:
@@ -139,7 +138,7 @@ def solve_banded(d: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
     unchanged. Raises ValueError on non-finite input and LinAlgError if the
     matrix is not positive definite.
     """
-    _check_finite(d, e, b)
+    _check_finite(np.concatenate((d, e, b.ravel())))  # one isfinite pass over all three
     _, _, x, info = dptsv(d, e, b)
     if info > 0:
         raise LinAlgError(f"{info}th leading minor not positive definite")

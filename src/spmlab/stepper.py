@@ -15,9 +15,14 @@ diag(Y') + k*T*diag(G'), and M*diag(G')^-1 = S = diag(Y'/G') + k*T is
 symmetric positive definite (Y' >= lam > 0, G' >= 1). So a step solves
 S z = res, one symmetric tridiagonal solve (LAPACK ptsv, through
 operators.solve_banded), and is delta = z/G'. Convergence is tested on the
-residual above. The drift is maximal monotone, so the stage has exactly one
-solution; if Newton's line search gives up or its budget runs out, the stage
-raises ImplicitStepError and the caller halves the step locally, the one
+residual above. Newton starts from psi0(b) at a path's first step and from
+then on from a prediction of the pressure, the last stage's pressure and
+drift increment scaled by the noise kick (run_path), whose error is O(dt^2)
+where psi0(b)'s is O(dt): most stages then take one Newton iteration. The
+drift is maximal monotone, so the stage has exactly one solution; if
+Newton's line search gives up or its budget runs out, the stage raises
+ImplicitStepError. A predicted start that fails is retried once from
+psi0(b), and if that fails too the caller halves the step locally, the one
 recovery path. If the tolerance or the starting residual is not finite, it
 raises NonFiniteStageError, which no halving can mend, and the caller
 re-raises it at once. run_path returns one record per path, its Trajectory,
@@ -37,9 +42,10 @@ from typing import Optional
 import numpy as np
 
 from .nonlinearity import ModelParams, psi0
-from .noise import NoiseSpec, c_star, make_stream, noise_kick, sample_increments
+from .noise import NoiseSpec, c_star, kick_factor, make_stream, sample_increments
 from .operators import (
     Field,
+    GridError,
     laplacian_array,
     norm_hm1_array,
     norm_l2_array,
@@ -171,11 +177,14 @@ def _solve_implicit_array(
     dt: float,
     model: ModelParams,
     counts: SolverCounts,
-) -> np.ndarray:
+    start: Optional[np.ndarray] = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """Solve Y - dt*Laplacian(G(Y)) = b by Newton in the pressure w = yosida(Y).
 
-    Adds the Newton iterations and line-search halvings to counts and, on
-    success, keeps the largest accepted residual in counts.worst_residual.
+    Newton starts from the pressure start, or from psi0(b) when start is
+    None, and returns (Y, w) at the accepted iterate. Adds the Newton
+    iterations and line-search halvings to counts and, on success, keeps the
+    largest accepted residual in counts.worst_residual.
     Raises ImplicitStepError when the line search gives up or the
     _NEWTON_MAX_ITER budget runs out, and NonFiniteStageError at once when the
     tolerance or the starting residual is not finite (b too large or not
@@ -196,7 +205,7 @@ def _solve_implicit_array(
         res[:-1] -= kg[1:]
         return w, y, q, res, norm_l2_array(res, h)
 
-    w, y, q, res, rnorm = evaluate(psi0(b, model.diffusion))
+    w, y, q, res, rnorm = evaluate(psi0(b, model.diffusion) if start is None else start)
     if not (math.isfinite(target) and math.isfinite(rnorm)):
         raise NonFiniteStageError(residual=float(rnorm))
     for _ in range(_NEWTON_MAX_ITER):
@@ -220,7 +229,7 @@ def _solve_implicit_array(
     if not rnorm <= target:  # NaN included
         raise ImplicitStepError(residual=float(rnorm))
     counts.worst_residual = max(counts.worst_residual, float(rnorm / target))
-    return y
+    return y, w
 
 
 def _drift_substeps(
@@ -229,22 +238,33 @@ def _drift_substeps(
     dt: float,
     model: ModelParams,
     counts: SolverCounts,
+    start: Optional[np.ndarray] = None,
     max_halvings: int = 5,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Backward-Euler over dt, recursively halving the step on failure: the
-    drift stage that run_path solves after each noise kick.
+    drift stage that run_path solves after each noise kick. Returns (Y, w)
+    as _solve_implicit_array does.
 
-    Newton iterations and halvings are added to counts. A NonFiniteStageError
-    is raised at once: halving leaves b as it is.
+    Newton starts from the pressure start when one is given; if that attempt
+    fails, the full step is solved again once from psi0(b) before any
+    halving, and half steps always start from psi0. Newton iterations and
+    halvings, failed attempts included, are added to counts. A
+    NonFiniteStageError from the psi0 start is raised at once: halving
+    leaves b as it is.
     """
+    if start is not None:
+        try:
+            return _solve_implicit_array(b, h, dt, model, counts, start)
+        except ImplicitStepError:
+            pass  # a poor start can stall Newton; psi0(b) below may not
     try:
         return _solve_implicit_array(b, h, dt, model, counts)
     except ImplicitStepError as exc:
         if max_halvings == 0 or isinstance(exc, NonFiniteStageError):
             raise
         counts.halvings += 1
-        rest = (h, dt / 2, model, counts, max_halvings - 1)
-        half = _drift_substeps(b, *rest)
+        rest = (h, dt / 2, model, counts, None, max_halvings - 1)
+        half, _ = _drift_substeps(b, *rest)
         return _drift_substeps(half, *rest)
 
 
@@ -258,13 +278,21 @@ def run_path(
 ) -> Trajectory:
     """Integrate one path to t_final, clamping to zero once |X|_{-1} <= eps.
 
-    Each step applies the explicit noise kick X*(1 + sum_k mu_k e_k dbeta_k)
-    (noise_kick) and then solves the drift stage implicitly (see
-    _drift_substeps). The stream is keyed by (master_seed, path_index) and
-    step i of a live path always takes the i-th draw, because a path stops
-    only once; after extinction or failure no increments are drawn. The
-    path's one record is its Trajectory: the observables, tau_hat or the
-    failure, and the solver work in solver_counts.
+    Each step applies the explicit noise kick X*f, f = 1 + sum_k mu_k e_k
+    dbeta_k (kick_factor), and then solves the drift stage implicitly (see
+    _drift_substeps). From the second step on, the stage's Newton starts from
+    a prediction of its pressure: the last stage's pressure w plus its drift
+    increment d, both scaled by the kick as psi0 scales, w*s + d*s with s =
+    sign(f)*|f|^alpha, since psi0(X*f) = psi0(X)*s. The increment is d =
+    w_new - w*s, the last stage's own move (none yet at step 2). The
+    prediction's error is O(dt^2), where psi0(X*f)'s is O(dt), so most
+    stages take one Newton iteration.
+
+    The stream is keyed by (master_seed, path_index) and step i of a live
+    path always takes the i-th draw, because a path stops only once; after
+    extinction or failure no increments are drawn. The path's one record is
+    its Trajectory: the observables, tau_hat or the failure, and the solver
+    work in solver_counts.
     """
     h = x0.grid.spacing
     alpha = model.diffusion.alpha
@@ -272,6 +300,8 @@ def run_path(
     stream = make_stream(*seed)
     n_steps = int(round(config.t_final / config.dt))
     scaled_modes = noise.scaled_modes()
+    if x0.values.shape != scaled_modes.shape[1:]:  # noise_kick's check, made once
+        raise GridError("field and noise basis live on different grids")
 
     rows = []  # (t, hm1, lp, min, max) at each recorded step
     states = [] if config.store_states else None
@@ -279,6 +309,7 @@ def run_path(
     counts = SolverCounts()
 
     x = x0.values.copy()
+    w = d = None  # the last stage's pressure and drift increment, once known
     tau_hat: Optional[float] = None
     failure: Optional[str] = None
     for i in range(n_steps + 1):
@@ -286,12 +317,22 @@ def run_path(
         if tau_hat is None and failure is None:
             if i > 0:
                 dbeta = sample_increments(config.dt, noise.n_modes, stream)
-                perturbed = noise_kick(x, dbeta, scaled_modes)
+                f = kick_factor(dbeta, scaled_modes)
+                perturbed = x * f
+                start = None
+                if w is not None:
+                    s = np.sign(f) * np.abs(f) ** alpha
+                    kicked = w * s
+                    start = kicked if d is None else kicked + d * s
                 try:
-                    x = _drift_substeps(perturbed, h, config.dt, model, counts)
+                    x, w_new = _drift_substeps(perturbed, h, config.dt, model, counts, start)
                 except ImplicitStepError as exc:
                     failure = str(exc)
                     x = perturbed
+                else:
+                    if start is not None:
+                        d = w_new - kicked
+                    w = w_new
             lp = float(norm_lp_array(x, h, p))
             if failure is None:
                 # this module's solve: the tracer counts one at t = 0 and one per live step
@@ -421,7 +462,7 @@ def convergence_study(
     for a, b, la, lb in zip(runs, runs[1:], lambdas, lambdas[1:]):
         diff = a.states - b.states
         sup_hm1 = norm_hm1_array(diff, poisson_solve_array(diff, h), h).max()
-        l2sq = h * np.sum(diff**2, axis=1)
+        l2sq = norm_l2_array(diff, h) ** 2
         # trapezoid rule, written out: np.trapezoid needs numpy >= 2.0
         l2l2 = float(np.sqrt(np.sum(np.diff(a.times) * (l2sq[1:] + l2sq[:-1]) / 2.0)))
         report.rows.append(

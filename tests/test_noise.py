@@ -10,6 +10,7 @@ from spmlab import (
     noise_kick,
     sample_increments,
 )
+from spmlab.noise import kick_factor
 from spmlab.operators import GridError
 
 from conftest import random_field
@@ -87,6 +88,8 @@ class TestNoiseField:
         out = noise_kick(X, inc, spec.scaled_modes())
         direct = X * (1.0 + 0.7 * 0.35 * basis.mode(1).values)
         np.testing.assert_allclose(out, direct, rtol=1e-14)
+        # the step is the state times the factor that run_path multiplies in
+        assert out.tobytes() == (X * kick_factor(inc, spec.scaled_modes())).tobytes()
 
     def test_bilinearity(self, grid, rng, small_noise):
         """kick - X is linear in the state and in the increments."""
@@ -113,5 +116,7 @@ class TestNoiseField:
         modes = small_noise.scaled_modes()
         with pytest.raises(ValueError):
             noise_kick(X, np.zeros(3), modes)
+        with pytest.raises(ValueError, match="3 increments for 2 noise modes"):
+            kick_factor(np.zeros(3), modes)
         with pytest.raises(GridError):
             noise_kick(X[:-1], np.zeros(2), modes)
