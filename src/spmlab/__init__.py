@@ -1,11 +1,7 @@
 """Desk-scale laboratory for finite-time extinction in 1-D stochastic
 fast-diffusion porous media dynamics."""
 
-from .analysis import (
-    check_absorption,
-    detect_extinction,
-    ensemble_supermartingale_test,
-)
+from .analysis import ensemble_supermartingale_test
 from .harness import (
     EnsembleSummary,
     ExperimentConfig,
@@ -25,7 +21,7 @@ from .nonlinearity import (
     resolvent,
     yosida,
 )
-from .noise import NoiseSpec, c_star, make_stream, noise_kick, sample_increments
+from .noise import NoiseSpec, c_star, make_stream, sample_increments
 from .operators import (
     Field,
     GammaEstimate,

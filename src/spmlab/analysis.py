@@ -1,36 +1,13 @@
-"""Post-processing of trajectories: extinction detection, absorption checks,
-and the ensemble test of the discounted-norm supermartingale that each
-Trajectory records."""
+"""Post-processing of trajectories: the ensemble test of the discounted-norm
+supermartingale, evaluated on each Trajectory's recorded H^-1 norms."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
 from .stepper import Trajectory
-
-
-def detect_extinction(traj: Trajectory, eps: float) -> Optional[float]:
-    """First recorded time with |X|_{-1} <= eps, or None."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    below = np.flatnonzero(traj.hm1_norms <= eps)
-    if below.size == 0:
-        return None
-    return float(traj.times[below[0]])
-
-
-def check_absorption(traj: Trajectory, eps: float) -> bool:
-    """True iff the norm stays exactly 0 after its first dip below eps.
-
-    Non-extinct paths pass vacuously.
-    """
-    first = detect_extinction(traj, eps)
-    if first is None:
-        return True
-    after = traj.hm1_norms[traj.times > first]
-    return bool(np.all(after == 0.0))
+from .theory import discounted_norm
 
 
 @dataclass
@@ -43,10 +20,11 @@ class SupermartingaleReport:
 
 
 def ensemble_supermartingale_test(
-    trajectories: list[Trajectory], checkpoints
+    trajectories: list[Trajectory], checkpoints, c_star: float, alpha: float
 ) -> SupermartingaleReport:
-    """Mean-decrease check on the recorded M(t) = supermartingale_values: at
-    each consecutive checkpoint pair (r, t) require
+    """Mean-decrease check on M(t) = discounted_norm(t, |X(t)|_{-1}, c_star,
+    alpha), evaluated at the last recorded row at or before each checkpoint:
+    at each consecutive checkpoint pair (r, t) require
     mean M(t) <= mean M(r) + 2*SE(t).
 
     Pathwise supermartingale behavior is not directly assertable from an
@@ -56,13 +34,16 @@ def ensemble_supermartingale_test(
     if n < 100:
         raise ValueError(f"need at least 100 paths, got {n}")
     checkpoints = [float(t) for t in checkpoints]
-    samples = np.empty((n, len(checkpoints)))
+    times = np.empty((n, len(checkpoints)))
+    hm1 = np.empty_like(times)
     for i, traj in enumerate(trajectories):
-        for j, t in enumerate(checkpoints):
-            idx = np.searchsorted(traj.times, t, side="right") - 1
-            if idx < 0:
-                raise ValueError(f"checkpoint {t} precedes the recorded series")
-            samples[i, j] = traj.supermartingale_values[idx]
+        rows = np.searchsorted(traj.times, checkpoints, side="right") - 1
+        if rows.min() < 0:
+            raise ValueError(f"checkpoint {min(checkpoints)} precedes the recorded series")
+        times[i], hm1[i] = traj.times[rows], traj.hm1_norms[rows]
+    # on arrays, so numpy takes the kernels that a whole column would (a
+    # numpy scalar's power can round differently)
+    samples = discounted_norm(times, hm1, c_star, alpha)
     means = samples.mean(axis=0)
     ses = samples.std(axis=0, ddof=1) / np.sqrt(n)
     report = SupermartingaleReport(

@@ -23,9 +23,10 @@ from .harness import (
     run_ensemble,
     _build_context,
 )
+from .noise import c_star
 from .operators import estimate_gamma
 from .stepper import ImplicitStepError, PathFailedError, convergence_study, run_path
-from .theory import extinction_bound
+from .theory import discounted_norm, extinction_bound
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -68,6 +69,15 @@ def _outdir(out) -> Path:
     return d
 
 
+def _write_csv(path, header: str, rows) -> None:
+    """Write header, then one line per row; each cell is the repr of a Python
+    int or float (so a number, never np.float64(...)), or empty for None."""
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join("" if v is None else repr(v) for v in row) + "\n")
+
+
 def common_options(fn):
     fn = click.option("--config", "config_path", required=True,
                       type=click.Path(exists=True, dir_okay=False),
@@ -95,8 +105,14 @@ def simulate(config_path, seed, out):
     if traj.failure is not None:
         click.echo(f"path failed: {traj.failure}", err=True)
         sys.exit(EXIT_NUMERICAL)
+    # M(t), the discounted norm of the paper's supermartingale, under c*
+    m = discounted_norm(traj.times, traj.hm1_norms, c_star(noise), cfg.model.diffusion.alpha)
+    columns = (traj.times, traj.hm1_norms, traj.lp_norms, traj.min_values, traj.max_values, m)
     path = _outdir(out) / "trajectory.csv"
-    traj.to_csv(path)
+    _write_csv(
+        path, "t,hm1_norm,lp_norm,min,max,supermartingale",
+        zip(*(c.tolist() for c in columns)),
+    )
     tau = "none" if traj.tau_hat is None else f"{traj.tau_hat:.6g}"
     click.echo(f"wrote {path} (extinct={traj.tau_hat is not None}, tau_hat={tau})")
 
@@ -113,10 +129,7 @@ def ensemble(config_path, seed, out, workers, strict):
         summary = run_ensemble(cfg, workers=workers)
     d = _outdir(out)
     (d / "summary.json").write_text(summary.to_json() + "\n")
-    with open(d / "tau.csv", "w") as fh:
-        fh.write("path_index,tau_hat\n")
-        for i, tau in enumerate(summary.tau_hats):
-            fh.write(f"{i},{'' if tau is None else repr(tau)}\n")
+    _write_csv(d / "tau.csv", "path_index,tau_hat", enumerate(summary.tau_hats))
     click.echo(
         f"wrote {d / 'summary.json'} (extinct_fraction={summary.extinct_fraction:.3f}, "
         f"bound_pass={summary.comparison.overall_pass})"
@@ -137,10 +150,7 @@ def bound(config_path, seed, out):
     inputs = build_bound_inputs(cfg, x0, noise, gamma)
     ts = np.linspace(cfg.solver.t_final / 200, cfg.solver.t_final, 200)
     path = _outdir(out) / "bound.csv"
-    with open(path, "w") as fh:
-        fh.write("t,bound\n")
-        for t in ts.tolist():  # Python floats, so that repr writes plain numbers
-            fh.write(f"{t!r},{extinction_bound(t, inputs)!r}\n")
+    _write_csv(path, "t,bound", ((t, extinction_bound(t, inputs)) for t in ts.tolist()))
     click.echo(f"wrote {path} (gamma={gamma:.6g}, c_star={inputs.c_star:.6g})")
 
 
@@ -174,7 +184,10 @@ def convergence(config_path, seed, out):
             cfg.convergence_lambdas, seed=(cfg.master_seed, 0),
         )
     path = _outdir(out) / "convergence.csv"
-    report.to_csv(path)
+    _write_csv(
+        path, "lambda_coarse,lambda_fine,sup_hm1_distance,l2l2_distance",
+        ((r.lam_coarse, r.lam_fine, r.sup_hm1, r.l2l2) for r in report.rows),
+    )
     click.echo(f"wrote {path} ({len(report.rows)} pairs)")
 
 

@@ -5,8 +5,8 @@ motions beta_k, so the zero state is absorbing. Streams are counter-based:
 one Philox stream per (master_seed, path_index), which makes ensembles
 bitwise reproducible regardless of worker scheduling. A step's increments
 are a plain (K,) array: sample_increments draws them and kick_factor turns
-them into the step's nodewise factor, which run_path (like noise_kick)
-multiplies the state by; nothing else keeps them.
+them into the step's nodewise factor, which run_path multiplies the state
+by; nothing else keeps them.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import GridError, SpectralBasis
+from .operators import SpectralBasis
 
 
 @dataclass(frozen=True)
@@ -78,14 +78,3 @@ def kick_factor(dbeta: np.ndarray, scaled_modes: np.ndarray) -> np.ndarray:
             f"got {dbeta.size} increments for {scaled_modes.shape[0]} noise modes"
         )
     return 1.0 + dbeta @ scaled_modes
-
-
-def noise_kick(x: np.ndarray, dbeta: np.ndarray, scaled_modes: np.ndarray) -> np.ndarray:
-    """Explicit noise step x * kick_factor(dbeta, scaled_modes), nodewise.
-
-    The zero state stays zero.
-    """
-    factor = kick_factor(dbeta, scaled_modes)
-    if x.shape != scaled_modes.shape[1:]:
-        raise GridError("field and noise basis live on different grids")
-    return x * factor

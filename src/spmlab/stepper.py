@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .nonlinearity import ModelParams, psi0
-from .noise import NoiseSpec, c_star, kick_factor, make_stream, sample_increments
+from .noise import NoiseSpec, kick_factor, make_stream, sample_increments
 from .operators import (
     Field,
     GridError,
@@ -53,7 +53,6 @@ from .operators import (
     poisson_solve_array,
     solve_banded,
 )
-from .theory import discounted_norm
 
 # Unused here since the stage is pure Newton, but perfbench/tracing.py binds
 # these three names in this module when it starts (its resolvent and Picard
@@ -131,16 +130,19 @@ class SolverCounts:
 
 @dataclass
 class Trajectory:
-    """One path: its observables at the recording stride and its outcome.
+    """One path: what run_path measured at the recording stride, and its
+    outcome.
 
-    supermartingale_values holds the discounted norm
-    exp(-c*(1-alpha)*t) * |X(t)|_{-1}^(1-alpha) (theory.discounted_norm), the
-    path's one record of the supermartingale. tau_hat is the extinction time,
-    None if the path is alive at t_final or failed; failure is None for a
-    completed path and otherwise says why the implicit stage gave up (the
-    path is then held at its last noise kick). seed and config replay the
-    path. states is populated only when the solver config asks for it
-    (weak-form residual, convergence studies).
+    Each row holds the time, the H^-1 and L^p norms and the extremes of the
+    state at that time. What follows from these columns is not stored: the
+    discounted norm M(t) is theory.discounted_norm of times and hm1_norms,
+    evaluated where it is used. tau_hat is the extinction time, None if the
+    path is alive at t_final or failed; every row from tau_hat on is exactly
+    0. failure is None for a completed path and otherwise says why the
+    implicit stage gave up (the path is then held at its last noise kick,
+    and its rows record that state). seed and config replay the path.
+    states is populated only when the solver config asks for it (weak-form
+    residual, convergence studies).
     """
 
     times: np.ndarray
@@ -148,7 +150,6 @@ class Trajectory:
     lp_norms: np.ndarray
     min_values: np.ndarray
     max_values: np.ndarray
-    supermartingale_values: np.ndarray
     seed: tuple[int, int]
     config: SolverConfig
     tau_hat: Optional[float] = None
@@ -156,19 +157,6 @@ class Trajectory:
     coercivity_violations: int = 0
     solver_counts: SolverCounts = field(default_factory=SolverCounts)
     states: Optional[np.ndarray] = None  # aligned with times
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("t,hm1_norm,lp_norm,min,max,supermartingale\n")
-            for row in zip(
-                self.times,
-                self.hm1_norms,
-                self.lp_norms,
-                self.min_values,
-                self.max_values,
-                self.supermartingale_values,
-            ):
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
 
 
 def _solve_implicit_array(
@@ -300,7 +288,7 @@ def run_path(
     stream = make_stream(*seed)
     n_steps = int(round(config.t_final / config.dt))
     scaled_modes = noise.scaled_modes()
-    if x0.values.shape != scaled_modes.shape[1:]:  # noise_kick's check, made once
+    if x0.values.shape != scaled_modes.shape[1:]:
         raise GridError("field and noise basis live on different grids")
 
     rows = []  # (t, hm1, lp, min, max) at each recorded step
@@ -334,9 +322,10 @@ def run_path(
                         d = w_new - kicked
                     w = w_new
             lp = float(norm_lp_array(x, h, p))
+            # this module's solve, which the tracer counts: one at t = 0 and
+            # one per live step, a failed one included (the held kick's norm)
+            hm1 = float(norm_hm1_array(x, poisson_solve_array(x, h), h))
             if failure is None:
-                # this module's solve: the tracer counts one at t = 0 and one per live step
-                hm1 = float(norm_hm1_array(x, poisson_solve_array(x, h), h))
                 if i > 0 and gamma_check is not None:
                     if lp < gamma_check * hm1 * (1.0 - 1e-9) - 1e-14:
                         coercivity_violations += 1
@@ -358,7 +347,6 @@ def run_path(
         lp_norms=lps,
         min_values=mins,
         max_values=maxs,
-        supermartingale_values=discounted_norm(times, hm1s, c_star(noise), alpha),
         seed=seed,
         config=config,
         tau_hat=tau_hat,
@@ -426,12 +414,6 @@ class ConvergenceRow:
 @dataclass
 class ConvergenceReport:
     rows: list[ConvergenceRow] = field(default_factory=list)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("lambda_coarse,lambda_fine,sup_hm1_distance,l2l2_distance\n")
-            for r in self.rows:
-                fh.write(f"{r.lam_coarse!r},{r.lam_fine!r},{r.sup_hm1!r},{r.l2l2!r}\n")
 
 
 def convergence_study(

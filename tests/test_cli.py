@@ -1,11 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from spmlab import cli, config_from_yaml, extinction_bound, run_ensemble
+from spmlab import c_star, cli, config_from_yaml, extinction_bound, run_ensemble, run_path
 from spmlab.cli import main
+from spmlab.harness import _build_context
+from spmlab.theory import discounted_norm
 
 from test_harness import base_raw
 
@@ -28,7 +31,18 @@ class TestSimulate:
         assert r.exit_code == 0, r.output
         lines = (out / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,hm1_norm,lp_norm,min,max,supermartingale"
-        assert len(lines) > 2
+        # one line per recorded row of path 0: its five columns and
+        # M(t) = discounted_norm under the config's c*, every value exact
+        cfg = config_from_yaml(cfg_file)
+        noise, x0 = _build_context(cfg)
+        traj = run_path(x0, cfg.solver, cfg.model, noise, seed=(cfg.master_seed, 0))
+        alpha = cfg.model.diffusion.alpha
+        m = discounted_norm(traj.times, traj.hm1_norms, c_star(noise), alpha)
+        expected = np.column_stack(
+            (traj.times, traj.hm1_norms, traj.lp_norms, traj.min_values, traj.max_values, m)
+        )
+        assert len(lines) == traj.times.size + 1 > 2
+        np.testing.assert_array_equal(np.loadtxt(lines[1:], delimiter=","), expected)
 
     def test_overflowing_initial_state_exit_2(self, tmp_path):
         """At target_hm1_norm 1e160 the initial state's x.x overflows, so the

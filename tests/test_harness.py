@@ -413,7 +413,7 @@ class TestRunEnsemble:
 
         def broken(config, noise, x0, gamma, path_index):
             return Trajectory(
-                *(np.zeros(1) for _ in range(6)),
+                *(np.zeros(1) for _ in range(5)),
                 seed=(config.master_seed, path_index), config=config.solver,
                 failure="boom",
             )
@@ -441,8 +441,7 @@ class TestRunEnsemble:
         def at_floor(config, noise, x0, gamma, path_index):
             low = np.nextafter(floor, -np.inf) if path_index in below else floor
             return Trajectory(
-                *(np.zeros(2) for _ in range(3)), np.array([0.0, low]),
-                *(np.zeros(2) for _ in range(2)),
+                *(np.zeros(2) for _ in range(3)), np.array([0.0, low]), np.zeros(2),
                 seed=(config.master_seed, path_index), config=config.solver,
             )
 

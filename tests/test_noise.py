@@ -7,11 +7,9 @@ from spmlab import (
     build_basis,
     c_star,
     make_stream,
-    noise_kick,
     sample_increments,
 )
 from spmlab.noise import kick_factor
-from spmlab.operators import GridError
 
 from conftest import random_field
 
@@ -69,34 +67,32 @@ class TestIncrements:
 
 
 class TestNoiseField:
-    """noise_kick, the explicit noise step x * (1 + sum_k mu_k e_k dbeta_k)."""
+    """The explicit noise step x * kick_factor(dbeta, scaled_modes), the
+    product run_path takes, with kick_factor = 1 + sum_k mu_k e_k dbeta_k."""
 
     def test_zero_state_absorbing(self, grid, small_noise):
         inc = sample_increments(0.1, 2, make_stream(5, 0))
-        out = noise_kick(np.zeros(grid.n_interior), inc, small_noise.scaled_modes())
+        out = np.zeros(grid.n_interior) * kick_factor(inc, small_noise.scaled_modes())
         assert np.all(out == 0)
 
     def test_zero_increments(self, grid, rng, small_noise):
         X = random_field(grid, rng).values
-        out = noise_kick(X, np.zeros(2), small_noise.scaled_modes())
+        out = X * kick_factor(np.zeros(2), small_noise.scaled_modes())
         np.testing.assert_array_equal(out, X)
 
     def test_single_mode_cross_check(self, grid, rng, basis):
         spec = NoiseSpec(mu=np.array([0.7]), basis=basis)
         X = random_field(grid, rng).values
-        inc = np.array([0.35])
-        out = noise_kick(X, inc, spec.scaled_modes())
+        out = X * kick_factor(np.array([0.35]), spec.scaled_modes())
         direct = X * (1.0 + 0.7 * 0.35 * basis.mode(1).values)
         np.testing.assert_allclose(out, direct, rtol=1e-14)
-        # the step is the state times the factor that run_path multiplies in
-        assert out.tobytes() == (X * kick_factor(inc, spec.scaled_modes())).tobytes()
 
     def test_bilinearity(self, grid, rng, small_noise):
         """kick - X is linear in the state and in the increments."""
         modes = small_noise.scaled_modes()
 
         def term(x, inc):
-            return noise_kick(x, inc, modes) - x
+            return x * kick_factor(inc, modes) - x
 
         X, Y = random_field(grid, rng).values, random_field(grid, rng).values
         i1 = rng.standard_normal(2)
@@ -111,12 +107,8 @@ class TestNoiseField:
             term(X, both), term(X, i1) + term(X, i2), rtol=1e-12, atol=1e-14
         )
 
-    def test_shape_mismatch(self, grid, rng, small_noise):
-        X = random_field(grid, rng).values
-        modes = small_noise.scaled_modes()
-        with pytest.raises(ValueError):
-            noise_kick(X, np.zeros(3), modes)
+    def test_shape_mismatch(self, small_noise):
+        """Increments must match the modes; a state on another grid is
+        refused by run_path (test_noise_on_another_grid_rejected)."""
         with pytest.raises(ValueError, match="3 increments for 2 noise modes"):
-            kick_factor(np.zeros(3), modes)
-        with pytest.raises(GridError):
-            noise_kick(X[:-1], np.zeros(2), modes)
+            kick_factor(np.zeros(3), small_noise.scaled_modes())

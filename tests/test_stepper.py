@@ -24,7 +24,14 @@ from spmlab import (
     weak_form_residual,
 )
 from spmlab.harness import InitialSpec, make_initial
-from spmlab.operators import GridError, laplacian_array, norm_l2
+from spmlab.operators import (
+    GridError,
+    laplacian_array,
+    norm_hm1_array,
+    norm_l2,
+    norm_lp_array,
+    poisson_solve_array,
+)
 from spmlab.stepper import ImplicitStepError, NonFiniteStageError, SolverCounts, Trajectory
 from spmlab.theory import BoundInputs, deterministic_extinction_time
 
@@ -379,21 +386,38 @@ class TestRunPath:
         res = run_path(random_field(grid, rng), cfg, model, small_noise, seed=(1, 0))
         assert res.failure is not None and "residual" in res.failure
 
+    def test_failed_path_records_the_held_state(self, model, basis, monkeypatch):
+        """When the stage fails at step 3 the path holds its kicked state,
+        and every row records the norms of the state it stores: the held
+        state's H^-1 norm, not the last stage's."""
+        noise = NoiseSpec(mu=np.array([0.3, 0.1]), basis=basis)
+        x0, cfg = self._noisy_extinct_setup(basis, store_states=True)
+        stage, calls = stepper_mod._drift_substeps, []
+
+        def fail_third(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise ImplicitStepError(residual=1.0)
+            return stage(*args)
+
+        monkeypatch.setattr(stepper_mod, "_drift_substeps", fail_third)
+        res = run_path(x0, cfg, model, noise, seed=(1, 0))
+        assert res.failure is not None and len(calls) == 3 and res.tau_hat is None
+        h = basis.grid.spacing
+        states = res.states
+        np.testing.assert_array_equal(
+            res.hm1_norms, norm_hm1_array(states, poisson_solve_array(states, h), h)
+        )
+        np.testing.assert_array_equal(res.lp_norms, norm_lp_array(states, h, 1.5))
+        assert res.hm1_norms[3] != res.hm1_norms[2]
+
     def test_noise_on_another_grid_rejected(self, model, small_noise, rng):
-        """run_path multiplies by the noise factor itself, so it checks the
-        grids as noise_kick does, before the first step."""
+        """run_path multiplies the state by the noise factor, so it checks
+        that both live on one grid, before the first step."""
         coarse = GridSpec(31)
         cfg = SolverConfig(dt=1e-3, t_final=0.01)
         with pytest.raises(GridError, match="different grids"):
             run_path(random_field(coarse, rng), cfg, model, small_noise, seed=(1, 0))
-
-    def test_trajectory_csv(self, det_extinct_path, tmp_path):
-        _, res = det_extinct_path
-        out = tmp_path / "traj.csv"
-        res.to_csv(out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "t,hm1_norm,lp_norm,min,max,supermartingale"
-        assert len(lines) == res.times.size + 1
 
     @staticmethod
     def _noisy_extinct_setup(basis, **solver):
@@ -599,3 +623,9 @@ class TestSolverConfig:
     def test_dt_dividing_t_final_up_to_rounding(self):
         # 0.3 / 0.1 is 2.9999999999999996 and 3 * 0.1 is 0.30000000000000004
         assert SolverConfig(dt=0.1, t_final=0.3).t_final == 0.3
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-6, float("inf")])
+    def test_extinction_eps_positive_and_finite(self, eps):
+        """run_path's extinction test |X|_-1 <= eps needs 0 < eps < inf."""
+        with pytest.raises(ValueError, match="extinction_eps"):
+            SolverConfig(dt=0.1, t_final=0.3, extinction_eps=eps)
