@@ -33,7 +33,8 @@ from spmlab.operators import (
     poisson_solve_array,
 )
 from spmlab.stepper import ImplicitStepError, NonFiniteStageError, SolverCounts, Trajectory
-from spmlab.theory import BoundInputs, deterministic_extinction_time
+from spmlab.cli import _write_csv
+from spmlab.theory import BoundInputs, deterministic_extinction_time, discounted_norm
 
 from conftest import (
     drift_oracle,
@@ -418,6 +419,26 @@ class TestRunPath:
         cfg = SolverConfig(dt=1e-3, t_final=0.01)
         with pytest.raises(GridError, match="different grids"):
             run_path(random_field(coarse, rng), cfg, model, small_noise, seed=(1, 0))
+
+    def test_trajectory_csv(self, det_extinct_path, tmp_path):
+        """The recorded rows written by the CLI's CSV writer: the header, one
+        line per row, and every value read back exactly, the exact zeros
+        after extinction included."""
+        _, res = det_extinct_path
+        m = discounted_norm(res.times, res.hm1_norms, 0.0, 0.5)
+        columns = (res.times, res.hm1_norms, res.lp_norms, res.min_values, res.max_values, m)
+        out = tmp_path / "traj.csv"
+        _write_csv(
+            out, "t,hm1_norm,lp_norm,min,max,supermartingale",
+            zip(*(c.tolist() for c in columns)),
+        )
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "t,hm1_norm,lp_norm,min,max,supermartingale"
+        assert len(lines) == res.times.size + 1
+        np.testing.assert_array_equal(
+            np.loadtxt(lines[1:], delimiter=","), np.column_stack(columns)
+        )
+        assert res.hm1_norms[-1] == 0.0
 
     @staticmethod
     def _noisy_extinct_setup(basis, **solver):
