@@ -1,7 +1,6 @@
 """Desk-scale laboratory for finite-time extinction in 1-D stochastic
 fast-diffusion porous media dynamics."""
 
-from .analysis import ensemble_supermartingale_test
 from .harness import (
     EnsembleSummary,
     ExperimentConfig,
@@ -9,6 +8,7 @@ from .harness import (
     compare_with_bound,
     config_from_dict,
     config_from_yaml,
+    ensemble_supermartingale_test,
     make_initial,
     run_ensemble,
     wilson_interval,

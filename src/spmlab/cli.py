@@ -36,22 +36,19 @@ _NUMERICAL_ERRORS = (EnsembleFailure, PathFailedError, ImplicitStepError)
 
 
 def _load_config(path, seed):
-    """The config at path with the seed override applied; on a config error,
-    print it and exit EXIT_CONFIG."""
+    """The config at path with the seed override applied; a file that cannot
+    be read is a ConfigError."""
     try:
         cfg = config_from_yaml(path)
-        if seed is not None:
-            cfg = replace(cfg, master_seed=seed)
-    except (ConfigError, OSError) as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    return cfg
+    except OSError as exc:
+        raise ConfigError(exc) from exc
+    return cfg if seed is None else replace(cfg, master_seed=seed)
 
 
 @contextmanager
 def _exit_on_error():
-    """Exit EXIT_CONFIG on a config error that shows only once the context is
-    built (an initial state that overflows), EXIT_NUMERICAL on a numerical
+    """Exit EXIT_CONFIG on a config error (in the file, or an initial state
+    that overflows once the context is built), EXIT_NUMERICAL on a numerical
     failure; print the error either way."""
     try:
         yield
@@ -98,8 +95,8 @@ def main():
 @common_options
 def simulate(config_path, seed, out):
     """Run a single path and write its trajectory CSV."""
-    cfg = _load_config(config_path, seed)
     with _exit_on_error():
+        cfg = _load_config(config_path, seed)
         noise, x0 = _build_context(cfg)
         traj = run_path(x0, cfg.solver, cfg.model, noise, seed=(cfg.master_seed, 0))
     if traj.failure is not None:
@@ -124,9 +121,8 @@ def simulate(config_path, seed, out):
               help="exit 4 if the empirical CDF fails the theoretical bound")
 def ensemble(config_path, seed, out, workers, strict):
     """Run a Monte Carlo ensemble; write summary JSON and tau CSV."""
-    cfg = _load_config(config_path, seed)
     with _exit_on_error():
-        summary = run_ensemble(cfg, workers=workers)
+        summary = run_ensemble(_load_config(config_path, seed), workers=workers)
     d = _outdir(out)
     (d / "summary.json").write_text(summary.to_json() + "\n")
     _write_csv(d / "tau.csv", "path_index,tau_hat", enumerate(summary.tau_hats))
@@ -143,11 +139,11 @@ def ensemble(config_path, seed, out, workers, strict):
 @common_options
 def bound(config_path, seed, out):
     """Write the theoretical extinction-probability bound curve as CSV."""
-    cfg = _load_config(config_path, seed)
     with _exit_on_error():
+        cfg = _load_config(config_path, seed)
         noise, x0 = _build_context(cfg)
-    gamma = resolve_gamma(cfg)
-    inputs = build_bound_inputs(cfg, x0, noise, gamma)
+        gamma = resolve_gamma(cfg)
+        inputs = build_bound_inputs(cfg, x0, noise, gamma)
     ts = np.linspace(cfg.solver.t_final / 200, cfg.solver.t_final, 200)
     path = _outdir(out) / "bound.csv"
     _write_csv(path, "t,bound", ((t, extinction_bound(t, inputs)) for t in ts.tolist()))
@@ -158,8 +154,9 @@ def bound(config_path, seed, out):
 @common_options
 def gamma(config_path, seed, out):
     """Estimate the embedding coercivity constant and write it as JSON."""
-    cfg = _load_config(config_path, seed)
-    est = estimate_gamma(cfg.grid, cfg.model.diffusion.alpha)
+    with _exit_on_error():
+        cfg = _load_config(config_path, seed)
+        est = estimate_gamma(cfg.grid, cfg.model.diffusion.alpha)
     path = _outdir(out) / "gamma.json"
     path.write_text(json.dumps(
         {
@@ -176,19 +173,19 @@ def gamma(config_path, seed, out):
 @common_options
 def convergence(config_path, seed, out):
     """Regularization-parameter convergence study on a shared Brownian path."""
-    cfg = _load_config(config_path, seed)
     with _exit_on_error():
+        cfg = _load_config(config_path, seed)
         noise, x0 = _build_context(cfg)
-        report = convergence_study(
+        rows = convergence_study(
             x0, cfg.solver, cfg.model, noise,
             cfg.convergence_lambdas, seed=(cfg.master_seed, 0),
         )
     path = _outdir(out) / "convergence.csv"
     _write_csv(
         path, "lambda_coarse,lambda_fine,sup_hm1_distance,l2l2_distance",
-        ((r.lam_coarse, r.lam_fine, r.sup_hm1, r.l2l2) for r in report.rows),
+        ((r.lam_coarse, r.lam_fine, r.sup_hm1, r.l2l2) for r in rows),
     )
-    click.echo(f"wrote {path} ({len(report.rows)} pairs)")
+    click.echo(f"wrote {path} ({len(rows)} pairs)")
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Experiment orchestration: configs, seeded parallel ensembles, empirical
-extinction CDFs with Wilson intervals, and comparison against the theoretical
-bound.
+extinction CDFs with Wilson intervals, comparison against the theoretical
+bound, and the ensemble test of the discounted-norm supermartingale. Both
+read a path at a checkpoint through SolverConfig.step_time.
 
 Per-path RNG streams are keyed by (master_seed, path_index) and aggregation
 is order-independent, so a summary is bitwise reproducible for a fixed config
@@ -19,7 +20,6 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .analysis import SupermartingaleReport, ensemble_supermartingale_test
 from .nonlinearity import DiffusionLaw, ModelParams
 from .noise import NoiseSpec, c_star
 from .operators import (
@@ -33,7 +33,7 @@ from .operators import (
     norm_l2_array,
 )
 from .stepper import SolverConfig, SolverCounts, Trajectory, run_path
-from .theory import BoundInputs, extinction_bound
+from .theory import BoundInputs, discounted_norm, extinction_bound
 
 # the two-sided 95% normal quantile: every Wilson interval, and so every
 # bound comparison, is stated at the 95% level
@@ -217,12 +217,11 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     try:
         c = _read(raw, _CONFIG_KEYS)
         m = c.pop("model")
-        model = ModelParams(
-            DiffusionLaw(rho=m["rho"], alpha=m["alpha"]),
-            lam=m["lambda"],
-            # model.aux.slope is ModelParams.aux_slope
-            **{f"aux_{key}": v for key, v in m.get("aux", {}).items()},
-        )
+        # model.lambda is ModelParams.lam and model.aux.slope its aux_slope
+        given = {f"aux_{key}": v for key, v in m.get("aux", {}).items()}
+        if "lambda" in m:
+            given["lam"] = m["lambda"]
+        model = ModelParams(DiffusionLaw(rho=m["rho"], alpha=m["alpha"]), **given)
         return ExperimentConfig(
             grid=GridSpec(**c.pop("grid")),
             model=model,
@@ -239,7 +238,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def config_from_yaml(path) -> ExperimentConfig:
     with open(path) as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ConfigError(f"{path} is not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path} does not contain a mapping")
     return config_from_dict(raw)
@@ -298,6 +300,50 @@ class ComparisonReport:
     rows: list[ComparisonRow]
     slack: float
     overall_pass: bool
+
+
+@dataclass
+class SupermartingaleReport:
+    means: list[float]
+    standard_errors: list[float]
+    pair_pass: list[bool]
+    overall_pass: bool
+
+
+def ensemble_supermartingale_test(
+    trajectories: list[Trajectory], checkpoints, c_star: float, alpha: float
+) -> SupermartingaleReport:
+    """Mean-decrease check on M(t) = discounted_norm(t, |X(t)|_{-1}, c_star,
+    alpha), evaluated at each path's last recorded row at or before
+    step_time(t) of each checkpoint t: at each consecutive checkpoint pair
+    (r, t) require mean M(t) <= mean M(r) + 2*SE(t).
+
+    Pathwise supermartingale behavior is not directly assertable from an
+    ensemble; the mean inequality is its falsifiable consequence.
+    """
+    n = len(trajectories)
+    if n < 100:
+        raise ValueError(f"need at least 100 paths, got {n}")
+    times = np.empty((n, len(checkpoints)))
+    hm1 = np.empty_like(times)
+    for i, traj in enumerate(trajectories):
+        steps = [traj.config.step_time(t) for t in checkpoints]
+        rows = np.searchsorted(traj.times, steps, side="right") - 1
+        if rows.min() < 0:
+            raise ValueError(f"checkpoint {min(checkpoints)} precedes the recorded series")
+        times[i], hm1[i] = traj.times[rows], traj.hm1_norms[rows]
+    # on arrays, so numpy takes the kernels that a whole column would (a
+    # numpy scalar's power can round differently)
+    samples = discounted_norm(times, hm1, c_star, alpha)
+    means = samples.mean(axis=0)
+    ses = samples.std(axis=0, ddof=1) / np.sqrt(n)
+    pair_pass = [bool(b <= a + 2.0 * se) for a, b, se in zip(means, means[1:], ses[1:])]
+    return SupermartingaleReport(
+        means=means.tolist(),
+        standard_errors=ses.tolist(),
+        pair_pass=pair_pass,
+        overall_pass=all(pair_pass),
+    )
 
 
 @dataclass
@@ -420,12 +466,12 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
             f"{n_failed}/{config.n_paths} paths failed (cap 1%): {sorted(reasons)}"
         )
 
-    taus = [r.tau_hat for r in ok]
     n_ok = len(ok)
     checkpoints = list(config.checkpoints)
     cdf, lo, hi = [], [], []
     for t in checkpoints:
-        k = sum(1 for tau in taus if tau is not None and tau <= t)
+        step = config.solver.step_time(t)
+        k = sum(r.tau_hat is not None and r.tau_hat <= step for r in ok)
         cdf.append(k / n_ok)
         w = wilson_interval(k, n_ok)
         lo.append(w[0])

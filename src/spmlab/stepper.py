@@ -114,6 +114,15 @@ class SolverConfig:
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 
+    def step_time(self, t: float) -> float:
+        """The time run_path writes for its last step at or before t,
+        floor(t/dt)*dt, with t/dt read to the 1e-9 tolerance of t_final's
+        check. The one reader of a checkpoint t: a path is extinct by t iff
+        tau_hat <= step_time(t), and its state at t is its last row at or
+        before step_time(t). Neither compares with t itself, which a step
+        time can pass by an ulp (1050*1e-4 = 0.10500000000000001)."""
+        return math.floor(t / self.dt * (1.0 + 1e-9)) * self.dt
+
 
 @dataclass
 class SolverCounts:
@@ -360,11 +369,11 @@ def run_path(
 def weak_form_residual(
     traj: Trajectory,
     j: int,
-    basis,
     model: ModelParams,
     noise: NoiseSpec,
 ) -> float:
-    """Max defect of the mode-j weak identity along one stored path.
+    """Max defect of the weak identity tested against mode j of the noise's
+    basis, along one stored path.
 
     The drift integrand uses the unregularized power law, so the defect also
     absorbs the lam-regularization error on top of the time-stepping error.
@@ -376,6 +385,7 @@ def weak_form_residual(
     config = traj.config
     if not config.store_states or config.record_every != 1:
         raise ValueError("weak-form residual needs store_states and record_every=1")
+    basis = noise.basis
     h = basis.grid.spacing
     dt = config.dt
     ej = basis.mode(j).values
@@ -388,7 +398,7 @@ def weak_form_residual(
     cum_drift[1:] = dt * (np.cumsum(drift_vals[1:]) + np.cumsum(drift_vals[:-1])) / 2.0
 
     mu = noise.mu
-    modes = noise.basis.modes[: noise.n_modes]
+    modes = basis.modes[: noise.n_modes]
     stream = make_stream(*traj.seed)
     dbeta = np.array([
         sample_increments(dt, noise.n_modes, stream) for _ in range(states.shape[0] - 1)
@@ -411,11 +421,6 @@ class ConvergenceRow:
     l2l2: float
 
 
-@dataclass
-class ConvergenceReport:
-    rows: list[ConvergenceRow] = field(default_factory=list)
-
-
 def convergence_study(
     x0: Field,
     config: SolverConfig,
@@ -423,7 +428,7 @@ def convergence_study(
     noise: NoiseSpec,
     lambdas,
     seed: tuple[int, int],
-) -> ConvergenceReport:
+) -> list[ConvergenceRow]:
     """Distances between runs at successive regularization levels.
 
     All runs share the same stream key, hence the same Brownian path. Reports
@@ -440,17 +445,17 @@ def convergence_study(
         runs.append(traj)
 
     h = x0.grid.spacing
-    report = ConvergenceReport()
+    rows = []
     for a, b, la, lb in zip(runs, runs[1:], lambdas, lambdas[1:]):
         diff = a.states - b.states
         sup_hm1 = norm_hm1_array(diff, poisson_solve_array(diff, h), h).max()
         l2sq = norm_l2_array(diff, h) ** 2
         # trapezoid rule, written out: np.trapezoid needs numpy >= 2.0
         l2l2 = float(np.sqrt(np.sum(np.diff(a.times) * (l2sq[1:] + l2sq[:-1]) / 2.0)))
-        report.rows.append(
+        rows.append(
             ConvergenceRow(
                 lam_coarse=float(la), lam_fine=float(lb),
                 sup_hm1=float(sup_hm1), l2l2=l2l2,
             )
         )
-    return report
+    return rows

@@ -151,10 +151,10 @@ class TestCriterion4:
             InitialSpec(kind="eigenmode", mode=1, target_hm1_norm=X0_HM1), grid, basis
         )
         cfg = SolverConfig(dt=5e-4, t_final=0.05, record_every=5)
-        rep = convergence_study(
+        rows = convergence_study(
             x0, cfg, model, noise, (1e-1, 5e-2, 2.5e-2, 1.25e-2), seed=(42, 0)
         )
-        d = [r.sup_hm1 for r in rep.rows]
+        d = [r.sup_hm1 for r in rows]
         decreasing = all(a > b for a, b in zip(d, d[1:]))
         contraction = d[-1] <= 0.25 * d[0]
         report(
@@ -181,7 +181,7 @@ class TestCriterion5:
             for dt in (4e-3, 2e-3, 1e-3, 5e-4):
                 cfg = SolverConfig(dt=dt, t_final=0.048, record_every=1, store_states=True)
                 res = run_path(x0, cfg, model, noise, seed=(1, 0))
-                residuals.append(weak_form_residual(res, j, basis, model, noise))
+                residuals.append(weak_form_residual(res, j, model, noise))
             ratios = [a / b for a, b in zip(residuals, residuals[1:])]
             ok = all(1.2 <= r <= 4.0 for r in ratios)
             all_ok &= ok

@@ -12,14 +12,14 @@ from conftest import absorption_fault
 UNIT_STEPS = SolverConfig(dt=1.0, t_final=4.0, extinction_eps=0.001)
 
 
-def make_traj(times, hm1, tau_hat=None, max_values=None):
+def make_traj(times, hm1, tau_hat=None, max_values=None, config=UNIT_STEPS):
     times = np.asarray(times, dtype=float)
     hm1 = np.asarray(hm1, dtype=float)
     z = np.zeros_like(times)
     top = z if max_values is None else np.asarray(max_values, dtype=float)
     return Trajectory(
         times=times, hm1_norms=hm1, lp_norms=z, min_values=z, max_values=top,
-        seed=(0, 0), config=UNIT_STEPS, tau_hat=tau_hat,
+        seed=(0, 0), config=config, tau_hat=tau_hat,
     )
 
 
@@ -103,3 +103,20 @@ class TestEnsembleTest:
         trajs = [make_traj([1, 2], [1.0, 1.0]) for _ in range(100)]
         with pytest.raises(ValueError, match="checkpoint 0.5 precedes"):
             ensemble_supermartingale_test(trajs, [0.5, 2.0], 0.0, 0.5)
+
+    def test_acceptance_checkpoints_read_at_their_steps(self):
+        """At dt = 1e-4 and record_every = 5 each acceptance checkpoint is
+        read at its own step, also the four (0.105, 0.175, 0.21, 0.245) whose
+        step time i*dt lies an ulp above the checkpoint."""
+        config = SolverConfig(dt=1e-4, t_final=0.278, record_every=5)
+        checkpoints = [0.035, 0.070, 0.105, 0.140, 0.175, 0.210, 0.245, 0.278]
+        steps = [350, 700, 1050, 1400, 1750, 2100, 2450, 2780]
+        assert 1050 * config.dt > 0.105
+        # at c* = 0 and alpha = 1/2, M at a row is its step index
+        recorded = np.arange(0, 2781, 5)
+        trajs = [
+            make_traj(recorded * config.dt, recorded.astype(float) ** 2, config=config)
+            for _ in range(100)
+        ]
+        rep = ensemble_supermartingale_test(trajs, checkpoints, 0.0, 0.5)
+        assert rep.means == pytest.approx(steps, rel=1e-15)

@@ -63,6 +63,17 @@ class TestSimulate:
         r = run_cli("simulate", "--config", str(p))
         assert r.exit_code == 2
 
+    def test_missing_rho_exit_2(self, tmp_path):
+        """model.rho has no default: a config that leaves it out is a config
+        error."""
+        raw = base_raw()
+        del raw["model"]["rho"]
+        p = tmp_path / "no_rho.yaml"
+        p.write_text(yaml.safe_dump(raw))
+        r = run_cli("simulate", "--config", str(p))
+        assert r.exit_code == 2, r.output
+        assert "config error" in r.output and "rho" in r.output
+
     def test_unknown_key_exit_2(self, tmp_path):
         raw = base_raw()
         raw["solver"]["newton_tl"] = 1e-12
@@ -288,3 +299,13 @@ class TestMissingConfig:
     def test_nonexistent_file(self):
         r = run_cli("simulate", "--config", "/does/not/exist.yaml")
         assert r.exit_code != 0
+
+
+class TestMalformedYaml:
+    @pytest.mark.parametrize("command", ["simulate", "gamma"])
+    def test_exit_2(self, tmp_path, command):
+        p = tmp_path / "broken.yaml"
+        p.write_text("grid: {n_interior: 31\nK: [\n")
+        r = run_cli(command, "--config", str(p), "--out", str(tmp_path / "o"))
+        assert r.exit_code == 2, r.output
+        assert "not valid YAML" in r.output

@@ -140,6 +140,13 @@ class TestConfig:
         assert cfg.model.lam == 1e-4
         assert cfg.mu == (0.05, 0.02)
 
+    def test_lambda_takes_its_default(self):
+        """model.lambda may be left out, like every key but rho and alpha:
+        it is then ModelParams.lam's default."""
+        raw = base_raw()
+        del raw["model"]["lambda"]
+        assert config_from_dict(raw).model.lam == 1e-4
+
     def test_aux_slope(self):
         model = {"rho": 1.0, "alpha": 0.5, "lambda": 1e-4, "aux": {"slope": 0.4}}
         assert config_from_dict(base_raw(model=model)).model.aux_slope == 0.4
@@ -329,8 +336,31 @@ class TestRunEnsemble:
         summary = run_ensemble(cfg)
         tau = summary.tau_hats[0]
         assert tau is not None
-        expected = [1.0 if tau <= t else 0.0 for t in summary.checkpoints]
+        expected = [1.0 if tau <= cfg.solver.step_time(t) else 0.0 for t in summary.checkpoints]
         assert summary.empirical_cdf == expected
+
+    def test_path_dead_on_a_checkpoints_step(self, monkeypatch):
+        """A path extinct at step 1050 of dt = 1e-4 is extinct by 0.105,
+        though the step's time 1050*1e-4 is an ulp above 0.105."""
+        cfg = config_from_dict(base_raw(
+            n_paths=1,
+            gamma=1.0,
+            solver=dict(dt=1e-4, t_final=0.278, record_every=5),
+            checkpoints=[0.070, 0.105, 0.140],
+        ))
+        tau = 1050 * cfg.solver.dt
+        assert tau > 0.105
+
+        def dead_at_step_1050(x0, config, model, noise, seed, gamma_check):
+            times = np.arange(0, 2781, 5) * config.dt
+            hm1 = np.where(times < tau, 0.1, 0.0)
+            return Trajectory(
+                times=times, hm1_norms=hm1, lp_norms=hm1, min_values=hm1,
+                max_values=hm1, seed=seed, config=config, tau_hat=tau,
+            )
+
+        monkeypatch.setattr("spmlab.harness.run_path", dead_at_step_1050)
+        assert run_ensemble(cfg).empirical_cdf == [0.0, 1.0, 1.0]
 
     def test_zero_start_all_extinct(self, grid):
         cfg = config_from_dict(

@@ -563,19 +563,19 @@ class TestWeakFormResidual:
 
     def test_zero_start_zero_residual(self, grid, basis, model, small_noise):
         res = self._run(Field.zero(grid), grid, basis, small_noise, model, 1e-3)
-        assert weak_form_residual(res, 1, basis, model, small_noise) == 0.0
+        assert weak_form_residual(res, 1, model, small_noise) == 0.0
 
     def test_requires_logs(self, grid, basis, model, small_noise):
         cfg = SolverConfig(dt=1e-3, t_final=0.01)
         res = run_path(Field.zero(grid), cfg, model, small_noise, seed=(3, 0))
         with pytest.raises(ValueError):
-            weak_form_residual(res, 1, basis, model, small_noise)
+            weak_form_residual(res, 1, model, small_noise)
 
     def test_rejects_recording_stride(self, grid, basis, model, small_noise):
         cfg = SolverConfig(dt=1e-3, t_final=0.01, record_every=5, store_states=True)
         res = run_path(Field.zero(grid), cfg, model, small_noise, seed=(3, 0))
         with pytest.raises(ValueError):
-            weak_form_residual(res, 1, basis, model, small_noise)
+            weak_form_residual(res, 1, model, small_noise)
 
     def test_pinned_on_noisy_extinct_path(self, basis, model, small_noise):
         """The Ito sums take the increments the path drew, drawn again from its
@@ -584,8 +584,8 @@ class TestWeakFormResidual:
         x0, cfg = TestRunPath._noisy_extinct_setup(basis, store_states=True)
         res = run_path(x0, cfg, model, small_noise, seed=(8, 3))
         assert res.tau_hat == 0.128
-        assert weak_form_residual(res, 1, basis, model, small_noise) == 0.0026278702602056626
-        assert weak_form_residual(res, 2, basis, model, small_noise) == 2.3467807855102147e-05
+        assert weak_form_residual(res, 1, model, small_noise) == 0.0026278702602056626
+        assert weak_form_residual(res, 2, model, small_noise) == 2.3467807855102147e-05
 
     def test_halving_ratio_window(self, grid, basis, quiet_noise):
         model = ModelParams(DiffusionLaw(1.0, 0.5), lam=1e-5)
@@ -596,7 +596,7 @@ class TestWeakFormResidual:
         defects = []
         for dt in (2e-3, 1e-3, 5e-4):
             res = self._run(x0, grid, basis, quiet_noise, model, dt)
-            defects.append(weak_form_residual(res, 1, basis, model, quiet_noise))
+            defects.append(weak_form_residual(res, 1, model, quiet_noise))
         for big, small in zip(defects, defects[1:]):
             assert 1.2 <= big / small <= 4.0
 
@@ -605,20 +605,20 @@ class TestConvergenceStudy:
     def test_identical_lambdas_zero_distance(self, grid, basis, model, small_noise):
         x0 = basis.mode(1)
         cfg = SolverConfig(dt=1e-3, t_final=0.01, record_every=2)
-        rep = convergence_study(
+        rows = convergence_study(
             x0, cfg, model, small_noise, (1e-2, 1e-2), seed=(11, 0)
         )
-        assert rep.rows[0].sup_hm1 == 0.0
-        assert rep.rows[0].l2l2 == 0.0
+        assert rows[0].sup_hm1 == 0.0
+        assert rows[0].l2l2 == 0.0
 
     def test_cauchy_decrease(self, grid, basis, model, small_noise):
         e1 = basis.mode(1)
         x0 = e1.with_values(e1.values * (0.1 / norm_hm1(e1)))
         cfg = SolverConfig(dt=1e-3, t_final=0.03, record_every=3)
-        rep = convergence_study(
+        rows = convergence_study(
             x0, cfg, model, small_noise, (1e-1, 5e-2, 2.5e-2), seed=(11, 0)
         )
-        d = [r.sup_hm1 for r in rep.rows]
+        d = [r.sup_hm1 for r in rows]
         assert d[0] > d[1] > 0
 
     def test_seed_reproducible(self, grid, basis, model, small_noise):
@@ -626,10 +626,18 @@ class TestConvergenceStudy:
         cfg = SolverConfig(dt=1e-3, t_final=0.01, record_every=2)
         a = convergence_study(x0, cfg, model, small_noise, (1e-1, 5e-2), seed=(2, 0))
         b = convergence_study(x0, cfg, model, small_noise, (1e-1, 5e-2), seed=(2, 0))
-        assert a.rows[0].sup_hm1 == b.rows[0].sup_hm1
+        assert a[0].sup_hm1 == b[0].sup_hm1
 
 
 class TestSolverConfig:
+    def test_step_time(self):
+        """The time run_path writes for its last step at or before t."""
+        cfg = SolverConfig(dt=1e-4, t_final=0.278)
+        assert cfg.step_time(0.10504) == 1050 * cfg.dt
+        assert cfg.step_time(0.10499) == 1049 * cfg.dt
+        assert cfg.step_time(0.105) == 1050 * cfg.dt > 0.105
+        assert cfg.step_time(cfg.t_final) == 2780 * cfg.dt
+
     def test_dt_bounds(self):
         with pytest.raises(ValueError):
             SolverConfig(dt=1.0, t_final=0.5)
