@@ -116,7 +116,8 @@ def simulate(config_path, seed, out):
 
 @main.command()
 @common_options
-@click.option("--workers", type=int, default=1, help="parallel path workers")
+@click.option("--workers", type=click.IntRange(min=1), default=1,
+              help="parallel path workers (at least 1)")
 @click.option("--strict", is_flag=True,
               help="exit 4 if the empirical CDF fails the theoretical bound")
 def ensemble(config_path, seed, out, workers, strict):

@@ -352,7 +352,6 @@ class EnsembleSummary:
     empirical_cdf: list[float]
     wilson_lo: list[float]
     wilson_hi: list[float]
-    theory_bound: list[float]
     supermartingale_report: Optional[SupermartingaleReport]
     extinct_fraction: float
     n_failed: int
@@ -367,7 +366,7 @@ class EnsembleSummary:
     # solver work summed (worst residual: maxed) over all paths;
     # deterministic, so serialized
     diagnostics: SolverCounts
-    # against the theory bound; run_ensemble sets it
+    # the bound at each checkpoint (its one copy) vs the CDF; run_ensemble sets it
     comparison: Optional[ComparisonReport] = None
     # the trajectories of the paths that did not fail, in path order;
     # never serialized
@@ -478,8 +477,6 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
         hi.append(w[1])
 
     inputs = build_bound_inputs(config, x0, noise, gamma)
-    bounds = [extinction_bound(t, inputs) for t in checkpoints]
-
     sm_report = (
         ensemble_supermartingale_test(ok, checkpoints, inputs.c_star, inputs.alpha)
         if n_ok >= 100 else None
@@ -493,7 +490,6 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
         empirical_cdf=cdf,
         wilson_lo=lo,
         wilson_hi=hi,
-        theory_bound=bounds,
         supermartingale_report=sm_report,
         extinct_fraction=sum(r.tau_hat is not None for r in ok) / n_ok,
         n_failed=n_failed,

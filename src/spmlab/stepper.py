@@ -36,6 +36,7 @@ both drift and noise).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -111,6 +112,12 @@ class SolverConfig:
             raise ValueError(
                 f"extinction_eps must be positive and finite, got {self.extinction_eps}"
             )
+        # run_path records step i when i % record_every == 0: a stride of 2.5
+        # would record every fifth step, and a bool is no stride
+        if isinstance(self.record_every, bool) or not isinstance(
+            self.record_every, numbers.Integral
+        ):
+            raise ValueError(f"record_every must be an integer, got {self.record_every!r}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 

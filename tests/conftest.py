@@ -10,8 +10,11 @@ from spmlab import (
     ModelParams,
     NoiseSpec,
     build_basis,
+    estimate_gamma,
+    norm_hm1,
     psi0,
 )
+from spmlab.operators import poisson_solve_array
 
 
 @pytest.fixture(scope="session")
@@ -63,6 +66,52 @@ def gamma_continuum(alpha, length=1.0):
     m = c ** (2.0 / (q - 2.0))
     n = c * (j / i) * m ** (1.0 + q / 2.0)
     return n ** (0.5 - 1.0 / q) * length ** (1.0 / (1.0 + alpha) - 1.5)
+
+
+def extremal_start(grid, alpha, target):
+    """The discrete extremal of gamma, scaled to |u|_-1 = target.
+
+    estimate_gamma's minimizer, taken 10 more dual-power steps (v = A^-1 u,
+    v /= max|v|, u = |v|^(q-2) v, q = (1+alpha)/alpha) towards the fixed
+    point A v = kappa u. There psi0(u) is a multiple of v, so Laplacian(
+    psi0(a*u)) = -rho*gamma^(1+alpha)*a^alpha*u when |u|_-1 = 1: as lam -> 0
+    the noise-free equation keeps the shape and moves only its amplitude
+    a = |X|_-1, and so does its backward-Euler scheme
+    (scheme_extinction_time). The paper's coercivity estimate is then an
+    equality, d/dt a^(1-alpha) = -(1-alpha)*rho*gamma^(1+alpha).
+    """
+    h = grid.spacing
+    q = (1.0 + alpha) / alpha
+    u = estimate_gamma(grid, alpha).minimizer.values
+    for _ in range(10):
+        v = poisson_solve_array(u, h)
+        v = v / np.abs(v).max()
+        u = np.abs(v) ** (q - 2.0) * v
+    return Field(u * (target / norm_hm1(Field(u, grid))), grid)
+
+
+def scheme_extinction_time(gamma, alpha, rho, dt, a0, eps):
+    """T_dt(eps) of the backward-Euler amplitude of an extremal start.
+
+    Each step solves a + dt*rho*gamma^(1+alpha)*a^alpha = a_prev for a, by
+    bisection on [0, a_prev] to adjacent floats (the left side increases in
+    a), starting from a0; returns the number of steps until a <= eps, times
+    dt.
+    """
+    c = dt * rho * gamma ** (1.0 + alpha)
+    a, steps = a0, 0
+    while a > eps:
+        lo, hi = 0.0, a
+        while True:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if mid + c * mid**alpha > a:
+                hi = mid
+            else:
+                lo = mid
+        a, steps = mid, steps + 1
+    return steps * dt
 
 
 def resolvent_half(r, rho, lam):

@@ -105,6 +105,15 @@ class TestEnsemble:
         a.pop("timestamp"), b.pop("timestamp")
         assert a == b
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_exit_2(self, cfg_file, tmp_path, workers):
+        """run_ensemble would take either for one in-process worker."""
+        out = tmp_path / "o"
+        r = run_cli("ensemble", "--config", str(cfg_file), "--workers", workers, "--out", str(out))
+        assert r.exit_code == 2, r.output
+        assert "Invalid value for '--workers'" in r.output
+        assert not out.exists()
+
     def test_strict_failure_exit_4(self, tmp_path):
         # gamma override so large the bound saturates at 1 before extinction
         raw = base_raw(n_paths=3, gamma=1e6, checkpoints=[0.01, 0.4])

@@ -394,8 +394,8 @@ class TestRunEnsemble:
         d = json.loads(s.to_json())
         for key in (
             "checkpoints", "empirical_cdf", "wilson_lo", "wilson_hi",
-            "theory_bound", "supermartingale_report", "extinct_fraction",
-            "n_failed", "gamma_used", "c_star", "timestamp",
+            "supermartingale_report", "extinct_fraction",
+            "n_failed", "gamma_used", "c_star", "comparison", "timestamp",
         ):
             assert key in d
 

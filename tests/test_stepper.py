@@ -38,11 +38,13 @@ from spmlab.theory import BoundInputs, deterministic_extinction_time, discounted
 
 from conftest import (
     drift_oracle,
+    extremal_start,
     gtsv_reference_stage,
     reference_stage,
     random_field,
     resolvent_bisect,
     resolvent_half,
+    scheme_extinction_time,
     scipy_poisson_solve,
 )
 
@@ -555,6 +557,50 @@ class TestRunPath:
         assert res.solver_counts.halvings == 0
 
 
+class TestExtremalOracle:
+    """Noise-free paths from extremal_start (|x0|_-1 = 0.1, n = 255, rho = 1),
+    on which the scheme reduces to one scalar recursion in |X|_-1, so gamma
+    fixes tau_hat to the step and the norm's decay in closed form."""
+
+    # t_final past the extinction time at each alpha
+    CASES = [(0.2, 0.07), (0.5, 0.14), (0.8, 0.4)]
+
+    @staticmethod
+    def _run(alpha, t_final, dt, lam):
+        grid = GridSpec(255)
+        noise = NoiseSpec(mu=np.zeros(1), basis=build_basis(grid, 1))
+        model = ModelParams(DiffusionLaw(1.0, alpha), lam=lam)
+        cfg = SolverConfig(dt=dt, t_final=t_final, extinction_eps=1e-6)
+        x0 = extremal_start(grid, alpha, 0.1)
+        return estimate_gamma(grid, alpha).value, run_path(x0, cfg, model, noise, seed=(0, 0))
+
+    @pytest.mark.parametrize("alpha, t_final", CASES)
+    def test_tau_hat_is_the_scalar_schemes(self, alpha, t_final):
+        """|tau_hat - T_dt(eps)| is at most one step (0 steps at each alpha:
+        T_dt = 0.0617, 0.1249, 0.3743)."""
+        dt = 1e-4
+        gamma, res = self._run(alpha, t_final, dt, lam=1e-4)
+        t_dt = scheme_extinction_time(gamma, alpha, 1.0, dt, 0.1, 1e-6)
+        assert res.tau_hat is not None
+        assert abs(res.tau_hat - t_dt) <= dt * (1.0 + 1e-9)
+
+    @pytest.mark.parametrize("alpha, t_final", CASES)
+    def test_first_order_in_dt(self, alpha, t_final):
+        """The largest error of |X|_-1^(1-alpha) against |x0|_-1^(1-alpha) -
+        D*t, D = (1-alpha)*rho*gamma^(1+alpha), over rows with |X|_-1 > 1e-3,
+        halves with dt (ratios 1.99-2.01). At lam = 1e-4 the regularization's
+        own error floors it (ratios 1.75-1.89), so lam is 1e-8 here."""
+        errors = []
+        for dt in (2e-4, 1e-4, 5e-5):
+            gamma, res = self._run(alpha, t_final, dt, lam=1e-8)
+            d = (1.0 - alpha) * gamma ** (1.0 + alpha)
+            live = res.hm1_norms > 1e-3
+            exact = 0.1 ** (1.0 - alpha) - d * res.times[live]
+            errors.append(np.abs(res.hm1_norms[live] ** (1.0 - alpha) - exact).max())
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 1.8 <= coarse / fine <= 2.2
+
+
 class TestWeakFormResidual:
     @staticmethod
     def _run(x0, grid, basis, noise, model, dt, t_final=0.02):
@@ -652,6 +698,17 @@ class TestSolverConfig:
     def test_dt_dividing_t_final_up_to_rounding(self):
         # 0.3 / 0.1 is 2.9999999999999996 and 3 * 0.1 is 0.30000000000000004
         assert SolverConfig(dt=0.1, t_final=0.3).t_final == 0.3
+
+    @pytest.mark.parametrize("stride", [2.5, True])
+    def test_record_every_is_an_integer(self, stride):
+        """run_path records step i when i % record_every == 0: a stride of
+        2.5 would record every fifth step, and a bool is no stride."""
+        with pytest.raises(ValueError, match="record_every must be an integer"):
+            SolverConfig(dt=0.1, t_final=0.3, record_every=stride)
+
+    @pytest.mark.parametrize("stride", [2, np.int64(2), np.int32(2)])
+    def test_record_every_takes_python_and_numpy_integers(self, stride):
+        assert SolverConfig(dt=0.1, t_final=0.3, record_every=stride).record_every == 2
 
     @pytest.mark.parametrize("eps", [0.0, -1e-6, float("inf")])
     def test_extinction_eps_positive_and_finite(self, eps):
