@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, is_dataclass
-from datetime import datetime, timezone
 from fractions import Fraction
 from functools import partial
 from typing import Optional
@@ -31,6 +30,7 @@ from .operators import (
     norm_hm1,
     norm_l2,
     norm_l2_array,
+    require_integer,
 )
 from .stepper import SolverConfig, SolverCounts, Trajectory, run_path
 from .theory import BoundInputs, discounted_norm, extinction_bound
@@ -65,6 +65,7 @@ class InitialSpec:
     def __post_init__(self):
         if self.kind not in ("eigenmode", "bump", "custom"):
             raise ConfigError(f"unknown initial condition kind {self.kind!r}")
+        require_integer("mode", self.mode, ConfigError)
         # mode is read only for an eigenmode; 1 is its default, which
         # perfbench's configs also write for the other kinds
         if self.kind != "eigenmode" and self.mode != 1:
@@ -97,6 +98,8 @@ class ExperimentConfig:
     convergence_lambdas: tuple[float, ...] = (1e-1, 5e-2, 2.5e-2, 1.25e-2)
 
     def __post_init__(self):
+        for name in ("K", "n_paths", "master_seed"):
+            require_integer(name, getattr(self, name), ConfigError)
         if not 1 <= self.K <= self.grid.n_interior:
             raise ConfigError(f"K={self.K} outside 1..{self.grid.n_interior}")
         if len(self.mu) != self.K:
@@ -288,8 +291,8 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
 
 @dataclass
 class ComparisonRow:
-    t: float
-    empirical: float
+    """One checkpoint's verdict; row i belongs to summary.checkpoints[i]."""
+
     bound: float
     half_width: float
     passed: bool
@@ -373,6 +376,7 @@ class EnsembleSummary:
     trajectories: Optional[list[Trajectory]] = None
 
     def bound_inputs(self, alpha: float, rho: float) -> BoundInputs:
+        """The bound's inputs under (alpha, rho); perfbench/run.py calls it."""
         return BoundInputs(
             x_norm_hm1=self.x0_norm_hm1,
             alpha=alpha,
@@ -381,19 +385,15 @@ class EnsembleSummary:
             c_star=self.c_star,
         )
 
-    def to_json_dict(self, include_timestamp: bool = True) -> dict:
-        """Every field but trajectories, nested records as plain dicts."""
+    def to_json(self) -> str:
+        """Every field but trajectories, nested records as plain dicts: a
+        function of the config and the seed alone."""
         d = {}
         for f in fields(self):
             if f.name != "trajectories":
                 value = getattr(self, f.name)
                 d[f.name] = asdict(value) if is_dataclass(value) else value
-        if include_timestamp:
-            d["timestamp"] = datetime.now(timezone.utc).isoformat()
-        return d
-
-    def to_json(self, include_timestamp: bool = True) -> str:
-        return json.dumps(self.to_json_dict(include_timestamp), sort_keys=True, indent=2)
+        return json.dumps(d, sort_keys=True, indent=2)
 
 
 def _build_context(config: ExperimentConfig):
@@ -495,7 +495,7 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
         n_failed=n_failed,
         gamma_used=gamma,
         c_star=inputs.c_star,
-        n_paths=config.n_paths,
+        n_paths=len(results),  # an int, also for a numpy n_paths
         x0_norm_hm1=inputs.x_norm_hm1,
         tau_hats=[r.tau_hat for r in results],
         positivity_violations=(
@@ -524,13 +524,7 @@ def compare_with_bound(summary: EnsembleSummary, inputs: BoundInputs) -> Compari
         bound = extinction_bound(t, inputs)
         half = (hi - lo) / 2.0
         rows.append(
-            ComparisonRow(
-                t=t,
-                empirical=emp,
-                bound=bound,
-                half_width=half,
-                passed=bool(emp >= bound - half - _SLACK),
-            )
+            ComparisonRow(bound=bound, half_width=half, passed=bool(emp >= bound - half - _SLACK))
         )
     return ComparisonReport(
         rows=rows, slack=_SLACK, overall_pass=all(r.passed for r in rows)

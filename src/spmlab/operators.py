@@ -15,6 +15,7 @@ of its result is its (n,) result bit for bit. The Field functions wrap them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -27,6 +28,16 @@ class GridError(ValueError):
     """Invalid grid or mismatched fields."""
 
 
+def require_integer(name: str, value, error: type[Exception] = ValueError) -> None:
+    """Raise error unless value is a Python or numpy integer and not a bool.
+
+    A record built in the library has no config reader before it, and 2.5
+    or True would pass its range checks.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform interior grid for (0, L): n_interior nodes, spacing h = L/(n+1)."""
@@ -35,6 +46,7 @@ class GridSpec:
     length: float = 1.0
 
     def __post_init__(self):
+        require_integer("n_interior", self.n_interior, GridError)
         if self.n_interior < 3:
             raise GridError(f"need at least 3 interior nodes, got {self.n_interior}")
         if not (self.length > 0 and np.isfinite(self.length)):

@@ -36,7 +36,6 @@ both drift and noise).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -52,6 +51,7 @@ from .operators import (
     norm_l2_array,
     norm_lp_array,
     poisson_solve_array,
+    require_integer,
     solve_banded,
 )
 
@@ -114,10 +114,7 @@ class SolverConfig:
             )
         # run_path records step i when i % record_every == 0: a stride of 2.5
         # would record every fifth step, and a bool is no stride
-        if isinstance(self.record_every, bool) or not isinstance(
-            self.record_every, numbers.Integral
-        ):
-            raise ValueError(f"record_every must be an integer, got {self.record_every!r}")
+        require_integer("record_every", self.record_every)
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
 

@@ -17,7 +17,6 @@ from spmlab import (
     SolverConfig,
     apply_laplacian,
     build_basis,
-    compare_with_bound,
     config_from_dict,
     convergence_study,
     estimate_gamma,
@@ -110,13 +109,18 @@ class TestCriterion1:
 class TestCriterion2:
     def test_bound_holds_at_every_checkpoint(self, noisy_ensemble):
         cfg, summary = noisy_ensemble
-        inputs = summary.bound_inputs(ALPHA, RHO)
+        law = cfg.model.diffusion
+        inputs = summary.bound_inputs(law.alpha, law.rho)
         # the horizon must reach the 50% regime of the theoretical bound
         assert time_to_reach_bound(0.5, inputs) <= T_FINAL
         assert extinction_bound(T_FINAL, inputs) >= 0.5
-        rep = compare_with_bound(summary, inputs)
+        # the comparison summary.json carries, row i at checkpoint i
+        rep = summary.comparison
+        assert len(rep.rows) == len(summary.empirical_cdf) == 8
         # where the bound is 0 the margin is the CDF itself and says nothing
-        margins = [r.empirical - r.bound for r in rep.rows if r.bound > 0]
+        margins = [
+            emp - r.bound for r, emp in zip(rep.rows, summary.empirical_cdf) if r.bound > 0
+        ]
         margin = f"{min(margins):+.4f}" if margins else "n/a"
         report(
             2,
@@ -295,11 +299,9 @@ class TestCriterion10:
     def test_worker_count_invariance(self, noisy_ensemble):
         cfg, summary = noisy_ensemble
         rerun = run_ensemble(cfg, workers=2)
-        a = summary.to_json(include_timestamp=False)
-        b = rerun.to_json(include_timestamp=False)
+        a, b = summary.to_json(), rerun.to_json()
         report(
             10,
             a == b,
-            f"summary JSON byte-identical across 4 vs 2 workers "
-            f"({len(a)} bytes, timestamp excluded)",
+            f"summary JSON byte-identical across 4 vs 2 workers ({len(a)} bytes)",
         )

@@ -100,10 +100,15 @@ class TestEnsemble:
         r1 = run_cli("ensemble", "--config", str(cfg_file), "--seed", "99", "--out", str(out1))
         r2 = run_cli("ensemble", "--config", str(cfg_file), "--seed", "99", "--out", str(out2))
         assert r1.exit_code == 0 and r2.exit_code == 0
-        a = json.loads((out1 / "summary.json").read_text())
-        b = json.loads((out2 / "summary.json").read_text())
-        a.pop("timestamp"), b.pop("timestamp")
-        assert a == b
+        assert (out1 / "summary.json").read_bytes() == (out2 / "summary.json").read_bytes()
+
+    def test_summary_file_is_the_librarys_json(self, cfg_file, tmp_path):
+        """summary.json is to_json() of the same ensemble, byte for byte."""
+        out = tmp_path / "ens"
+        r = run_cli("ensemble", "--config", str(cfg_file), "--out", str(out))
+        assert r.exit_code == 0, r.output
+        summary = run_ensemble(config_from_yaml(cfg_file), workers=2)
+        assert (out / "summary.json").read_text() == summary.to_json() + "\n"
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_exit_2(self, cfg_file, tmp_path, workers):

@@ -257,6 +257,23 @@ class TestConfig:
             config_from_dict(base_raw(initial=initial))
         config_from_dict(base_raw(initial=dict(initial, mode=1)))
 
+    @pytest.mark.parametrize("field", ["K", "n_paths", "master_seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    def test_library_counts_are_integers(self, field, value):
+        """A record built in the library has no config reader before it: at
+        n_paths=True one path ran and summary.json read "n_paths": true, and
+        2.5 died in range() or numpy's SeedSequence."""
+        cfg = config_from_dict(base_raw(K=1, noise=dict(mu=[0.05])))
+        with pytest.raises(ConfigError, match=f"{field} must be an integer, got {value!r}"):
+            dataclasses.replace(cfg, **{field: value})
+        assert getattr(dataclasses.replace(cfg, **{field: np.int64(1)}), field) == 1
+
+    @pytest.mark.parametrize("mode", [1.5, 1.0, True])
+    def test_library_mode_is_an_integer(self, mode):
+        """mode=1.5 passed the range check and died indexing the basis."""
+        with pytest.raises(ConfigError, match=f"mode must be an integer, got {mode!r}"):
+            InitialSpec(kind="eigenmode", mode=mode, target_hm1_norm=0.1)
+
     def test_yaml_exponent_without_dot(self, tmp_path):
         """PyYAML reads 2e-3 (no dot) as a string; it is still a number."""
         p = tmp_path / "cfg.yaml"
@@ -376,12 +393,12 @@ class TestRunEnsemble:
     def test_seed_reproducibility(self, tiny_summary):
         cfg, s1 = tiny_summary
         s2 = run_ensemble(cfg, workers=1)
-        assert s1.to_json(include_timestamp=False) == s2.to_json(include_timestamp=False)
+        assert s1.to_json() == s2.to_json()
 
     def test_worker_count_invariance(self, tiny_summary):
         cfg, s1 = tiny_summary
         s2 = run_ensemble(cfg, workers=2)
-        assert s1.to_json(include_timestamp=False) == s2.to_json(include_timestamp=False)
+        assert s1.to_json() == s2.to_json()
 
     def test_cdf_nondecreasing(self, tiny_summary):
         _, s = tiny_summary
@@ -395,9 +412,21 @@ class TestRunEnsemble:
         for key in (
             "checkpoints", "empirical_cdf", "wilson_lo", "wilson_hi",
             "supermartingale_report", "extinct_fraction",
-            "n_failed", "gamma_used", "c_star", "comparison", "timestamp",
+            "n_failed", "gamma_used", "c_star", "comparison",
         ):
             assert key in d
+        # the summary is a function of the config and the seed, each number
+        # stated once: a row's checkpoint and CDF value are the lists' entries
+        assert "timestamp" not in d
+        rows = d["comparison"]["rows"]
+        assert len(rows) == len(d["checkpoints"])
+        assert all(set(row) == {"bound", "half_width", "passed"} for row in rows)
+
+    def test_numpy_path_count_serializes(self, tiny_summary):
+        """A numpy n_paths is an integer; summary.json still reads a plain int."""
+        cfg, s = tiny_summary
+        summary = run_ensemble(dataclasses.replace(cfg, n_paths=np.int64(8)))
+        assert summary.to_json() == s.to_json()
 
     def test_newton_count_matches_traced_benchmark(self):
         """The acceptance workload of perfbench at seed 17: its traced run

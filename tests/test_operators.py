@@ -60,6 +60,12 @@ class TestGrid:
         with pytest.raises(GridError):
             GridSpec(2)
 
+    @pytest.mark.parametrize("n", [3.5, 31.0, True])
+    def test_node_count_is_an_integer(self, n):
+        """GridSpec(3.5) built 4 nodes at spacing 1/4.5."""
+        with pytest.raises(GridError, match=f"n_interior must be an integer, got {n!r}"):
+            GridSpec(n)
+
     def test_field_shape_mismatch(self, grid):
         with pytest.raises(GridError):
             Field(np.zeros(grid.n_interior + 1), grid)
