@@ -11,8 +11,10 @@ from spmlab import (
     NoiseSpec,
     build_basis,
     estimate_gamma,
+    make_stream,
     norm_hm1,
     psi0,
+    sample_increments,
 )
 from spmlab.operators import poisson_solve_array
 
@@ -93,25 +95,59 @@ def extremal_start(grid, alpha, target):
 def scheme_extinction_time(gamma, alpha, rho, dt, a0, eps):
     """T_dt(eps) of the backward-Euler amplitude of an extremal start.
 
-    Each step solves a + dt*rho*gamma^(1+alpha)*a^alpha = a_prev for a, by
-    bisection on [0, a_prev] to adjacent floats (the left side increases in
-    a), starting from a0; returns the number of steps until a <= eps, times
-    dt.
+    Each step solves a + dt*rho*gamma^(1+alpha)*a^alpha = a_prev for a
+    (amplitude_stage), starting from a0; returns the number of steps until
+    a <= eps, times dt.
     """
     c = dt * rho * gamma ** (1.0 + alpha)
     a, steps = a0, 0
     while a > eps:
-        lo, hi = 0.0, a
-        while True:
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):
-                break
-            if mid + c * mid**alpha > a:
-                hi = mid
-            else:
-                lo = mid
-        a, steps = mid, steps + 1
+        a, steps = amplitude_stage(a, c, alpha), steps + 1
     return steps * dt
+
+
+def amplitude_stage(a_prev, c, alpha):
+    """The a with a + c*a^alpha = a_prev, by bisection on [0, a_prev] to
+    adjacent floats (the left side increases in a)."""
+    lo, hi = 0.0, a_prev
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return mid
+        if mid + c * mid**alpha > a_prev:
+            hi = mid
+        else:
+            lo = mid
+
+
+def frozen_shape_tau(x0, noise, gamma, alpha, rho, config, seed):
+    """tau of the frozen-shape scalar model of run_path from x0 = extremal_start,
+    driven by the path's own increments; None if it outlives config.t_final.
+
+    The shape is held at u = x0 and only the amplitude N = |X|_-1 moves. Per
+    step, the noise kick u*f, f = 1 + sum_k m_k e_k with m_k = mu_k*dbeta_k,
+    has |u*f|_-1 = N*sqrt(1 + 2*sum_k a_k m_k + sum_jk G_jk m_j m_k), where
+    a_k = <u, u e_k>_-1/|u|_-1^2 and G_jk = <u e_j, u e_k>_-1/|u|_-1^2 (one
+    cached Poisson solve of the block), and the drift stage on gamma's
+    extremal shape is a + dt*rho*gamma^(1+alpha)*a^alpha = N_kick
+    (amplitude_stage, as in scheme_extinction_time). Step i takes the i-th
+    sample_increments of make_stream(*seed), as run_path does, and tau is the
+    first step time with N <= config.extinction_eps.
+    """
+    h = x0.grid.spacing
+    block = np.vstack([x0.values, x0.values * noise.basis.modes[: noise.n_modes]])
+    gram = h * block @ poisson_solve_array(block, h).T
+    a, g = gram[0, 1:] / gram[0, 0], gram[1:, 1:] / gram[0, 0]
+    c = config.dt * rho * gamma ** (1.0 + alpha)
+    stream = make_stream(*seed)
+    amplitude = float(np.sqrt(gram[0, 0]))
+    for i in range(1, int(round(config.t_final / config.dt)) + 1):
+        m = noise.mu * sample_increments(config.dt, noise.n_modes, stream)
+        kicked = amplitude * float(np.sqrt(1.0 + 2.0 * a @ m + m @ g @ m))
+        amplitude = amplitude_stage(kicked, c, alpha)
+        if amplitude <= config.extinction_eps:
+            return i * config.dt
+    return None
 
 
 def resolvent_half(r, rho, lam):

@@ -20,10 +20,11 @@ from spmlab import (
     estimate_gamma,
     norm_hm1,
     psi0,
+    run_ensemble,
     run_path,
     weak_form_residual,
 )
-from spmlab.harness import InitialSpec, make_initial
+from spmlab.harness import ExperimentConfig, InitialSpec, make_initial
 from spmlab.operators import (
     GridError,
     laplacian_array,
@@ -39,6 +40,7 @@ from spmlab.theory import BoundInputs, deterministic_extinction_time, discounted
 from conftest import (
     drift_oracle,
     extremal_start,
+    frozen_shape_tau,
     gtsv_reference_stage,
     reference_stage,
     random_field,
@@ -599,6 +601,48 @@ class TestExtremalOracle:
             errors.append(np.abs(res.hm1_norms[live] ** (1.0 - alpha) - exact).max())
         for coarse, fine in zip(errors, errors[1:]):
             assert 1.8 <= coarse / fine <= 2.2
+
+
+class TestFrozenShapeOracle:
+    """Noisy paths from extremal_start (|x0|_-1 = 0.1, n = 127, dt = 1e-4,
+    lam = 1e-4, rho = 1): the shape stays near gamma's extremal profile, so
+    each path's tau_hat is the frozen-shape scalar model's (frozen_shape_tau)
+    under the same increments, to a few steps, while tau_hat itself spreads
+    over up to 722 steps at mu = (1, 0.3)."""
+
+    # (alpha, mu, t_final, steps): 12 paths at master seed 17 differ from
+    # the model by -1..1 steps, at alpha = 0.7 and mu = (1, 0.3) by -3..1.
+    # These are the bounds of these paths, not of every seed: at seeds 7, 23
+    # and 101, mu = (1, 0.3) reaches 3 steps at alpha = 0.5 and 5 at 0.7.
+    # The model with gamma 1e-3 larger, or with a_1 0.9 times as large,
+    # misses every case (by up to 6 and 33 steps).
+    CASES = [
+        (0.3, (0.05, 0.02), 0.2, 1),
+        (0.3, (1.0, 0.3), 0.2, 1),
+        (0.5, (0.05, 0.02), 0.3, 1),
+        (0.5, (1.0, 0.3), 0.3, 1),
+        (0.7, (0.05, 0.02), 0.5, 1),
+        (0.7, (1.0, 0.3), 0.5, 3),
+    ]
+
+    @pytest.mark.parametrize("alpha, mu, t_final, steps", CASES)
+    def test_tau_hat_is_the_models(self, alpha, mu, t_final, steps):
+        dt, n_paths, seed = 1e-4, 12, 17
+        grid = GridSpec(127)
+        x0 = extremal_start(grid, alpha, 0.1)
+        gamma = estimate_gamma(grid, alpha).value
+        solver = SolverConfig(dt=dt, t_final=t_final, record_every=round(t_final / dt))
+        config = ExperimentConfig(
+            grid, 2, ModelParams(DiffusionLaw(1.0, alpha), lam=1e-4), mu, solver,
+            InitialSpec("custom", values=tuple(x0.values)), n_paths=n_paths,
+            master_seed=seed, checkpoints=(t_final,), gamma=gamma,
+        )
+        tau_hats = run_ensemble(config, workers=2).tau_hats
+        noise = NoiseSpec(mu=np.array(mu), basis=build_basis(grid, 2))
+        for i, tau_hat in enumerate(tau_hats):
+            tau = frozen_shape_tau(x0, noise, gamma, alpha, 1.0, solver, (seed, i))
+            assert tau_hat is not None and tau is not None
+            assert abs(tau_hat - tau) <= steps * dt * (1.0 + 1e-9), f"path {i}"
 
 
 class TestWeakFormResidual:

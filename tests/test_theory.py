@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,49 @@ class TestTimeToReachBound:
     def test_unreachable_level(self):
         inp = BoundInputs(x_norm_hm1=0.36, alpha=0.5, rho=1.0, gamma=1.0, c_star=2.0)
         assert time_to_reach_bound(0.5, inp) == np.inf
+
+
+class TestBoundInputs:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["x_norm_hm1", "rho", "gamma", "c_star"])
+    def test_rejects_non_finite(self, name, value):
+        # a NaN gamma would pass every sign check and give a bound of 0 at every t
+        base = dict(x_norm_hm1=0.1, alpha=0.5, rho=1.0, gamma=1.0, c_star=0.5)
+        with pytest.raises(ValueError, match="finite"):
+            BoundInputs(**{**base, name: value})
+
+
+class TestIdentities:
+    """The identities the closed form in T and k gives, on a grid with x0 = 0,
+    c_star = 0 and k*T on both sides of 1."""
+
+    GRID = [
+        BoundInputs(x_norm_hm1=x, alpha=alpha, rho=1.0, gamma=gamma, c_star=c)
+        for x, alpha, gamma, c in itertools.product(
+            (0.0, 0.16, 0.36, 2.0), (0.3, 0.5), (1.0, 2.9), (0.0, 0.8, 2.0)
+        )
+    ]
+
+    def test_grid_has_both_sides_of_the_condition(self):
+        noisy = [positive_probability_condition(i) for i in self.GRID if i.c_star > 0]
+        assert any(noisy) and not all(noisy)
+
+    @pytest.mark.parametrize("inputs", GRID)
+    def test_condition_iff_finite_time(self, inputs):
+        assert positive_probability_condition(inputs) == np.isfinite(
+            time_to_reach_bound(0.0, inputs)
+        )
+
+    @pytest.mark.parametrize("inputs", [i for i in GRID if i.c_star == 0.0])
+    def test_quiet_noise_time_is_deterministic_time(self, inputs):
+        assert deterministic_extinction_time(inputs) == time_to_reach_bound(0.0, inputs)
+
+    @pytest.mark.parametrize("inputs", GRID)
+    def test_bound_reaches_q_at_its_time(self, inputs):
+        for q in (0.0, 0.3, 0.9, 0.99):
+            t = time_to_reach_bound(q, inputs)
+            if inputs.x_norm_hm1 == 0.0:
+                # T = 0: the time is +0.0, where the bound (t > 0) is not defined
+                assert t == 0.0 and np.copysign(1.0, t) == 1.0
+            elif np.isfinite(t):
+                assert extinction_bound(t, inputs) >= q - 1e-12
