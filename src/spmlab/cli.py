@@ -25,14 +25,12 @@ from .harness import (
 )
 from .noise import c_star
 from .operators import estimate_gamma
-from .stepper import ImplicitStepError, PathFailedError, convergence_study, run_path
+from .stepper import PathFailedError, convergence_study, run_path
 from .theory import discounted_norm, extinction_bound
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_COMPARISON = 4
-
-_NUMERICAL_ERRORS = (EnsembleFailure, PathFailedError, ImplicitStepError)
 
 
 def _load_config(path, seed):
@@ -55,7 +53,7 @@ def _exit_on_error():
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    except _NUMERICAL_ERRORS as exc:
+    except (EnsembleFailure, PathFailedError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
 
@@ -99,9 +97,8 @@ def simulate(config_path, seed, out):
         cfg = _load_config(config_path, seed)
         noise, x0 = _build_context(cfg)
         traj = run_path(x0, cfg.solver, cfg.model, noise, seed=(cfg.master_seed, 0))
-    if traj.failure is not None:
-        click.echo(f"path failed: {traj.failure}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+        if traj.failure is not None:
+            raise PathFailedError(traj.failure)
     # M(t), the discounted norm of the paper's supermartingale, under c*
     m = discounted_norm(traj.times, traj.hm1_norms, c_star(noise), cfg.model.diffusion.alpha)
     columns = (traj.times, traj.hm1_norms, traj.lp_norms, traj.min_values, traj.max_values, m)
@@ -162,7 +159,7 @@ def gamma(config_path, seed, out):
     path.write_text(json.dumps(
         {
             "value": est.value,
-            "alpha": est.alpha,
+            "alpha": cfg.model.diffusion.alpha,
             "minimizer": est.minimizer.values.tolist(),
         },
         indent=2,
@@ -181,10 +178,11 @@ def convergence(config_path, seed, out):
             x0, cfg.solver, cfg.model, noise,
             cfg.convergence_lambdas, seed=(cfg.master_seed, 0),
         )
+    lams = cfg.convergence_lambdas
     path = _outdir(out) / "convergence.csv"
     _write_csv(
         path, "lambda_coarse,lambda_fine,sup_hm1_distance,l2l2_distance",
-        ((r.lam_coarse, r.lam_fine, r.sup_hm1, r.l2l2) for r in rows),
+        ((la, lb, r.sup_hm1, r.l2l2) for la, lb, r in zip(lams, lams[1:], rows)),
     )
     click.echo(f"wrote {path} ({len(rows)} pairs)")
 

@@ -291,7 +291,6 @@ class GammaEstimate:
     """
 
     value: float
-    alpha: float
     minimizer: Field
 
 
@@ -334,6 +333,4 @@ def estimate_gamma(grid: GridSpec, alpha: float) -> GammaEstimate:
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     u, ratios = _dual_power(mode1_exact(grid), grid.spacing, alpha + 1.0)
-    return GammaEstimate(
-        value=min(ratios), alpha=alpha, minimizer=Field(u / np.linalg.norm(u), grid)
-    )
+    return GammaEstimate(value=min(ratios), minimizer=Field(u / np.linalg.norm(u), grid))

@@ -419,8 +419,8 @@ def weak_form_residual(
 
 @dataclass
 class ConvergenceRow:
-    lam_coarse: float
-    lam_fine: float
+    """Row i of convergence_study: the runs at lambdas[i] and lambdas[i+1]."""
+
     sup_hm1: float
     l2l2: float
 
@@ -450,16 +450,11 @@ def convergence_study(
 
     h = x0.grid.spacing
     rows = []
-    for a, b, la, lb in zip(runs, runs[1:], lambdas, lambdas[1:]):
+    for a, b in zip(runs, runs[1:]):
         diff = a.states - b.states
         sup_hm1 = norm_hm1_array(diff, poisson_solve_array(diff, h), h).max()
         l2sq = norm_l2_array(diff, h) ** 2
         # trapezoid rule, written out: np.trapezoid needs numpy >= 2.0
         l2l2 = float(np.sqrt(np.sum(np.diff(a.times) * (l2sq[1:] + l2sq[:-1]) / 2.0)))
-        rows.append(
-            ConvergenceRow(
-                lam_coarse=float(la), lam_fine=float(lb),
-                sup_hm1=float(sup_hm1), l2l2=l2l2,
-            )
-        )
+        rows.append(ConvergenceRow(sup_hm1=float(sup_hm1), l2l2=l2l2))
     return rows

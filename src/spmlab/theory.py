@@ -43,9 +43,17 @@ def _rate(alpha: float, c_star: float) -> float:
 
 
 def _noise_free_time(inputs: BoundInputs) -> float:
-    """T = |x0|_-1^(1-alpha) / ((1-alpha)*rho*gamma^(1+alpha))."""
+    """T = |x0|_-1^(1-alpha) / ((1-alpha)*rho*gamma^(1+alpha)); 0 if gamma^(1+alpha)
+    overflows, +inf (0 at x0 = 0) if the denominator underflows to 0."""
     a = inputs.alpha
-    return inputs.x_norm_hm1 ** (1.0 - a) / ((1.0 - a) * inputs.rho * inputs.gamma ** (1.0 + a))
+    numerator = inputs.x_norm_hm1 ** (1.0 - a)
+    try:
+        denominator = (1.0 - a) * inputs.rho * inputs.gamma ** (1.0 + a)
+    except OverflowError:
+        return 0.0
+    if not denominator:
+        return math.inf if numerator else 0.0
+    return numerator / denominator
 
 
 def integral_factor(t: float, alpha: float, c_star: float) -> float:

@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from spmlab import c_star, cli, config_from_yaml, extinction_bound, run_ensemble, run_path
 from spmlab.cli import main
 from spmlab.harness import _build_context
+from spmlab.stepper import ImplicitStepError
 from spmlab.theory import discounted_norm
 
 from test_harness import base_raw
@@ -285,6 +286,13 @@ class TestBadValues:
             dict(solver=dict(dt=2e-3, t_final=0.4, extinction_eps=True)),
             # a mode that a bump start would ignore
             dict(initial=dict(kind="bump", mode=7, target_hm1_norm=0.1)),
+            # a custom start without its values
+            dict(initial=dict(kind="custom")),
+            # K outside 1..n_interior, no paths, no checkpoints
+            dict(K=0, noise=dict(mu=[])),
+            dict(K=32, noise=dict(mu=[0.01] * 32)),
+            dict(n_paths=0),
+            dict(checkpoints=[]),
         ],
     )
     def test_exit_2(self, tmp_path, overrides):
@@ -293,6 +301,26 @@ class TestBadValues:
         r = run_cli("ensemble", "--config", str(p), "--out", str(tmp_path / "o"))
         assert r.exit_code == 2, r.output
         assert "config error" in r.output
+
+
+class TestNumericalFailure:
+    """Every numerical failure leaves through one path: the command raises
+    it inside the error context, which prints it and exits 3."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("simulate", []),
+        ("ensemble", ["--workers", "1"]),
+        ("convergence", []),
+    ])
+    def test_failed_stage_exit_3(self, cfg_file, tmp_path, monkeypatch, command, flags):
+        def failing(*args, **kwargs):
+            raise ImplicitStepError(1.0)
+
+        monkeypatch.setattr("spmlab.stepper._drift_substeps", failing)
+        r = run_cli(command, "--config", str(cfg_file), *flags, "--out", str(tmp_path / "o"))
+        assert r.exit_code == 3, r.output
+        assert "numerical failure:" in r.output
+        assert "implicit solve stalled at residual 1.000e+00" in r.output
 
 
 class TestNegativeSeed:

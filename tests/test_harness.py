@@ -285,6 +285,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict(base_raw(model={"rho": 1.0, "alpha": 1.2, "lambda": 1e-4}))
 
+    def test_yaml_top_level_must_be_a_mapping(self, tmp_path):
+        p = tmp_path / "list.yaml"
+        p.write_text(yaml.safe_dump([base_raw()]))
+        with pytest.raises(ConfigError, match="does not contain a mapping"):
+            config_from_yaml(p)
+
 
 class TestMakeInitial:
     def test_eigenmode_scaling(self, grid, basis):
@@ -338,6 +344,10 @@ class TestWilson:
             assert lo <= k / n <= hi
             assert 0.0 <= lo <= hi <= 1.0
 
+    def test_rejects_empty_sample(self):
+        with pytest.raises(ValueError, match="n must be positive"):
+            wilson_interval(0, 0)
+
 
 @pytest.fixture(scope="module")
 def tiny_summary():
@@ -389,6 +399,15 @@ class TestRunEnsemble:
         summary = run_ensemble(cfg)
         assert summary.empirical_cdf == [1.0] * len(summary.checkpoints)
         assert summary.extinct_fraction == 1.0
+
+    def test_gamma_whose_power_underflows(self):
+        """At gamma = 1e-250, gamma^(1+alpha) underflows to 0, so the
+        noise-free time is +inf: the ensemble completes with a bound of 0 at
+        every checkpoint (the division by 0 used to end it after every path
+        had run)."""
+        summary = run_ensemble(config_from_dict(base_raw(n_paths=2, gamma=1e-250)))
+        assert [row.bound for row in summary.comparison.rows] == [0.0] * 4
+        assert summary.comparison.overall_pass
 
     def test_seed_reproducibility(self, tiny_summary):
         cfg, s1 = tiny_summary

@@ -37,6 +37,10 @@ class TestCStar:
         with pytest.raises(ValueError):
             NoiseSpec(mu=np.zeros(basis.size + 1), basis=basis)
 
+    def test_nan_mu(self, basis):
+        with pytest.raises(ValueError, match="non-finite"):
+            NoiseSpec(mu=np.array([0.05, np.nan]), basis=basis)
+
 
 class TestIncrements:
     def test_moments(self):

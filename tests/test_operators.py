@@ -60,6 +60,10 @@ class TestGrid:
         with pytest.raises(GridError):
             GridSpec(2)
 
+    def test_length_must_be_positive(self):
+        with pytest.raises(GridError, match="domain length must be positive"):
+            GridSpec(31, length=0)
+
     @pytest.mark.parametrize("n", [3.5, 31.0, True])
     def test_node_count_is_an_integer(self, n):
         """GridSpec(3.5) built 4 nodes at spacing 1/4.5."""
@@ -374,6 +378,10 @@ class TestBasis:
         with pytest.raises(GridError):
             build_basis(grid, grid.n_interior + 1)
 
+    def test_mode_index_below_one(self, basis):
+        with pytest.raises(GridError, match="mode index 0 outside"):
+            basis.mode(0)
+
 
 class TestGamma:
     def test_alpha_one_sanity(self, grid, basis):
@@ -389,6 +397,10 @@ class TestGamma:
             v = Field(c * u.values, grid)
             r2 = norm_lp(v, 1.5) / norm_hm1(v)
             assert r2 == pytest.approx(r1, rel=1e-12)
+
+    def test_alpha_out_of_range(self, grid):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
+            estimate_gamma(grid, alpha=1.5)
 
     def test_minimizer_consistency(self, grid):
         est = estimate_gamma(grid, alpha=0.5)

@@ -750,6 +750,10 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="record_every must be an integer"):
             SolverConfig(dt=0.1, t_final=0.3, record_every=stride)
 
+    def test_record_every_at_least_one(self):
+        with pytest.raises(ValueError, match="record_every must be >= 1"):
+            SolverConfig(dt=0.1, t_final=0.3, record_every=0)
+
     @pytest.mark.parametrize("stride", [2, np.int64(2), np.int32(2)])
     def test_record_every_takes_python_and_numpy_integers(self, stride):
         assert SolverConfig(dt=0.1, t_final=0.3, record_every=stride).record_every == 2

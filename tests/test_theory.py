@@ -27,6 +27,10 @@ class TestIntegralFactor:
             (1.0 - np.exp(-1.0)) / 1.0
         )
 
+    def test_rejects_negative_t(self):
+        with pytest.raises(ValueError, match="t must be nonnegative"):
+            integral_factor(-1.0, 0.5, 1.0)
+
     def test_quadrature_oracle(self):
         # midpoint quadrature of the integrand as an independent check
         alpha, c, t = 0.3, 1.7, 2.5
@@ -146,6 +150,11 @@ class TestTimeToReachBound:
         inp = BoundInputs(x_norm_hm1=0.36, alpha=0.5, rho=1.0, gamma=1.0, c_star=2.0)
         assert time_to_reach_bound(0.5, inp) == np.inf
 
+    def test_rejects_level_one(self):
+        inp = BoundInputs(x_norm_hm1=0.1, alpha=0.5, rho=1.0, gamma=1.0)
+        with pytest.raises(ValueError, match=r"q must lie in \[0, 1\)"):
+            time_to_reach_bound(1.0, inp)
+
 
 class TestBoundInputs:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -156,16 +165,55 @@ class TestBoundInputs:
         with pytest.raises(ValueError, match="finite"):
             BoundInputs(**{**base, name: value})
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("alpha", 1.0, "alpha must lie in"),
+        ("rho", 0.0, "rho and gamma must be positive"),
+        ("x_norm_hm1", -1.0, "x_norm_hm1 and c_star must be nonnegative"),
+    ])
+    def test_rejects_out_of_range(self, name, value, message):
+        base = dict(x_norm_hm1=0.1, alpha=0.5, rho=1.0, gamma=1.0, c_star=0.5)
+        with pytest.raises(ValueError, match=message):
+            BoundInputs(**{**base, name: value})
+
+
+class TestFloatRange:
+    """T where (1-alpha)*rho*gamma^(1+alpha) leaves the float range, for a
+    positive, finite gamma that BoundInputs accepts."""
+
+    @pytest.mark.parametrize("c_star", [0.0, 1.0])
+    def test_underflow_gives_infinite_time(self, c_star):
+        # 1e-250^1.5 underflows to 0, which the division raised on
+        inp = BoundInputs(x_norm_hm1=0.1, alpha=0.5, rho=1.0, gamma=1e-250, c_star=c_star)
+        assert extinction_bound(0.1, inp) == 0.0
+        assert time_to_reach_bound(0.5, inp) == np.inf
+        assert not positive_probability_condition(inp)
+
+    def test_underflow_at_zero_start(self):
+        inp = BoundInputs(x_norm_hm1=0.0, alpha=0.5, rho=1.0, gamma=1e-250)
+        assert deterministic_extinction_time(inp) == 0.0
+        assert extinction_bound(0.1, inp) == 1.0
+
+    def test_overflow_gives_zero_time(self):
+        # 1e200^1.9 overflows, which the power raised on
+        inp = BoundInputs(x_norm_hm1=0.1, alpha=0.9, rho=1.0, gamma=1e200, c_star=1.0)
+        assert extinction_bound(0.1, inp) == 1.0
+        assert time_to_reach_bound(0.5, inp) == 0.0
+        assert positive_probability_condition(inp)
+
 
 class TestIdentities:
     """The identities the closed form in T and k gives, on a grid with x0 = 0,
-    c_star = 0 and k*T on both sides of 1."""
+    c_star = 0, k*T on both sides of 1, and a gamma^(1+alpha) that underflows
+    (T = +inf, or 0 at x0 = 0)."""
 
     GRID = [
         BoundInputs(x_norm_hm1=x, alpha=alpha, rho=1.0, gamma=gamma, c_star=c)
         for x, alpha, gamma, c in itertools.product(
             (0.0, 0.16, 0.36, 2.0), (0.3, 0.5), (1.0, 2.9), (0.0, 0.8, 2.0)
         )
+    ] + [
+        BoundInputs(x_norm_hm1=x, alpha=0.5, rho=1.0, gamma=1e-250, c_star=c)
+        for x, c in itertools.product((0.0, 0.16), (0.0, 0.8))
     ]
 
     def test_grid_has_both_sides_of_the_condition(self):
