@@ -99,9 +99,10 @@ def simulate(config_path, seed, out):
         traj = run_path(x0, cfg.solver, cfg.model, noise, seed=(cfg.master_seed, 0))
         if traj.failure is not None:
             raise PathFailedError(traj.failure)
+    times = cfg.solver.record_times
     # M(t), the discounted norm of the paper's supermartingale, under c*
-    m = discounted_norm(traj.times, traj.hm1_norms, c_star(noise), cfg.model.diffusion.alpha)
-    columns = (traj.times, traj.hm1_norms, traj.lp_norms, traj.min_values, traj.max_values, m)
+    m = discounted_norm(times, traj.hm1_norms, c_star(noise), cfg.model.diffusion.alpha)
+    columns = (times, traj.hm1_norms, traj.lp_norms, traj.min_values, traj.max_values, m)
     path = _outdir(out) / "trajectory.csv"
     _write_csv(
         path, "t,hm1_norm,lp_norm,min,max,supermartingale",

@@ -112,11 +112,20 @@ class SolverConfig:
             raise ValueError(
                 f"extinction_eps must be positive and finite, got {self.extinction_eps}"
             )
-        # run_path records step i when i % record_every == 0: a stride of 2.5
-        # would record every fifth step, and a bool is no stride
+        # record_times strides over the step indices: a stride of 2.5 would
+        # record every fifth step, and a bool is no stride
         require_integer("record_every", self.record_every)
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+
+    @property
+    def record_times(self) -> np.ndarray:
+        """The one recording grid: every record_every-th step and the last,
+        at i*dt, the bits of run_path's step times. Every path of a config
+        shares it; row r of a Trajectory is at record_times[r]."""
+        n_steps = round(self.t_final / self.dt)
+        steps = [i for i in range(n_steps + 1) if i % self.record_every == 0 or i == n_steps]
+        return np.array(steps) * self.dt
 
     def step_time(self, t: float) -> float:
         """The time run_path writes for its last step at or before t,
@@ -143,33 +152,30 @@ class SolverCounts:
 
 @dataclass
 class Trajectory:
-    """One path: what run_path measured at the recording stride, and its
-    outcome.
+    """One path: what run_path measured, and its outcome.
 
-    Each row holds the time, the H^-1 and L^p norms and the extremes of the
-    state at that time. What follows from these columns is not stored: the
-    discounted norm M(t) is theory.discounted_norm of times and hm1_norms,
-    evaluated where it is used. tau_hat is the extinction time, None if the
-    path is alive at t_final or failed; every row from tau_hat on is exactly
-    0. failure is None for a completed path and otherwise says why the
-    implicit stage gave up (the path is then held at its last noise kick,
-    and its rows record that state). seed and config replay the path.
-    states is populated only when the solver config asks for it (weak-form
-    residual, convergence studies).
+    Row r holds the H^-1 and L^p norms and the extremes of the state at
+    record_times[r] of the solver config, which the caller holds. The
+    discounted norm M(t) is not stored but evaluated where it is used.
+    tau_hat is the extinction time, None if the path is alive at t_final or
+    failed; every row from tau_hat on is exactly 0. failure is None for a
+    completed path and otherwise says why the implicit stage gave up (the
+    path is then held at its last noise kick, and its rows record that
+    state). seed names the path. coercivity_violations is None when
+    run_path checked no gamma. states is populated only when the solver
+    config asks for it (weak-form residual, convergence studies).
     """
 
-    times: np.ndarray
     hm1_norms: np.ndarray
     lp_norms: np.ndarray
     min_values: np.ndarray
     max_values: np.ndarray
     seed: tuple[int, int]
-    config: SolverConfig
     tau_hat: Optional[float] = None
     failure: Optional[str] = None
-    coercivity_violations: int = 0
+    coercivity_violations: Optional[int] = None
     solver_counts: SolverCounts = field(default_factory=SolverCounts)
-    states: Optional[np.ndarray] = None  # aligned with times
+    states: Optional[np.ndarray] = None  # one per row
 
 
 def _solve_implicit_array(
@@ -292,21 +298,24 @@ def run_path(
     The stream is keyed by (master_seed, path_index) and step i of a live
     path always takes the i-th draw, because a path stops only once; after
     extinction or failure no increments are drawn. The path's one record is
-    its Trajectory: the observables, tau_hat or the failure, and the solver
-    work in solver_counts.
+    its Trajectory: the observables at config.record_times, tau_hat or the
+    failure, and the solver work in solver_counts. Its coercivity_violations
+    counts the live steps with |X|_{1+alpha} < gamma_check*|X|_-1, and is
+    None without gamma_check.
     """
     h = x0.grid.spacing
     alpha = model.diffusion.alpha
     p = alpha + 1.0
     stream = make_stream(*seed)
     n_steps = int(round(config.t_final / config.dt))
+    record_times = config.record_times
     scaled_modes = noise.scaled_modes()
     if x0.values.shape != scaled_modes.shape[1:]:
         raise GridError("field and noise basis live on different grids")
 
-    rows = []  # (t, hm1, lp, min, max) at each recorded step
+    rows = []  # (hm1, lp, min, max) at each time of record_times
     states = [] if config.store_states else None
-    coercivity_violations = 0
+    coercivity_violations = None if gamma_check is None else 0
     counts = SolverCounts()
 
     x = x0.values.copy()
@@ -346,22 +355,19 @@ def run_path(
                     tau_hat = t
                     x = np.zeros_like(x)
                     hm1 = lp = 0.0
-        # uniform recording grid regardless of path history, so trajectories
-        # from different runs of one config stay aligned
-        if i % config.record_every == 0 or i == n_steps:
-            rows.append((t, hm1, lp, float(x.min()), float(x.max())))
+        # t and record_times[r] are the same product i*dt
+        if t == record_times[len(rows)]:
+            rows.append((hm1, lp, float(x.min()), float(x.max())))
             if states is not None:
                 states.append(x.copy())
 
-    times, hm1s, lps, mins, maxs = np.array(rows).T.copy()  # contiguous columns
+    hm1s, lps, mins, maxs = np.array(rows).T.copy()  # contiguous columns
     return Trajectory(
-        times=times,
         hm1_norms=hm1s,
         lp_norms=lps,
         min_values=mins,
         max_values=maxs,
         seed=seed,
-        config=config,
         tau_hat=tau_hat,
         failure=failure,
         coercivity_violations=coercivity_violations,
@@ -371,13 +377,10 @@ def run_path(
 
 
 def weak_form_residual(
-    traj: Trajectory,
-    j: int,
-    model: ModelParams,
-    noise: NoiseSpec,
+    traj: Trajectory, config: SolverConfig, j: int, model: ModelParams, noise: NoiseSpec
 ) -> float:
     """Max defect of the weak identity tested against mode j of the noise's
-    basis, along one stored path.
+    basis, along one stored path run under config.
 
     The drift integrand uses the unregularized power law, so the defect also
     absorbs the lam-regularization error on top of the time-stepping error.
@@ -386,8 +389,7 @@ def weak_form_residual(
     exactly as run_path drew them (rows after extinction meet a zero state).
     Requires a run with store_states=True and record_every=1.
     """
-    config = traj.config
-    if not config.store_states or config.record_every != 1:
+    if traj.states is None or config.record_every != 1:
         raise ValueError("weak-form residual needs store_states and record_every=1")
     basis = noise.basis
     h = basis.grid.spacing
@@ -455,6 +457,6 @@ def convergence_study(
         sup_hm1 = norm_hm1_array(diff, poisson_solve_array(diff, h), h).max()
         l2sq = norm_l2_array(diff, h) ** 2
         # trapezoid rule, written out: np.trapezoid needs numpy >= 2.0
-        l2l2 = float(np.sqrt(np.sum(np.diff(a.times) * (l2sq[1:] + l2sq[:-1]) / 2.0)))
+        l2l2 = float(np.sqrt(np.sum(np.diff(cfg.record_times) * (l2sq[1:] + l2sq[:-1]) / 2.0)))
         rows.append(ConvergenceRow(sup_hm1=float(sup_hm1), l2l2=l2l2))
     return rows

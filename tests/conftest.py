@@ -287,16 +287,17 @@ def _damped_newton(evaluate, newton_step, w0, target, max_iter):
     return (y if rnorm <= target else None), iters, rejected
 
 
-def absorption_fault(traj):
-    """Why a path's record contradicts its tau_hat, or None (criterion 8).
+def absorption_fault(traj, config):
+    """Why the record of a path run under config contradicts its tau_hat, or
+    None (criterion 8).
 
     Every recorded row before tau_hat (every row, if the path did not die)
-    must have |X|_-1 above the path's extinction_eps, and every row from
-    tau_hat on must be exactly 0 in the H^-1 and L^p norms, the minimum and
-    the maximum.
+    must have |X|_-1 above config.extinction_eps, and every row from tau_hat
+    on must be exactly 0 in the H^-1 and L^p norms, the minimum and the
+    maximum. Row r is at config.record_times[r].
     """
-    eps = traj.config.extinction_eps
-    before = traj.times < (np.inf if traj.tau_hat is None else traj.tau_hat)
+    eps = config.extinction_eps
+    before = config.record_times < (np.inf if traj.tau_hat is None else traj.tau_hat)
     if not np.all(traj.hm1_norms[before] > eps):
         return f"a row before tau_hat={traj.tau_hat} has |X|_-1 <= {eps:g}"
     rows = (traj.hm1_norms, traj.lp_norms, traj.min_values, traj.max_values)

@@ -31,6 +31,7 @@ from spmlab import (
     weak_form_residual,
     yosida,
 )
+from spmlab.harness import _build_context, build_bound_inputs
 from spmlab.theory import (
     BoundInputs,
     deterministic_extinction_time,
@@ -109,8 +110,8 @@ class TestCriterion1:
 class TestCriterion2:
     def test_bound_holds_at_every_checkpoint(self, noisy_ensemble):
         cfg, summary = noisy_ensemble
-        law = cfg.model.diffusion
-        inputs = summary.bound_inputs(law.alpha, law.rho)
+        noise, x0 = _build_context(cfg)
+        inputs = build_bound_inputs(cfg, x0, noise, summary.gamma_used)
         # the horizon must reach the 50% regime of the theoretical bound
         assert time_to_reach_bound(0.5, inputs) <= T_FINAL
         assert extinction_bound(T_FINAL, inputs) >= 0.5
@@ -185,7 +186,7 @@ class TestCriterion5:
             for dt in (4e-3, 2e-3, 1e-3, 5e-4):
                 cfg = SolverConfig(dt=dt, t_final=0.048, record_every=1, store_states=True)
                 res = run_path(x0, cfg, model, noise, seed=(1, 0))
-                residuals.append(weak_form_residual(res, j, model, noise))
+                residuals.append(weak_form_residual(res, cfg, j, model, noise))
             ratios = [a / b for a, b in zip(residuals, residuals[1:])]
             ok = all(1.2 <= r <= 4.0 for r in ratios)
             all_ok &= ok
@@ -237,23 +238,23 @@ class TestCriterion7:
         _, summary = noisy_ensemble
         report(
             7,
-            summary.n_paths >= 100 and summary.positivity_violations == 0,
-            f"{summary.n_paths} noisy paths from a nonnegative start, "
+            len(summary.tau_hats) >= 100 and summary.positivity_violations == 0,
+            f"{len(summary.tau_hats)} noisy paths from a nonnegative start, "
             f"{summary.positivity_violations} paths with a node below -1e-8*max(1,|x0|_L2)",
         )
 
 
 class TestCriterion8:
     def test_absorption_after_extinction(self, noisy_ensemble):
-        _, summary = noisy_ensemble
+        cfg, summary = noisy_ensemble
         trajs = summary.trajectories
         n_extinct = sum(traj.tau_hat is not None for traj in trajs)
-        bad = sum(absorption_fault(traj) is not None for traj in trajs)
+        bad = sum(absorption_fault(traj, cfg.solver) is not None for traj in trajs)
         report(
             8,
             n_extinct >= 100 and bad == 0,
             f"{n_extinct} of {len(trajs)} paths extinct; {bad} paths with a row before "
-            f"tau_hat at |X|_-1 <= eps={summary.extinction_eps:g} or a row from "
+            f"tau_hat at |X|_-1 <= eps={cfg.solver.extinction_eps:g} or a row from "
             f"tau_hat on not exactly 0 (norms and extremes)",
         )
 

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from spmlab import c_star, cli, config_from_yaml, extinction_bound, run_ensemble, run_path
 from spmlab.cli import main
-from spmlab.harness import _build_context
+from spmlab.harness import _build_context, build_bound_inputs
 from spmlab.stepper import ImplicitStepError
 from spmlab.theory import discounted_norm
 
@@ -38,11 +38,12 @@ class TestSimulate:
         noise, x0 = _build_context(cfg)
         traj = run_path(x0, cfg.solver, cfg.model, noise, seed=(cfg.master_seed, 0))
         alpha = cfg.model.diffusion.alpha
-        m = discounted_norm(traj.times, traj.hm1_norms, c_star(noise), alpha)
+        times = cfg.solver.record_times
+        m = discounted_norm(times, traj.hm1_norms, c_star(noise), alpha)
         expected = np.column_stack(
-            (traj.times, traj.hm1_norms, traj.lp_norms, traj.min_values, traj.max_values, m)
+            (times, traj.hm1_norms, traj.lp_norms, traj.min_values, traj.max_values, m)
         )
-        assert len(lines) == traj.times.size + 1 > 2
+        assert len(lines) == times.size + 1 > 2
         np.testing.assert_array_equal(np.loadtxt(lines[1:], delimiter=","), expected)
 
     def test_overflowing_initial_state_exit_2(self, tmp_path):
@@ -94,7 +95,7 @@ class TestEnsemble:
         assert len(summary["empirical_cdf"]) == len(summary["checkpoints"])
         tau_lines = (out / "tau.csv").read_text().splitlines()
         assert tau_lines[0] == "path_index,tau_hat"
-        assert len(tau_lines) == 1 + summary["n_paths"]
+        assert len(tau_lines) == 1 + config_from_yaml(cfg_file).n_paths
 
     def test_seed_override_changes_nothing_but_rng(self, cfg_file, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -153,10 +154,10 @@ class TestBound:
         r = run_cli("bound", "--config", str(cfg_file), "--out", str(tmp_path / "bnd"))
         assert r.exit_code == 0, r.output
         cfg = config_from_yaml(cfg_file)
-        law = cfg.model.diffusion
+        noise, x0 = _build_context(cfg)
         summary = run_ensemble(cfg)
         assert len(seen) == 200
-        assert set(seen) == {summary.bound_inputs(law.alpha, law.rho)}
+        assert set(seen) == {build_bound_inputs(cfg, x0, noise, summary.gamma_used)}
 
 
 class TestGamma:

@@ -26,7 +26,7 @@ from spmlab import (
     run_ensemble,
     wilson_interval,
 )
-from spmlab.harness import ConfigError, EnsembleFailure
+from spmlab.harness import ConfigError, EnsembleFailure, _build_context, build_bound_inputs
 from spmlab.operators import norm_l2
 from spmlab.stepper import Trajectory
 from spmlab.theory import BoundInputs
@@ -379,11 +379,10 @@ class TestRunEnsemble:
         assert tau > 0.105
 
         def dead_at_step_1050(x0, config, model, noise, seed, gamma_check):
-            times = np.arange(0, 2781, 5) * config.dt
-            hm1 = np.where(times < tau, 0.1, 0.0)
+            hm1 = np.where(config.record_times < tau, 0.1, 0.0)
             return Trajectory(
-                times=times, hm1_norms=hm1, lp_norms=hm1, min_values=hm1,
-                max_values=hm1, seed=seed, config=config, tau_hat=tau,
+                hm1_norms=hm1, lp_norms=hm1, min_values=hm1, max_values=hm1,
+                seed=seed, tau_hat=tau, coercivity_violations=0,
             )
 
         monkeypatch.setattr("spmlab.harness.run_path", dead_at_step_1050)
@@ -441,8 +440,22 @@ class TestRunEnsemble:
         assert len(rows) == len(d["checkpoints"])
         assert all(set(row) == {"bound", "half_width", "passed"} for row in rows)
 
+    def test_summary_json_echoes_no_input(self, tiny_summary):
+        """summary.json holds what the ensemble computed and no copy of its
+        inputs: the path count is len(tau_hats), the extinction threshold is
+        the config's and the comparison's slack is a constant."""
+        _, s = tiny_summary
+        d = json.loads(s.to_json())
+        assert set(d) == {
+            "checkpoints", "empirical_cdf", "wilson_lo", "wilson_hi",
+            "supermartingale_report", "extinct_fraction", "n_failed", "gamma_used",
+            "c_star", "x0_norm_hm1", "tau_hats", "positivity_violations",
+            "coercivity_violations", "diagnostics", "comparison",
+        }
+        assert set(d["comparison"]) == {"rows", "overall_pass"}
+
     def test_numpy_path_count_serializes(self, tiny_summary):
-        """A numpy n_paths is an integer; summary.json still reads a plain int."""
+        """A numpy n_paths is an integer; summary.json is the same bytes."""
         cfg, s = tiny_summary
         summary = run_ensemble(dataclasses.replace(cfg, n_paths=np.int64(8)))
         assert summary.to_json() == s.to_json()
@@ -491,9 +504,8 @@ class TestRunEnsemble:
 
         def broken(config, noise, x0, gamma, path_index):
             return Trajectory(
-                *(np.zeros(1) for _ in range(5)),
-                seed=(config.master_seed, path_index), config=config.solver,
-                failure="boom",
+                *(np.zeros(1) for _ in range(4)),
+                seed=(config.master_seed, path_index), failure="boom",
             )
 
         monkeypatch.setattr(hmod, "_run_one", broken)
@@ -519,8 +531,8 @@ class TestRunEnsemble:
         def at_floor(config, noise, x0, gamma, path_index):
             low = np.nextafter(floor, -np.inf) if path_index in below else floor
             return Trajectory(
-                *(np.zeros(2) for _ in range(3)), np.array([0.0, low]), np.zeros(2),
-                seed=(config.master_seed, path_index), config=config.solver,
+                *(np.zeros(2) for _ in range(2)), np.array([0.0, low]), np.zeros(2),
+                seed=(config.master_seed, path_index), coercivity_violations=0,
             )
 
         monkeypatch.setattr(hmod, "_run_one", at_floor)
@@ -540,14 +552,16 @@ class TestCompareWithBound:
 
     def test_extinct_ensemble_passes(self, tiny_summary):
         cfg, s = tiny_summary
-        inputs = s.bound_inputs(cfg.model.diffusion.alpha, cfg.model.diffusion.rho)
+        noise, x0 = _build_context(cfg)
+        inputs = build_bound_inputs(cfg, x0, noise, s.gamma_used)
         rep = compare_with_bound(s, inputs)
         assert rep.overall_pass
 
     def test_summary_carries_its_comparison(self, tiny_summary):
         cfg, s = tiny_summary
-        law = cfg.model.diffusion
-        assert s.comparison == compare_with_bound(s, s.bound_inputs(law.alpha, law.rho))
+        noise, x0 = _build_context(cfg)
+        inputs = build_bound_inputs(cfg, x0, noise, s.gamma_used)
+        assert s.comparison == compare_with_bound(s, inputs)
 
     def test_unreachable_bound_fails(self, tiny_summary):
         _, s = tiny_summary

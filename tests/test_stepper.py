@@ -327,6 +327,10 @@ class TestStep:
         np.testing.assert_array_equal(a.states[1], b.states[1])
 
 
+# the solver config of det_extinct_path
+DET_CONFIG = SolverConfig(dt=2e-4, t_final=0.16, record_every=10)
+
+
 @pytest.fixture(scope="module")
 def det_extinct_path():
     grid = GridSpec(63)
@@ -335,8 +339,7 @@ def det_extinct_path():
     model = ModelParams(DiffusionLaw(1.0, 0.5), lam=1e-4)
     e1 = basis.mode(1)
     x0 = e1.with_values(e1.values * (0.1 / norm_hm1(e1)))
-    cfg = SolverConfig(dt=2e-4, t_final=0.16, record_every=10)
-    res = run_path(x0, cfg, model, noise, seed=(1, 0))
+    res = run_path(x0, DET_CONFIG, model, noise, seed=(1, 0))
     return grid, res
 
 
@@ -362,7 +365,7 @@ class TestRunPath:
 
     def test_absorption_exact_zero(self, det_extinct_path):
         _, res = det_extinct_path
-        after = res.hm1_norms[res.times > res.tau_hat]
+        after = res.hm1_norms[DET_CONFIG.record_times > res.tau_hat]
         assert after.size > 0 and np.all(after == 0.0)
 
     def test_positivity_from_nonnegative_start(self, grid, model, small_noise, basis):
@@ -416,6 +419,35 @@ class TestRunPath:
         np.testing.assert_array_equal(res.lp_norms, norm_lp_array(states, h, 1.5))
         assert res.hm1_norms[3] != res.hm1_norms[2]
 
+    def test_one_row_per_record_time(self, model, small_noise, basis):
+        """A path has one row per time of its config's record_times, the last
+        step included where the stride passes it over, and each row is the
+        row of that step in a run that records every step."""
+        cfg = SolverConfig(dt=1e-3, t_final=0.01, record_every=3, store_states=True)
+        strided = run_path(basis.mode(1), cfg, model, small_noise, seed=(5, 9))
+        every = run_path(
+            basis.mode(1), dataclasses.replace(cfg, record_every=1), model, small_noise,
+            seed=(5, 9),
+        )
+        steps = [0, 3, 6, 9, 10]
+        assert cfg.record_times.tolist() == [i * cfg.dt for i in steps]
+        assert strided.hm1_norms.size == strided.states.shape[0] == len(steps)
+        np.testing.assert_array_equal(strided.hm1_norms, every.hm1_norms[steps])
+        np.testing.assert_array_equal(strided.states, every.states[steps])
+
+    def test_coercivity_counted_only_when_checked(self, model, small_noise, basis):
+        """Without gamma_check run_path checks no step, so it reports no
+        count (None), not 0 violations; with it every live step is checked,
+        and a gamma far above the estimate fails on some step."""
+        x0, cfg = self._noisy_extinct_setup(basis)
+        unchecked = run_path(x0, cfg, model, small_noise, seed=(2, 5))
+        assert unchecked.coercivity_violations is None
+        gamma = estimate_gamma(basis.grid, 0.5).value
+        checked = run_path(x0, cfg, model, small_noise, seed=(2, 5), gamma_check=gamma)
+        assert checked.coercivity_violations == 0
+        inflated = run_path(x0, cfg, model, small_noise, seed=(2, 5), gamma_check=2.0 * gamma)
+        assert inflated.coercivity_violations > 0
+
     def test_noise_on_another_grid_rejected(self, model, small_noise, rng):
         """run_path multiplies the state by the noise factor, so it checks
         that both live on one grid, before the first step."""
@@ -429,8 +461,9 @@ class TestRunPath:
         line per row, and every value read back exactly, the exact zeros
         after extinction included."""
         _, res = det_extinct_path
-        m = discounted_norm(res.times, res.hm1_norms, 0.0, 0.5)
-        columns = (res.times, res.hm1_norms, res.lp_norms, res.min_values, res.max_values, m)
+        times = DET_CONFIG.record_times
+        m = discounted_norm(times, res.hm1_norms, 0.0, 0.5)
+        columns = (times, res.hm1_norms, res.lp_norms, res.min_values, res.max_values, m)
         out = tmp_path / "traj.csv"
         _write_csv(
             out, "t,hm1_norm,lp_norm,min,max,supermartingale",
@@ -438,7 +471,7 @@ class TestRunPath:
         )
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "t,hm1_norm,lp_norm,min,max,supermartingale"
-        assert len(lines) == res.times.size + 1
+        assert len(lines) == times.size + 1
         np.testing.assert_array_equal(
             np.loadtxt(lines[1:], delimiter=","), np.column_stack(columns)
         )
@@ -574,14 +607,14 @@ class TestExtremalOracle:
         model = ModelParams(DiffusionLaw(1.0, alpha), lam=lam)
         cfg = SolverConfig(dt=dt, t_final=t_final, extinction_eps=1e-6)
         x0 = extremal_start(grid, alpha, 0.1)
-        return estimate_gamma(grid, alpha).value, run_path(x0, cfg, model, noise, seed=(0, 0))
+        return estimate_gamma(grid, alpha).value, cfg, run_path(x0, cfg, model, noise, seed=(0, 0))
 
     @pytest.mark.parametrize("alpha, t_final", CASES)
     def test_tau_hat_is_the_scalar_schemes(self, alpha, t_final):
         """|tau_hat - T_dt(eps)| is at most one step (0 steps at each alpha:
         T_dt = 0.0617, 0.1249, 0.3743)."""
         dt = 1e-4
-        gamma, res = self._run(alpha, t_final, dt, lam=1e-4)
+        gamma, _, res = self._run(alpha, t_final, dt, lam=1e-4)
         t_dt = scheme_extinction_time(gamma, alpha, 1.0, dt, 0.1, 1e-6)
         assert res.tau_hat is not None
         assert abs(res.tau_hat - t_dt) <= dt * (1.0 + 1e-9)
@@ -594,10 +627,10 @@ class TestExtremalOracle:
         own error floors it (ratios 1.75-1.89), so lam is 1e-8 here."""
         errors = []
         for dt in (2e-4, 1e-4, 5e-5):
-            gamma, res = self._run(alpha, t_final, dt, lam=1e-8)
+            gamma, cfg, res = self._run(alpha, t_final, dt, lam=1e-8)
             d = (1.0 - alpha) * gamma ** (1.0 + alpha)
             live = res.hm1_norms > 1e-3
-            exact = 0.1 ** (1.0 - alpha) - d * res.times[live]
+            exact = 0.1 ** (1.0 - alpha) - d * cfg.record_times[live]
             errors.append(np.abs(res.hm1_norms[live] ** (1.0 - alpha) - exact).max())
         for coarse, fine in zip(errors, errors[1:]):
             assert 1.8 <= coarse / fine <= 2.2
@@ -644,28 +677,48 @@ class TestFrozenShapeOracle:
             assert tau_hat is not None and tau is not None
             assert abs(tau_hat - tau) <= steps * dt * (1.0 + 1e-9), f"path {i}"
 
+    def test_strong_antisymmetric_noise_breaks_the_model(self):
+        """The model's known limit: at mu = (2, 13), alpha = 1/2 and dt =
+        1e-5 the SPDE dies far sooner than the frozen-shape model says, well
+        outside the 3 steps allowed above. Path 0 at seed 17 dies at tau_hat =
+        0.05242, and the model's tau is 0.13949, 8707 steps later (of 10
+        paths, the SPDE's all die by 0.116 and the model leaves 6 alive at
+        0.2), so the one path shows it."""
+        alpha, mu, dt, t_final, seed = 0.5, (2.0, 13.0), 1e-5, 0.2, (17, 0)
+        grid = GridSpec(127)
+        x0 = extremal_start(grid, alpha, 0.1)
+        gamma = estimate_gamma(grid, alpha).value
+        noise = NoiseSpec(mu=np.array(mu), basis=build_basis(grid, 2))
+        solver = SolverConfig(dt=dt, t_final=t_final, record_every=round(t_final / dt))
+        model = ModelParams(DiffusionLaw(1.0, alpha), lam=1e-4)
+        tau_hat = run_path(x0, solver, model, noise, seed=seed).tau_hat
+        tau = frozen_shape_tau(x0, noise, gamma, alpha, 1.0, solver, seed)
+        assert tau_hat is not None
+        assert tau is None or tau - tau_hat > 3 * dt * (1.0 + 1e-9)
+
 
 class TestWeakFormResidual:
     @staticmethod
     def _run(x0, grid, basis, noise, model, dt, t_final=0.02):
+        """The config and the path, stored at every step."""
         cfg = SolverConfig(dt=dt, t_final=t_final, record_every=1, store_states=True)
-        return run_path(x0, cfg, model, noise, seed=(3, 0))
+        return cfg, run_path(x0, cfg, model, noise, seed=(3, 0))
 
     def test_zero_start_zero_residual(self, grid, basis, model, small_noise):
-        res = self._run(Field.zero(grid), grid, basis, small_noise, model, 1e-3)
-        assert weak_form_residual(res, 1, model, small_noise) == 0.0
+        cfg, res = self._run(Field.zero(grid), grid, basis, small_noise, model, 1e-3)
+        assert weak_form_residual(res, cfg, 1, model, small_noise) == 0.0
 
     def test_requires_logs(self, grid, basis, model, small_noise):
         cfg = SolverConfig(dt=1e-3, t_final=0.01)
         res = run_path(Field.zero(grid), cfg, model, small_noise, seed=(3, 0))
         with pytest.raises(ValueError):
-            weak_form_residual(res, 1, model, small_noise)
+            weak_form_residual(res, cfg, 1, model, small_noise)
 
     def test_rejects_recording_stride(self, grid, basis, model, small_noise):
         cfg = SolverConfig(dt=1e-3, t_final=0.01, record_every=5, store_states=True)
         res = run_path(Field.zero(grid), cfg, model, small_noise, seed=(3, 0))
         with pytest.raises(ValueError):
-            weak_form_residual(res, 1, model, small_noise)
+            weak_form_residual(res, cfg, 1, model, small_noise)
 
     def test_pinned_on_noisy_extinct_path(self, basis, model, small_noise):
         """The Ito sums take the increments the path drew, drawn again from its
@@ -674,8 +727,8 @@ class TestWeakFormResidual:
         x0, cfg = TestRunPath._noisy_extinct_setup(basis, store_states=True)
         res = run_path(x0, cfg, model, small_noise, seed=(8, 3))
         assert res.tau_hat == 0.128
-        assert weak_form_residual(res, 1, model, small_noise) == 0.0026278702602056626
-        assert weak_form_residual(res, 2, model, small_noise) == 2.3467807855102147e-05
+        assert weak_form_residual(res, cfg, 1, model, small_noise) == 0.0026278702602056626
+        assert weak_form_residual(res, cfg, 2, model, small_noise) == 2.3467807855102147e-05
 
     def test_halving_ratio_window(self, grid, basis, quiet_noise):
         model = ModelParams(DiffusionLaw(1.0, 0.5), lam=1e-5)
@@ -685,8 +738,8 @@ class TestWeakFormResidual:
         x0 = mix.with_values(mix.values * (0.1 / norm_hm1(mix)))
         defects = []
         for dt in (2e-3, 1e-3, 5e-4):
-            res = self._run(x0, grid, basis, quiet_noise, model, dt)
-            defects.append(weak_form_residual(res, 1, model, quiet_noise))
+            cfg, res = self._run(x0, grid, basis, quiet_noise, model, dt)
+            defects.append(weak_form_residual(res, cfg, 1, model, quiet_noise))
         for big, small in zip(defects, defects[1:]):
             assert 1.2 <= big / small <= 4.0
 
@@ -731,6 +784,13 @@ class TestSolverConfig:
     def test_dt_bounds(self):
         with pytest.raises(ValueError):
             SolverConfig(dt=1.0, t_final=0.5)
+
+    @pytest.mark.parametrize("stride, steps", [(1, range(8)), (3, [0, 3, 6, 7]), (7, [0, 7])])
+    def test_record_times(self, stride, steps):
+        """Every record_every-th step and the last, each at i*dt, the time
+        run_path gives step i (3*0.1 is 0.30000000000000004, not 0.3)."""
+        cfg = SolverConfig(dt=0.1, t_final=0.7, record_every=stride)
+        assert cfg.record_times.tolist() == [i * 0.1 for i in steps]
 
     @pytest.mark.parametrize("dt", [0.04, 0.06])
     def test_dt_must_divide_t_final(self, dt):
