@@ -316,10 +316,10 @@ def ensemble_supermartingale_test(
     trajectories: list[Trajectory], config: SolverConfig, checkpoints, c_star: float, alpha: float
 ) -> SupermartingaleReport:
     """Mean-decrease check on M(t) = discounted_norm(t, |X(t)|_{-1}, c_star,
-    alpha) over paths run under config, evaluated at the last row of
-    config.record_times at or before step_time(t) of each checkpoint t (one
-    row for every path): at each consecutive checkpoint pair (r, t) require
-    mean M(t) <= mean M(r) + 2*SE(t).
+    alpha) over paths run under config (one row per record time each),
+    evaluated at the last row of config.record_times at or before
+    step_time(t) of each checkpoint t: at each consecutive checkpoint pair
+    (r, t) require mean M(t) <= mean M(r) + 2*SE(t).
 
     Pathwise supermartingale behavior is not directly assertable from an
     ensemble; the mean inequality is its falsifiable consequence.
@@ -328,6 +328,8 @@ def ensemble_supermartingale_test(
     if n < 100:
         raise ValueError(f"need at least 100 paths, got {n}")
     record_times = config.record_times
+    if any(traj.hm1_norms.size != record_times.size for traj in trajectories):
+        raise ValueError(f"a path's rows are not the {record_times.size} of config.record_times")
     steps = [config.step_time(t) for t in checkpoints]
     rows = np.searchsorted(record_times, steps, side="right") - 1
     if rows.min() < 0:

@@ -105,8 +105,8 @@ class SolverConfig:
     def __post_init__(self):
         if not (0 < self.dt < self.t_final and np.isfinite(self.t_final)):
             raise ValueError(f"need 0 < dt < t_final < inf, got dt={self.dt}, T={self.t_final}")
-        # run_path takes round(T/dt) steps, so any other dt would end elsewhere
-        if abs(round(self.t_final / self.dt) * self.dt - self.t_final) > 1e-9 * self.t_final:
+        # run_path takes n_steps steps, so any other dt would end elsewhere
+        if abs(self.n_steps * self.dt - self.t_final) > 1e-9 * self.t_final:
             raise ValueError(f"dt={self.dt} must divide t_final={self.t_final}")
         if not (self.extinction_eps > 0 and np.isfinite(self.extinction_eps)):
             raise ValueError(
@@ -119,13 +119,16 @@ class SolverConfig:
             raise ValueError("record_every must be >= 1")
 
     @property
+    def n_steps(self) -> int:
+        """The number of steps run_path takes, round(t_final/dt)."""
+        return int(round(self.t_final / self.dt))
+
+    @property
     def record_times(self) -> np.ndarray:
         """The one recording grid: every record_every-th step and the last,
         at i*dt, the bits of run_path's step times. Every path of a config
         shares it; row r of a Trajectory is at record_times[r]."""
-        n_steps = round(self.t_final / self.dt)
-        steps = [i for i in range(n_steps + 1) if i % self.record_every == 0 or i == n_steps]
-        return np.array(steps) * self.dt
+        return np.append(np.arange(0, self.n_steps, self.record_every), self.n_steps) * self.dt
 
     def step_time(self, t: float) -> float:
         """The time run_path writes for its last step at or before t,
@@ -295,19 +298,18 @@ def run_path(
     prediction's error is O(dt^2), where psi0(X*f)'s is O(dt), so most
     stages take one Newton iteration.
 
-    The stream is keyed by (master_seed, path_index) and step i of a live
-    path always takes the i-th draw, because a path stops only once; after
-    extinction or failure no increments are drawn. The path's one record is
-    its Trajectory: the observables at config.record_times, tau_hat or the
-    failure, and the solver work in solver_counts. Its coercivity_violations
-    counts the live steps with |X|_{1+alpha} < gamma_check*|X|_-1, and is
-    None without gamma_check.
+    The stream is keyed by (master_seed, path_index) and step i takes the
+    i-th draw. The loop stops after the step that ends the path (extinction
+    or a failed stage), and its final state fills every later row. The
+    path's one record is its Trajectory: the observables at
+    config.record_times, tau_hat or the failure, and the solver work in
+    solver_counts. Its coercivity_violations counts the live steps with
+    |X|_{1+alpha} < gamma_check*|X|_-1, and is None without gamma_check.
     """
     h = x0.grid.spacing
     alpha = model.diffusion.alpha
     p = alpha + 1.0
     stream = make_stream(*seed)
-    n_steps = int(round(config.t_final / config.dt))
     record_times = config.record_times
     scaled_modes = noise.scaled_modes()
     if x0.values.shape != scaled_modes.shape[1:]:
@@ -322,44 +324,48 @@ def run_path(
     w = d = None  # the last stage's pressure and drift increment, once known
     tau_hat: Optional[float] = None
     failure: Optional[str] = None
-    for i in range(n_steps + 1):
+    for i in range(config.n_steps + 1):
         t = i * config.dt
-        if tau_hat is None and failure is None:
-            if i > 0:
-                dbeta = sample_increments(config.dt, noise.n_modes, stream)
-                f = kick_factor(dbeta, scaled_modes)
-                perturbed = x * f
-                start = None
-                if w is not None:
-                    s = np.sign(f) * np.abs(f) ** alpha
-                    kicked = w * s
-                    start = kicked if d is None else kicked + d * s
-                try:
-                    x, w_new = _drift_substeps(perturbed, h, config.dt, model, counts, start)
-                except ImplicitStepError as exc:
-                    failure = str(exc)
-                    x = perturbed
-                else:
-                    if start is not None:
-                        d = w_new - kicked
-                    w = w_new
-            lp = float(norm_lp_array(x, h, p))
-            # this module's solve, which the tracer counts: one at t = 0 and
-            # one per live step, a failed one included (the held kick's norm)
-            hm1 = float(norm_hm1_array(x, poisson_solve_array(x, h), h))
-            if failure is None:
-                if i > 0 and gamma_check is not None:
-                    if lp < gamma_check * hm1 * (1.0 - 1e-9) - 1e-14:
-                        coercivity_violations += 1
-                if hm1 <= config.extinction_eps:
-                    tau_hat = t
-                    x = np.zeros_like(x)
-                    hm1 = lp = 0.0
-        # t and record_times[r] are the same product i*dt
-        if t == record_times[len(rows)]:
-            rows.append((hm1, lp, float(x.min()), float(x.max())))
+        if i > 0:
+            dbeta = sample_increments(config.dt, noise.n_modes, stream)
+            f = kick_factor(dbeta, scaled_modes)
+            perturbed = x * f
+            start = None
+            if w is not None:
+                s = np.sign(f) * np.abs(f) ** alpha
+                kicked = w * s
+                start = kicked if d is None else kicked + d * s
+            try:
+                x, w_new = _drift_substeps(perturbed, h, config.dt, model, counts, start)
+            except ImplicitStepError as exc:
+                failure = str(exc)
+                x = perturbed
+            else:
+                if start is not None:
+                    d = w_new - kicked
+                w = w_new
+        lp = float(norm_lp_array(x, h, p))
+        # this module's solve, which the tracer counts: one at t = 0 and
+        # one per live step, a failed one included (the held kick's norm)
+        hm1 = float(norm_hm1_array(x, poisson_solve_array(x, h), h))
+        if failure is None:
+            if i > 0 and gamma_check is not None:
+                if lp < gamma_check * hm1 * (1.0 - 1e-9) - 1e-14:
+                    coercivity_violations += 1
+            if hm1 <= config.extinction_eps:
+                tau_hat = t
+                x = np.zeros_like(x)
+                hm1 = lp = 0.0
+        ended = tau_hat is not None or failure is not None
+        # t and record_times[r] are the same product i*dt; an ended path
+        # holds its final state, which every row from here on records
+        if ended or t == record_times[len(rows)]:
+            n = record_times.size - len(rows) if ended else 1
+            rows += [(hm1, lp, float(x.min()), float(x.max()))] * n
             if states is not None:
-                states.append(x.copy())
+                states += [x.copy()] * n
+        if ended:
+            break
 
     hm1s, lps, mins, maxs = np.array(rows).T.copy()  # contiguous columns
     return Trajectory(
@@ -387,10 +393,12 @@ def weak_form_residual(
     The Ito sums take the path's Wiener increments, which its seed fixes:
     they are drawn again from make_stream(*traj.seed), one draw per step,
     exactly as run_path drew them (rows after extinction meet a zero state).
-    Requires a run with store_states=True and record_every=1.
+    Requires a run under config with store_states=True and record_every=1.
     """
     if traj.states is None or config.record_every != 1:
         raise ValueError("weak-form residual needs store_states and record_every=1")
+    if not traj.hm1_norms.size == traj.states.shape[0] == config.n_steps + 1:
+        raise ValueError(f"the path's rows are not the {config.n_steps + 1} steps of config")
     basis = noise.basis
     h = basis.grid.spacing
     dt = config.dt
@@ -407,7 +415,7 @@ def weak_form_residual(
     modes = basis.modes[: noise.n_modes]
     stream = make_stream(*traj.seed)
     dbeta = np.array([
-        sample_increments(dt, noise.n_modes, stream) for _ in range(states.shape[0] - 1)
+        sample_increments(dt, noise.n_modes, stream) for _ in range(config.n_steps)
     ])  # (n_steps, K)
     # left-point Ito sums: <X_i * e_k, e_j> per step and mode
     proj = h * states[:-1] @ (modes * ej).T  # (n_steps, K)

@@ -141,7 +141,7 @@ def frozen_shape_tau(x0, noise, gamma, alpha, rho, config, seed):
     c = config.dt * rho * gamma ** (1.0 + alpha)
     stream = make_stream(*seed)
     amplitude = float(np.sqrt(gram[0, 0]))
-    for i in range(1, int(round(config.t_final / config.dt)) + 1):
+    for i in range(1, config.n_steps + 1):
         m = noise.mu * sample_increments(config.dt, noise.n_modes, stream)
         kicked = amplitude * float(np.sqrt(1.0 + 2.0 * a @ m + m @ g @ m))
         amplitude = amplitude_stage(kicked, c, alpha)
@@ -294,10 +294,13 @@ def absorption_fault(traj, config):
     Every recorded row before tau_hat (every row, if the path did not die)
     must have |X|_-1 above config.extinction_eps, and every row from tau_hat
     on must be exactly 0 in the H^-1 and L^p norms, the minimum and the
-    maximum. Row r is at config.record_times[r].
+    maximum. Row r is at config.record_times[r]; a path with another number
+    of rows raises ValueError.
     """
-    eps = config.extinction_eps
     before = config.record_times < (np.inf if traj.tau_hat is None else traj.tau_hat)
+    if traj.hm1_norms.size != before.size:
+        raise ValueError(f"a path's rows are not the {before.size} of config.record_times")
+    eps = config.extinction_eps
     if not np.all(traj.hm1_norms[before] > eps):
         return f"a row before tau_hat={traj.tau_hat} has |X|_-1 <= {eps:g}"
     rows = (traj.hm1_norms, traj.lp_norms, traj.min_values, traj.max_values)

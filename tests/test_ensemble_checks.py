@@ -48,6 +48,11 @@ class TestCheckAbsorption:
         """tau_hat one row after the series reached 0 contradicts the series."""
         assert "before tau_hat" in fault([0.5, 0.0, 0.0, 0.0], tau_hat=2.0)
 
+    def test_rows_of_another_config_rejected(self):
+        """Three rows read under a config that records two raise."""
+        with pytest.raises(ValueError, match="rows"):
+            absorption_fault(make_traj([0.5, 0.4, 0.3]), unit_rows(2))
+
     def test_clamp_with_a_nonzero_extreme(self):
         """Zero norms with a non-zero maximum are not an absorbed state."""
         problem = fault([0.5, 0.0, 0.0, 0.0], tau_hat=1.0, max_values=[1, 0, 1e-300, 0])
@@ -117,3 +122,14 @@ class TestEnsembleTest:
         trajs = [make_traj(recorded.astype(float) ** 2) for _ in range(100)]
         rep = ensemble_supermartingale_test(trajs, config, checkpoints, 0.0, 0.5)
         assert rep.means == pytest.approx(steps, rel=1e-15)
+
+    def test_rows_of_another_config_rejected(self):
+        """Paths recorded at record_every=5 (dt 2e-3, T 0.2: 21 rows) read
+        under record_every=10 (11 rows) would read other steps: it raises."""
+        ran = SolverConfig(dt=2e-3, t_final=0.2, record_every=5)
+        trajs = [make_traj(np.linspace(1.0, 0.5, ran.record_times.size)) for _ in range(100)]
+        read = SolverConfig(dt=2e-3, t_final=0.2, record_every=10)
+        with pytest.raises(ValueError, match="rows"):
+            ensemble_supermartingale_test(trajs, read, [0.05, 0.1, 0.15, 0.2], 0.0, 0.5)
+        rep = ensemble_supermartingale_test(trajs, ran, [0.05, 0.1, 0.15, 0.2], 0.0, 0.5)
+        assert rep.overall_pass

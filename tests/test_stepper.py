@@ -35,6 +35,7 @@ from spmlab.operators import (
 )
 from spmlab.stepper import ImplicitStepError, NonFiniteStageError, SolverCounts, Trajectory
 from spmlab.cli import _write_csv
+from spmlab.noise import kick_factor, make_stream, sample_increments
 from spmlab.theory import BoundInputs, deterministic_extinction_time, discounted_norm
 
 from conftest import (
@@ -396,8 +397,10 @@ class TestRunPath:
 
     def test_failed_path_records_the_held_state(self, model, basis, monkeypatch):
         """When the stage fails at step 3 the path holds its kicked state,
-        and every row records the norms of the state it stores: the held
-        state's H^-1 norm, not the last stage's."""
+        the state of step 2 times the third draw's kick factor, and every
+        row records the norms of the state it stores: the held state's H^-1
+        norm, not the last stage's. Every row and state from step 3 on is
+        the held kick's."""
         noise = NoiseSpec(mu=np.array([0.3, 0.1]), basis=basis)
         x0, cfg = self._noisy_extinct_setup(basis, store_states=True)
         stage, calls = stepper_mod._drift_substeps, []
@@ -418,6 +421,13 @@ class TestRunPath:
         )
         np.testing.assert_array_equal(res.lp_norms, norm_lp_array(states, h, 1.5))
         assert res.hm1_norms[3] != res.hm1_norms[2]
+        stream = make_stream(1, 0)
+        for _ in range(3):
+            dbeta = sample_increments(cfg.dt, noise.n_modes, stream)
+        held = states[2] * kick_factor(dbeta, noise.scaled_modes())
+        np.testing.assert_array_equal(states[3:], np.broadcast_to(held, states[3:].shape))
+        for column in (res.hm1_norms, res.lp_norms, res.min_values, res.max_values):
+            np.testing.assert_array_equal(column[3:], column[3])
 
     def test_one_row_per_record_time(self, model, small_noise, basis):
         """A path has one row per time of its config's record_times, the last
@@ -486,6 +496,8 @@ class TestRunPath:
     def test_no_increments_drawn_after_extinction(
         self, model, small_noise, basis, monkeypatch
     ):
+        """A path that dies draws one increment per step up to tau_hat, and
+        one alive at t_final draws exactly n_steps."""
         x0, cfg = self._noisy_extinct_setup(basis)
         draws = []
         original = stepper_mod.sample_increments
@@ -496,8 +508,13 @@ class TestRunPath:
 
         monkeypatch.setattr(stepper_mod, "sample_increments", counting)
         res = run_path(x0, cfg, model, small_noise, seed=(8, 3))
-        n_steps = round(cfg.t_final / cfg.dt)
-        assert res.tau_hat is not None and len(draws) == round(res.tau_hat / cfg.dt) < n_steps
+        assert res.tau_hat is not None
+        assert len(draws) == round(res.tau_hat / cfg.dt) < cfg.n_steps
+        draws.clear()
+        short = dataclasses.replace(cfg, t_final=0.05)
+        res = run_path(x0, short, model, small_noise, seed=(8, 3))
+        assert res.tau_hat is None and res.failure is None
+        assert len(draws) == short.n_steps == 50
 
     def test_paths_match_scipy_wrappers(self, model, small_noise, basis, monkeypatch):
         """The LAPACK kernels give the paths of scipy's solveh_banded bit for
@@ -720,6 +737,15 @@ class TestWeakFormResidual:
         with pytest.raises(ValueError):
             weak_form_residual(res, cfg, 1, model, small_noise)
 
+    def test_rejects_another_configs_rows(self, grid, basis, model, small_noise):
+        """A path read under another solver config than it ran under would
+        meet other steps' increments: it must have config.n_steps + 1 rows."""
+        x0 = basis.mode(1)
+        cfg, res = self._run(x0, grid, basis, small_noise, model, 1e-3, t_final=0.02)
+        for other in (dataclasses.replace(cfg, t_final=0.01), dataclasses.replace(cfg, dt=5e-4)):
+            with pytest.raises(ValueError, match="rows"):
+                weak_form_residual(res, other, 1, model, small_noise)
+
     def test_pinned_on_noisy_extinct_path(self, basis, model, small_noise):
         """The Ito sums take the increments the path drew, drawn again from its
         seed for all n_steps, the steps after extinction included; the
@@ -801,7 +827,9 @@ class TestSolverConfig:
 
     def test_dt_dividing_t_final_up_to_rounding(self):
         # 0.3 / 0.1 is 2.9999999999999996 and 3 * 0.1 is 0.30000000000000004
-        assert SolverConfig(dt=0.1, t_final=0.3).t_final == 0.3
+        cfg = SolverConfig(dt=0.1, t_final=0.3)
+        assert cfg.t_final == 0.3
+        assert cfg.n_steps == 3 and cfg.record_times[-1] == 3 * 0.1
 
     @pytest.mark.parametrize("stride", [2.5, True])
     def test_record_every_is_an_integer(self, stride):
