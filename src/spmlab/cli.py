@@ -16,7 +16,6 @@ import numpy as np
 
 from .harness import (
     ConfigError,
-    EnsembleFailure,
     build_bound_inputs,
     config_from_yaml,
     resolve_gamma,
@@ -53,7 +52,7 @@ def _exit_on_error():
     except ConfigError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    except (EnsembleFailure, PathFailedError) as exc:
+    except PathFailedError as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
 

@@ -32,7 +32,7 @@ from .operators import (
     norm_l2_array,
     require_integer,
 )
-from .stepper import SolverConfig, SolverCounts, Trajectory, run_path
+from .stepper import PathFailedError, SolverConfig, SolverCounts, Trajectory, run_path
 from .theory import BoundInputs, discounted_norm, extinction_bound
 
 # the two-sided 95% normal quantile: every Wilson interval, and so every
@@ -49,10 +49,6 @@ _POSITIVITY_TOL = 1e-8
 
 class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
-
-
-class EnsembleFailure(RuntimeError):
-    """Too many paths failed; the empirical CDF would be biased."""
 
 
 @dataclass(frozen=True)
@@ -128,7 +124,7 @@ class ExperimentConfig:
                 f"got {list(lams)}"
             )
         n = self.grid.n_interior
-        if self.initial.kind == "eigenmode" and not 1 <= self.initial.mode <= n:
+        if not 1 <= self.initial.mode <= n:
             raise ConfigError(f"initial mode {self.initial.mode} outside 1..{n}")
         if self.initial.kind == "custom":
             values = self.initial.values
@@ -294,7 +290,6 @@ class ComparisonRow:
     """One checkpoint's verdict; row i belongs to summary.checkpoints[i]."""
 
     bound: float
-    half_width: float
     passed: bool
 
 
@@ -395,8 +390,7 @@ class EnsembleSummary:
 
 
 def _build_context(config: ExperimentConfig):
-    basis_size = max(config.K, config.initial.mode if config.initial.kind == "eigenmode" else 1)
-    basis = build_basis(config.grid, basis_size)
+    basis = build_basis(config.grid, max(config.K, config.initial.mode))
     noise = NoiseSpec(mu=np.asarray(config.mu), basis=basis)
     x0 = make_initial(config.initial, config.grid, basis)
     return noise, x0
@@ -425,14 +419,23 @@ def resolve_gamma(config: ExperimentConfig) -> float:
 def build_bound_inputs(
     config: ExperimentConfig, x0: Field, noise: NoiseSpec, gamma: float
 ) -> BoundInputs:
-    """The theory bound's inputs: |x0|_-1, the diffusion law, gamma and c_star."""
+    """The theory bound's inputs: |x0|_-1, the diffusion law, gamma and c_star.
+
+    A c_star that overflows is a ConfigError: the config's noise.mu gives it.
+    """
+    with np.errstate(over="ignore"):
+        cs = c_star(noise)
+    if not np.isfinite(cs):
+        raise ConfigError(
+            f"noise.mu {noise.mu.tolist()} gives c_star = {cs}, past the float range"
+        )
     law = config.model.diffusion
     return BoundInputs(
         x_norm_hm1=norm_hm1(x0),
         alpha=law.alpha,
         rho=law.rho,
         gamma=gamma,
-        c_star=c_star(noise),
+        c_star=cs,
     )
 
 
@@ -440,26 +443,27 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
     """Run n_paths independent paths and aggregate the extinction statistics.
 
     Paths are distributed over worker processes; results are collected in
-    path order so the summary does not depend on scheduling. Fails hard if
-    more than 1% of paths fail (silent exclusion would bias the CDF). The
-    summary carries its comparison with the theory bound.
+    path order so the summary does not depend on scheduling. Raises
+    PathFailedError if more than 1% of paths fail (silent exclusion would
+    bias the CDF). The summary carries its comparison with the theory bound,
+    whose inputs are built, and so checked, before any path runs.
     """
     noise, x0 = _build_context(config)
     gamma = resolve_gamma(config)
+    inputs = build_bound_inputs(config, x0, noise, gamma)
     run_one = partial(_run_one, config, noise, x0, gamma)
     indices = range(config.n_paths)
     if workers <= 1:
         results = [run_one(i) for i in indices]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, config.n_paths // (4 * workers))
-            results = list(pool.map(run_one, indices, chunksize=chunksize))
+            results = list(pool.map(run_one, indices))
 
     ok = [r for r in results if r.failure is None]
     n_failed = len(results) - len(ok)
     if not ok or n_failed > 0.01 * config.n_paths:
         reasons = {r.failure for r in results if r.failure is not None}
-        raise EnsembleFailure(
+        raise PathFailedError(
             f"{n_failed}/{config.n_paths} paths failed (cap 1%): {sorted(reasons)}"
         )
 
@@ -474,7 +478,6 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
         lo.append(w[0])
         hi.append(w[1])
 
-    inputs = build_bound_inputs(config, x0, noise, gamma)
     sm_report = None if n_ok < 100 else ensemble_supermartingale_test(
         ok, config.solver, checkpoints, inputs.c_star, inputs.alpha
     )
@@ -518,7 +521,5 @@ def compare_with_bound(summary: EnsembleSummary, inputs: BoundInputs) -> Compari
     ):
         bound = extinction_bound(t, inputs)
         half = (hi - lo) / 2.0
-        rows.append(
-            ComparisonRow(bound=bound, half_width=half, passed=bool(emp >= bound - half - _SLACK))
-        )
+        rows.append(ComparisonRow(bound=bound, passed=bool(emp >= bound - half - _SLACK)))
     return ComparisonReport(rows=rows, overall_pass=all(r.passed for r in rows))

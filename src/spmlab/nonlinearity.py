@@ -15,6 +15,7 @@ r - lam*yosida(r); both accept scalars or numpy arrays.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,12 @@ class DiffusionLaw:
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        try:  # _pressure_power's factor
+            math.pow(self.rho, -1.0 / self.alpha)
+        except OverflowError:
+            raise ValueError(
+                f"rho={self.rho} makes rho^(-1/alpha) overflow at alpha={self.alpha}"
+            ) from None
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,15 @@ class GridSpec:
             raise GridError(f"need at least 3 interior nodes, got {self.n_interior}")
         if not (self.length > 0 and np.isfinite(self.length)):
             raise GridError(f"domain length must be positive, got {self.length}")
+        # the stencil, the Poisson factor and the basis divide by h^2
+        try:
+            in_range = 0 < 1.0 / self.spacing**2 < math.inf
+        except (OverflowError, ZeroDivisionError):
+            in_range = False
+        if not in_range:
+            raise GridError(
+                f"domain length {self.length} puts h^2 or 1/h^2 past the float range"
+            )
 
     @property
     def spacing(self) -> float:

@@ -91,7 +91,9 @@ class NonFiniteStageError(ImplicitStepError):
 
 
 class PathFailedError(RuntimeError):
-    """A path could not be completed even after repeated step halving."""
+    """A numerical failure: a path could not be completed even after repeated
+    step halving, or more than 1% of an ensemble's paths failed
+    (harness.run_ensemble's cap)."""
 
 
 @dataclass(frozen=True)

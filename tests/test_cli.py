@@ -233,6 +233,15 @@ class TestOverflowingInitialState:
         assert "an initial state whose squared L^2 norm overflows" in r.output
 
 
+# a grid whose h^2 underflows to 0 or overflows, and a rho whose
+# rho^(-1/alpha) overflows
+PAST_THE_FLOAT_RANGE = [
+    dict(grid=dict(n_interior=31, length=1e-200)),
+    dict(grid=dict(n_interior=31, length=1e200)),
+    dict(model={"rho": 1e-300, "alpha": 0.5, "lambda": 1e-4}),
+]
+
+
 class TestBadValues:
     @pytest.mark.parametrize(
         "overrides",
@@ -294,12 +303,29 @@ class TestBadValues:
             dict(K=32, noise=dict(mu=[0.01] * 32)),
             dict(n_paths=0),
             dict(checkpoints=[]),
+            *PAST_THE_FLOAT_RANGE,
+            # c* = sum mu_k^2 lambda_k^2 overflows: found before any path runs
+            dict(noise=dict(mu=[1e160, 0.0])),
         ],
     )
     def test_exit_2(self, tmp_path, overrides):
         p = tmp_path / "bad.yaml"
         p.write_text(yaml.safe_dump(base_raw(**{"n_paths": 3, **overrides})))
         r = run_cli("ensemble", "--config", str(p), "--out", str(tmp_path / "o"))
+        assert r.exit_code == 2, r.output
+        assert "config error" in r.output
+
+    @pytest.mark.parametrize("command, overrides", [
+        *((c, o) for c in ("simulate", "bound", "gamma", "convergence")
+          for o in PAST_THE_FLOAT_RANGE),
+        ("bound", dict(noise=dict(mu=[1e160, 0.0]))),
+    ])
+    def test_past_the_float_range_exit_2_from_every_command(self, tmp_path, command, overrides):
+        """The cases test_exit_2 gives ensemble, for the other commands that
+        read the value."""
+        p = tmp_path / "bad.yaml"
+        p.write_text(yaml.safe_dump(base_raw(**overrides)))
+        r = run_cli(command, "--config", str(p), "--out", str(tmp_path / "o"))
         assert r.exit_code == 2, r.output
         assert "config error" in r.output
 

@@ -26,9 +26,9 @@ from spmlab import (
     run_ensemble,
     wilson_interval,
 )
-from spmlab.harness import ConfigError, EnsembleFailure, _build_context, build_bound_inputs
+from spmlab.harness import ConfigError, _build_context, build_bound_inputs
 from spmlab.operators import norm_l2
-from spmlab.stepper import Trajectory
+from spmlab.stepper import PathFailedError, Trajectory
 from spmlab.theory import BoundInputs
 
 
@@ -438,7 +438,7 @@ class TestRunEnsemble:
         assert "timestamp" not in d
         rows = d["comparison"]["rows"]
         assert len(rows) == len(d["checkpoints"])
-        assert all(set(row) == {"bound", "half_width", "passed"} for row in rows)
+        assert all(set(row) == {"bound", "passed"} for row in rows)
 
     def test_summary_json_echoes_no_input(self, tiny_summary):
         """summary.json holds what the ensemble computed and no copy of its
@@ -510,7 +510,7 @@ class TestRunEnsemble:
 
         monkeypatch.setattr(hmod, "_run_one", broken)
         cfg = config_from_dict(base_raw(n_paths=4))
-        with pytest.raises(EnsembleFailure):
+        with pytest.raises(PathFailedError, match=r"4/4 paths failed \(cap 1%\): \['boom'\]"):
             run_ensemble(cfg, workers=1)
 
     @pytest.mark.parametrize("below", [(), (1,)])
