@@ -22,7 +22,6 @@ from .harness import (
     run_ensemble,
     _build_context,
 )
-from .noise import c_star
 from .operators import estimate_gamma
 from .stepper import PathFailedError, convergence_study, run_path
 from .theory import discounted_norm, extinction_bound
@@ -94,13 +93,13 @@ def simulate(config_path, seed, out):
     """Run a single path and write its trajectory CSV."""
     with _exit_on_error():
         cfg = _load_config(config_path, seed)
-        noise, x0 = _build_context(cfg)
+        noise, x0, cs = _build_context(cfg)
         traj = run_path(x0, cfg.solver, cfg.model, noise, seed=(cfg.master_seed, 0))
         if traj.failure is not None:
             raise PathFailedError(traj.failure)
     times = cfg.solver.record_times
     # M(t), the discounted norm of the paper's supermartingale, under c*
-    m = discounted_norm(times, traj.hm1_norms, c_star(noise), cfg.model.diffusion.alpha)
+    m = discounted_norm(times, traj.hm1_norms, cs, cfg.model.diffusion.alpha)
     columns = (times, traj.hm1_norms, traj.lp_norms, traj.min_values, traj.max_values, m)
     path = _outdir(out) / "trajectory.csv"
     _write_csv(
@@ -139,9 +138,9 @@ def bound(config_path, seed, out):
     """Write the theoretical extinction-probability bound curve as CSV."""
     with _exit_on_error():
         cfg = _load_config(config_path, seed)
-        noise, x0 = _build_context(cfg)
+        _, x0, cs = _build_context(cfg)
         gamma = resolve_gamma(cfg)
-        inputs = build_bound_inputs(cfg, x0, noise, gamma)
+        inputs = build_bound_inputs(cfg, x0, cs, gamma)
     ts = np.linspace(cfg.solver.t_final / 200, cfg.solver.t_final, 200)
     path = _outdir(out) / "bound.csv"
     _write_csv(path, "t,bound", ((t, extinction_bound(t, inputs)) for t in ts.tolist()))
@@ -173,7 +172,7 @@ def convergence(config_path, seed, out):
     """Regularization-parameter convergence study on a shared Brownian path."""
     with _exit_on_error():
         cfg = _load_config(config_path, seed)
-        noise, x0 = _build_context(cfg)
+        noise, x0, _ = _build_context(cfg)
         rows = convergence_study(
             x0, cfg.solver, cfg.model, noise,
             cfg.convergence_lambdas, seed=(cfg.master_seed, 0),

@@ -160,11 +160,21 @@ def _optional_real(value) -> Optional[float]:
     return None if value is None else _real(value)
 
 
+def _unit_length(value) -> float:
+    """grid.length's one value, 1, which perfbench's workloads write."""
+    if isinstance(value, bool) or float(value) != 1.0:
+        raise ValueError(
+            f"{value!r} is not {'a real number' if isinstance(value, bool) else 1}: a problem "
+            "on (0, L) is run on (0, 1) as its image under x = L*y, t = L^2*s (README: Units)"
+        )
+    return 1.0
+
+
 # Every key that config_from_dict accepts, by section, with the reader of its
 # value; a nested table is a subsection. Any other key is a config error, and
 # a key that a config leaves out takes its record's default.
 _CONFIG_KEYS = {
-    "grid": {"n_interior": _integer, "length": _real},
+    "grid": {"n_interior": _integer, "length": _unit_length},
     "K": _integer,
     "model": {"rho": _real, "alpha": _real, "lambda": _real, "aux": {"slope": _real}},
     "noise": {"mu": _reals},
@@ -222,7 +232,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             given["lam"] = m["lambda"]
         model = ModelParams(DiffusionLaw(rho=m["rho"], alpha=m["alpha"]), **given)
         return ExperimentConfig(
-            grid=GridSpec(**c.pop("grid")),
+            grid=GridSpec(c.pop("grid")["n_interior"]),
             model=model,
             mu=c.pop("noise")["mu"],
             solver=SolverConfig(**c.pop("solver")),
@@ -258,7 +268,7 @@ def make_initial(spec: InitialSpec, grid: GridSpec, basis: SpectralBasis) -> Fie
         if spec.kind == "eigenmode":
             profile = basis.mode(spec.mode)
         else:  # hat bump centered in the domain
-            c, w = grid.length / 2.0, grid.length / 4.0
+            c, w = 0.5, 0.25
             profile = Field(np.maximum(0.0, 1.0 - np.abs(grid.nodes - c) / w), grid)
         nrm = norm_hm1(profile)
         if nrm == 0.0:
@@ -317,7 +327,8 @@ def ensemble_supermartingale_test(
     (r, t) require mean M(t) <= mean M(r) + 2*SE(t).
 
     Pathwise supermartingale behavior is not directly assertable from an
-    ensemble; the mean inequality is its falsifiable consequence.
+    ensemble; the mean inequality is its falsifiable consequence. config must
+    be the one the paths ran under; the row check catches another row count only.
     """
     n = len(trajectories)
     if n < 100:
@@ -390,10 +401,17 @@ class EnsembleSummary:
 
 
 def _build_context(config: ExperimentConfig):
+    """The noise, the initial state and c_star, a ConfigError if it overflows."""
     basis = build_basis(config.grid, max(config.K, config.initial.mode))
     noise = NoiseSpec(mu=np.asarray(config.mu), basis=basis)
     x0 = make_initial(config.initial, config.grid, basis)
-    return noise, x0
+    with np.errstate(over="ignore"):
+        cs = c_star(noise)
+    if not np.isfinite(cs):
+        raise ConfigError(
+            f"noise.mu {noise.mu.tolist()} gives c_star = {cs}, past the float range"
+        )
+    return noise, x0, cs
 
 
 def _run_one(
@@ -417,18 +435,9 @@ def resolve_gamma(config: ExperimentConfig) -> float:
 
 
 def build_bound_inputs(
-    config: ExperimentConfig, x0: Field, noise: NoiseSpec, gamma: float
+    config: ExperimentConfig, x0: Field, cs: float, gamma: float
 ) -> BoundInputs:
-    """The theory bound's inputs: |x0|_-1, the diffusion law, gamma and c_star.
-
-    A c_star that overflows is a ConfigError: the config's noise.mu gives it.
-    """
-    with np.errstate(over="ignore"):
-        cs = c_star(noise)
-    if not np.isfinite(cs):
-        raise ConfigError(
-            f"noise.mu {noise.mu.tolist()} gives c_star = {cs}, past the float range"
-        )
+    """The theory bound's inputs: |x0|_-1, the law, gamma and _build_context's c_star."""
     law = config.model.diffusion
     return BoundInputs(
         x_norm_hm1=norm_hm1(x0),
@@ -448,9 +457,9 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
     bias the CDF). The summary carries its comparison with the theory bound,
     whose inputs are built, and so checked, before any path runs.
     """
-    noise, x0 = _build_context(config)
+    noise, x0, cs = _build_context(config)
     gamma = resolve_gamma(config)
-    inputs = build_bound_inputs(config, x0, noise, gamma)
+    inputs = build_bound_inputs(config, x0, cs, gamma)
     run_one = partial(_run_one, config, noise, x0, gamma)
     indices = range(config.n_paths)
     if workers <= 1:

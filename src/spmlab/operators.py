@@ -1,4 +1,4 @@
-"""1-D spatial discretization on (0, L) with homogeneous Dirichlet conditions.
+"""1-D spatial discretization on (0, 1) with homogeneous Dirichlet conditions.
 
 Provides the uniform interior grid, the standard three-point Laplacian, direct
 Poisson and symmetric positive definite tridiagonal solves (LAPACK pttrs on a
@@ -40,17 +40,14 @@ def require_integer(name: str, value, error: type[Exception] = ValueError) -> No
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform interior grid for (0, L): n_interior nodes, spacing h = L/(n+1)."""
+    """Uniform interior grid for (0, 1): n_interior nodes, spacing h = 1/(n+1)."""
 
     n_interior: int
-    length: float = 1.0
 
     def __post_init__(self):
         require_integer("n_interior", self.n_interior, GridError)
         if self.n_interior < 3:
             raise GridError(f"need at least 3 interior nodes, got {self.n_interior}")
-        if not (self.length > 0 and np.isfinite(self.length)):
-            raise GridError(f"domain length must be positive, got {self.length}")
         # the stencil, the Poisson factor and the basis divide by h^2
         try:
             in_range = 0 < 1.0 / self.spacing**2 < math.inf
@@ -58,12 +55,12 @@ class GridSpec:
             in_range = False
         if not in_range:
             raise GridError(
-                f"domain length {self.length} puts h^2 or 1/h^2 past the float range"
+                f"n_interior {self.n_interior} puts h^2 or 1/h^2 past the float range"
             )
 
     @property
     def spacing(self) -> float:
-        return self.length / (self.n_interior + 1)
+        return 1.0 / (self.n_interior + 1)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -276,19 +273,19 @@ def build_basis(grid: GridSpec, K: int) -> SpectralBasis:
 
 
 def lambda1_exact(grid: GridSpec) -> float:
-    """Closed form for the smallest discrete eigenvalue: (4/h^2) sin^2(pi h / 2L)."""
-    h, L = grid.spacing, grid.length
-    return 4.0 / h**2 * np.sin(np.pi * h / (2.0 * L)) ** 2
+    """Closed form for the smallest discrete eigenvalue: (4/h^2) sin^2(pi h / 2)."""
+    h = grid.spacing
+    return 4.0 / h**2 * np.sin(np.pi * h / 2.0) ** 2
 
 
 def mode1_exact(grid: GridSpec) -> np.ndarray:
-    """Closed form for the first discrete eigenvector, up to scale: sin(pi x_i/L).
+    """Closed form for the first discrete eigenvector, up to scale: sin(pi x_i).
 
     It is positive at every node, with a single maximum, so it has no sign
-    to choose. build_basis(grid, 1).modes[0] is sqrt(2/L) times this vector,
+    to choose. build_basis(grid, 1).modes[0] is sqrt(2) times this vector,
     to within LAPACK's eigenvector accuracy (about 1e-11).
     """
-    return np.sin(np.pi / grid.length * grid.nodes)
+    return np.sin(np.pi * grid.nodes)
 
 
 @dataclass(frozen=True)

@@ -280,6 +280,8 @@ def _drift_substeps(
         return _drift_substeps(half, *rest)
 
 
+# a kick past the float range fails the stage's finiteness check, not a warning
+@np.errstate(over="ignore", invalid="ignore")
 def run_path(
     x0: Field,
     config: SolverConfig,
@@ -395,7 +397,8 @@ def weak_form_residual(
     The Ito sums take the path's Wiener increments, which its seed fixes:
     they are drawn again from make_stream(*traj.seed), one draw per step,
     exactly as run_path drew them (rows after extinction meet a zero state).
-    Requires a run under config with store_states=True and record_every=1.
+    Requires the config the path ran under, with store_states=True and
+    record_every=1; the row check catches another step count only.
     """
     if traj.states is None or config.record_every != 1:
         raise ValueError("weak-form residual needs store_states and record_every=1")

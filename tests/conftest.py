@@ -53,8 +53,8 @@ def random_field(grid, rng, scale=1.0):
     return Field(scale * rng.standard_normal(grid.n_interior), grid)
 
 
-def gamma_continuum(alpha, length=1.0):
-    """The continuum coercivity constant inf |u|_{L^{1+alpha}} / |u|_{-1} on (0, L).
+def gamma_continuum(alpha):
+    """The continuum coercivity constant inf |u|_{L^{1+alpha}} / |u|_{-1} on (0, 1).
 
     By duality it is 1 over the Sobolev constant of H^1_0 in L^q, q =
     (1+alpha)/alpha, whose extremal solves the Lane-Emden problem
@@ -67,7 +67,7 @@ def gamma_continuum(alpha, length=1.0):
     c = np.sqrt(2.0 * q) * i
     m = c ** (2.0 / (q - 2.0))
     n = c * (j / i) * m ** (1.0 + q / 2.0)
-    return n ** (0.5 - 1.0 / q) * length ** (1.0 / (1.0 + alpha) - 1.5)
+    return n ** (0.5 - 1.0 / q)
 
 
 def extremal_start(grid, alpha, target):

@@ -110,8 +110,8 @@ class TestCriterion1:
 class TestCriterion2:
     def test_bound_holds_at_every_checkpoint(self, noisy_ensemble):
         cfg, summary = noisy_ensemble
-        noise, x0 = _build_context(cfg)
-        inputs = build_bound_inputs(cfg, x0, noise, summary.gamma_used)
+        _, x0, cs = _build_context(cfg)
+        inputs = build_bound_inputs(cfg, x0, cs, summary.gamma_used)
         # the horizon must reach the 50% regime of the theoretical bound
         assert time_to_reach_bound(0.5, inputs) <= T_FINAL
         assert extinction_bound(T_FINAL, inputs) >= 0.5

@@ -35,11 +35,12 @@ class TestSimulate:
         # one line per recorded row of path 0: its five columns and
         # M(t) = discounted_norm under the config's c*, every value exact
         cfg = config_from_yaml(cfg_file)
-        noise, x0 = _build_context(cfg)
+        noise, x0, cs = _build_context(cfg)
         traj = run_path(x0, cfg.solver, cfg.model, noise, seed=(cfg.master_seed, 0))
         alpha = cfg.model.diffusion.alpha
         times = cfg.solver.record_times
-        m = discounted_norm(times, traj.hm1_norms, c_star(noise), alpha)
+        assert cs == c_star(noise)
+        m = discounted_norm(times, traj.hm1_norms, cs, alpha)
         expected = np.column_stack(
             (times, traj.hm1_norms, traj.lp_norms, traj.min_values, traj.max_values, m)
         )
@@ -154,10 +155,10 @@ class TestBound:
         r = run_cli("bound", "--config", str(cfg_file), "--out", str(tmp_path / "bnd"))
         assert r.exit_code == 0, r.output
         cfg = config_from_yaml(cfg_file)
-        noise, x0 = _build_context(cfg)
+        _, x0, cs = _build_context(cfg)
         summary = run_ensemble(cfg)
         assert len(seen) == 200
-        assert set(seen) == {build_bound_inputs(cfg, x0, noise, summary.gamma_used)}
+        assert set(seen) == {build_bound_inputs(cfg, x0, cs, summary.gamma_used)}
 
 
 class TestGamma:
@@ -233,11 +234,11 @@ class TestOverflowingInitialState:
         assert "an initial state whose squared L^2 norm overflows" in r.output
 
 
-# a grid whose h^2 underflows to 0 or overflows, and a rho whose
+# a grid whose h^2 underflows to 0 or whose 1/h^2 overflows, and a rho whose
 # rho^(-1/alpha) overflows
 PAST_THE_FLOAT_RANGE = [
-    dict(grid=dict(n_interior=31, length=1e-200)),
-    dict(grid=dict(n_interior=31, length=1e200)),
+    dict(grid=dict(n_interior=1e200)),
+    dict(grid=dict(n_interior=1e160)),
     dict(model={"rho": 1e-300, "alpha": 0.5, "lambda": 1e-4}),
 ]
 
@@ -306,6 +307,9 @@ class TestBadValues:
             *PAST_THE_FLOAT_RANGE,
             # c* = sum mu_k^2 lambda_k^2 overflows: found before any path runs
             dict(noise=dict(mu=[1e160, 0.0])),
+            # the domain is (0, 1), so 1 is grid.length's one value
+            dict(grid=dict(n_interior=31, length=2.0)),
+            dict(grid=dict(n_interior=31, length=0.5)),
         ],
     )
     def test_exit_2(self, tmp_path, overrides):
@@ -318,11 +322,12 @@ class TestBadValues:
     @pytest.mark.parametrize("command, overrides", [
         *((c, o) for c in ("simulate", "bound", "gamma", "convergence")
           for o in PAST_THE_FLOAT_RANGE),
-        ("bound", dict(noise=dict(mu=[1e160, 0.0]))),
+        *((c, dict(noise=dict(mu=[1e160, 0.0]))) for c in ("bound", "simulate", "convergence")),
     ])
     def test_past_the_float_range_exit_2_from_every_command(self, tmp_path, command, overrides):
         """The cases test_exit_2 gives ensemble, for the other commands that
-        read the value."""
+        read the value; c* is checked where every command that builds the
+        noise builds it."""
         p = tmp_path / "bad.yaml"
         p.write_text(yaml.safe_dump(base_raw(**overrides)))
         r = run_cli(command, "--config", str(p), "--out", str(tmp_path / "o"))
@@ -348,6 +353,20 @@ class TestNumericalFailure:
         assert r.exit_code == 3, r.output
         assert "numerical failure:" in r.output
         assert "implicit solve stalled at residual 1.000e+00" in r.output
+
+    @pytest.mark.parametrize("command", ["simulate", "ensemble", "convergence"])
+    @pytest.mark.parametrize("mu", [[1e150, 0.0], [1e140, 5e139]])
+    def test_overflowing_kick_exit_3(self, tmp_path, command, mu):
+        """c* is finite, but the kicked state's squared norm overflows within
+        a few steps (and, with a mode that changes sign, its held kick's
+        u.A^-1 u is inf - inf): the stage's finiteness check ends the path,
+        and no overflow or invalid-value warning is raised on the way there,
+        which pytest turns into errors."""
+        p = tmp_path / "kick.yaml"
+        p.write_text(yaml.safe_dump(base_raw(n_paths=3, noise=dict(mu=mu))))
+        r = run_cli(command, "--config", str(p), "--out", str(tmp_path / "o"))
+        assert r.exit_code == 3, r.output
+        assert "non-finite right-hand side norm" in r.output
 
 
 class TestNegativeSeed:

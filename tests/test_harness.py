@@ -243,8 +243,25 @@ class TestConfig:
         section[key] = [True, *good[1:]] if isinstance(good, list) else True
         with pytest.raises(ConfigError, match=f"'{dotted}'.*True is not a real number"):
             config_from_dict(raw)
-        section[key] = [str(v) for v in good] if isinstance(good, list) else str(good or 0.5)
+        # grid.length and gamma default to None; 1 is a value both take
+        section[key] = [str(v) for v in good] if isinstance(good, list) else str(good or 1)
         config_from_dict(raw)
+
+    @pytest.mark.parametrize("length", [1, 1.0, "1", "1.0"])
+    def test_unit_length_is_the_default(self, length):
+        """grid.length parses at 1, in any spelling, to the config without it."""
+        raw = base_raw(grid=dict(n_interior=31, length=length))
+        assert config_from_dict(raw) == config_from_dict(base_raw())
+
+    @pytest.mark.parametrize(
+        "length", [2.0, 0.5, "2", 0.0, -1.0, float("nan"), float("inf"), True]
+    )
+    def test_other_lengths_name_the_map(self, length):
+        """The domain is (0, 1): any other length is a config error that
+        names the map from (0, L)."""
+        raw = base_raw(grid=dict(n_interior=31, length=length))
+        with pytest.raises(ConfigError, match=r"'grid\.length'.*x = L\*y, t = L\^2\*s"):
+            config_from_dict(raw)
 
     @pytest.mark.parametrize("initial", [
         dict(kind="bump", mode=7, target_hm1_norm=0.1),
@@ -552,15 +569,15 @@ class TestCompareWithBound:
 
     def test_extinct_ensemble_passes(self, tiny_summary):
         cfg, s = tiny_summary
-        noise, x0 = _build_context(cfg)
-        inputs = build_bound_inputs(cfg, x0, noise, s.gamma_used)
+        _, x0, cs = _build_context(cfg)
+        inputs = build_bound_inputs(cfg, x0, cs, s.gamma_used)
         rep = compare_with_bound(s, inputs)
         assert rep.overall_pass
 
     def test_summary_carries_its_comparison(self, tiny_summary):
         cfg, s = tiny_summary
-        noise, x0 = _build_context(cfg)
-        inputs = build_bound_inputs(cfg, x0, noise, s.gamma_used)
+        _, x0, cs = _build_context(cfg)
+        inputs = build_bound_inputs(cfg, x0, cs, s.gamma_used)
         assert s.comparison == compare_with_bound(s, inputs)
 
     def test_unreachable_bound_fails(self, tiny_summary):

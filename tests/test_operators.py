@@ -53,16 +53,19 @@ def dense_laplacian(grid):
 
 class TestGrid:
     def test_spacing_consistency(self):
-        g = GridSpec(99, length=2.5)
-        assert g.spacing * (g.n_interior + 1) == pytest.approx(2.5, rel=1e-14)
+        g = GridSpec(99)
+        assert g.spacing * (g.n_interior + 1) == pytest.approx(1.0, rel=1e-14)
 
     def test_too_small(self):
         with pytest.raises(GridError):
             GridSpec(2)
 
-    def test_length_must_be_positive(self):
-        with pytest.raises(GridError, match="domain length must be positive"):
-            GridSpec(31, length=0)
+    @pytest.mark.parametrize("n", [10**200, 10**160])
+    def test_spacing_within_the_float_range(self, n):
+        """The stencil divides by h^2, which underflows to 0 at n = 1e200 and
+        is subnormal at 1e160, where 1/h^2 overflows."""
+        with pytest.raises(GridError, match=f"n_interior {n} puts h\\^2 or 1/h\\^2 past"):
+            GridSpec(n)
 
     @pytest.mark.parametrize("n", [3.5, 31.0, True])
     def test_node_count_is_an_integer(self, n):
@@ -87,7 +90,7 @@ class TestLaplacian:
         assert np.all(apply_laplacian(z).values == 0)
 
     def test_stencil_small_grid(self):
-        # n=3, L=1, h=1/4: unit middle node maps to 16*(1,-2,1)
+        # n=3, h=1/4: unit middle node maps to 16*(1,-2,1)
         g = GridSpec(3)
         u = Field(np.array([0.0, 1.0, 0.0]), g)
         np.testing.assert_allclose(
@@ -470,13 +473,6 @@ class TestGamma:
         assert all(gap > 0 for gap in gaps)
         for coarse, fine in zip(gaps, gaps[1:]):
             assert coarse / fine == pytest.approx(4.0, rel=0.05)
-
-    @pytest.mark.parametrize("length", [0.5, 2.0])
-    def test_length_scaling(self, length):
-        """On (0, L) gamma scales as L^(1/(1+alpha) - 3/2), discrete and continuum."""
-        unit = estimate_gamma(GridSpec(255), 0.5).value / gamma_continuum(0.5)
-        scaled = estimate_gamma(GridSpec(255, length), 0.5).value / gamma_continuum(0.5, length)
-        assert scaled == pytest.approx(unit, rel=1e-12)
 
     @pytest.mark.parametrize("n, alpha", [(63, 0.2), (127, 0.3), (255, 0.5), (127, 0.8)])
     def test_random_starts_end_no_lower(self, n, alpha):

@@ -63,7 +63,7 @@ def test_one_hm1_solve_at_start_and_per_live_step(monkeypatch):
         cfg = config_from_dict(base_raw(
             solver=dict(dt=2e-3, t_final=t_final, record_every=10), checkpoints=[t_final],
         ))
-        noise, x0 = harness._build_context(cfg)
+        noise, x0, _ = harness._build_context(cfg)
         calls.clear()
         traj = stepper.run_path(x0, cfg.solver, cfg.model, noise, seed=(17, 0))
         end = t_final if traj.tau_hat is None else traj.tau_hat
