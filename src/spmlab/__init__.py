@@ -23,17 +23,12 @@ from .nonlinearity import (
 )
 from .noise import NoiseSpec, c_star, make_stream, sample_increments
 from .operators import (
-    Field,
     GammaEstimate,
     GridSpec,
     SpectralBasis,
-    apply_laplacian,
     build_basis,
     estimate_gamma,
-    inner_hm1,
     norm_hm1,
-    norm_lp,
-    solve_poisson,
 )
 from .stepper import (
     SolverConfig,

@@ -159,7 +159,7 @@ def gamma(config_path, seed, out):
         {
             "value": est.value,
             "alpha": cfg.model.diffusion.alpha,
-            "minimizer": est.minimizer.values.tolist(),
+            "minimizer": est.minimizer.tolist(),
         },
         indent=2,
     ) + "\n")

@@ -22,13 +22,11 @@ import yaml
 from .nonlinearity import DiffusionLaw, ModelParams
 from .noise import NoiseSpec, c_star
 from .operators import (
-    Field,
     GridSpec,
     SpectralBasis,
     build_basis,
     estimate_gamma,
     norm_hm1,
-    norm_l2,
     norm_l2_array,
     require_integer,
 )
@@ -256,29 +254,31 @@ def config_from_yaml(path) -> ExperimentConfig:
     return config_from_dict(raw)
 
 
-def make_initial(spec: InitialSpec, grid: GridSpec, basis: SpectralBasis) -> Field:
-    """Construct the initial state and rescale it to the target H^-1 norm.
+def make_initial(spec: InitialSpec, grid: GridSpec, basis: SpectralBasis) -> np.ndarray:
+    """Construct the initial state, a read-only (n,) array, rescaled to the
+    target H^-1 norm.
 
     Custom values pass through unscaled. A state of any kind whose L^2 norm
     overflows is a ConfigError: the implicit stage's tolerance scales with it.
     """
     if spec.kind == "custom":
-        x, source = np.asarray(spec.values, dtype=float), "custom values give"
+        x, source = np.array(spec.values, dtype=float), "custom values give"
     else:
         if spec.kind == "eigenmode":
             profile = basis.mode(spec.mode)
         else:  # hat bump centered in the domain
             c, w = 0.5, 0.25
-            profile = Field(np.maximum(0.0, 1.0 - np.abs(grid.nodes - c) / w), grid)
+            profile = np.maximum(0.0, 1.0 - np.abs(grid.nodes - c) / w)
         nrm = norm_hm1(profile)
         if nrm == 0.0:
             raise ConfigError("zero initial profile with a positive target norm")
-        x = profile.values * (spec.target_hm1_norm / nrm)
+        x = profile * (spec.target_hm1_norm / nrm)
         source = f"target_hm1_norm {spec.target_hm1_norm:g} gives"
     with np.errstate(over="ignore", invalid="ignore"):
-        if not np.isfinite(norm_l2_array(x, grid.spacing)):
+        if not np.isfinite(norm_l2_array(x)):
             raise ConfigError(f"{source} an initial state whose squared L^2 norm overflows")
-    return Field(x, grid)
+    x.flags.writeable = False
+    return x
 
 
 def wilson_interval(successes: int, n: int) -> tuple[float, float]:
@@ -415,7 +415,7 @@ def _build_context(config: ExperimentConfig):
 
 
 def _run_one(
-    config: ExperimentConfig, noise: NoiseSpec, x0: Field, gamma: float, path_index: int
+    config: ExperimentConfig, noise: NoiseSpec, x0: np.ndarray, gamma: float, path_index: int
 ) -> Trajectory:
     return run_path(
         x0,
@@ -435,7 +435,7 @@ def resolve_gamma(config: ExperimentConfig) -> float:
 
 
 def build_bound_inputs(
-    config: ExperimentConfig, x0: Field, cs: float, gamma: float
+    config: ExperimentConfig, x0: np.ndarray, cs: float, gamma: float
 ) -> BoundInputs:
     """The theory bound's inputs: |x0|_-1, the law, gamma and _build_context's c_star."""
     law = config.model.diffusion
@@ -492,8 +492,8 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
     )
 
     # positivity is only promised from a nonnegative start
-    floor = -_POSITIVITY_TOL * max(1.0, norm_l2(x0))
-    nonnegative_start = bool(np.all(x0.values >= 0))
+    floor = -_POSITIVITY_TOL * max(1.0, float(norm_l2_array(x0)))
+    nonnegative_start = bool(np.all(x0 >= 0))
     summary = EnsembleSummary(
         checkpoints=checkpoints,
         empirical_cdf=cdf,

@@ -8,9 +8,11 @@ the coercivity constant of the L^{alpha+1} -> H^-1 embedding on the discrete
 space, found by a dual power iteration of one Poisson solve per step.
 
 All inner products are h-weighted sums over interior nodes, which makes the
-discrete Laplacian self-adjoint and the eigenbasis exactly orthonormal. Each
-array operator works on the last axis: on a C-ordered (P, n) block, each row
-of its result is its (n,) result bit for bit. The Field functions wrap them.
+discrete Laplacian self-adjoint and the eigenbasis exactly orthonormal. A
+state is a plain (n,) array of its interior nodal values (the boundary values
+are 0). Each array operator works on the last axis and reads h = 1/(n+1)
+from its length n: on a C-ordered (P, n) block, each row of its result is
+its (n,) result bit for bit.
 """
 from __future__ import annotations
 
@@ -25,7 +27,7 @@ from scipy.linalg.lapack import dptsv, dpttrf, dpttrs
 
 
 class GridError(ValueError):
-    """Invalid grid or mismatched fields."""
+    """Invalid grid, or a state and a basis of different lengths."""
 
 
 def require_integer(name: str, value, error: type[Exception] = ValueError) -> None:
@@ -57,10 +59,16 @@ class GridSpec:
             raise GridError(
                 f"n_interior {self.n_interior} puts h^2 or 1/h^2 past the float range"
             )
+        # numpy refuses an array of more than intp's maximum bytes, so a
+        # float64 state of this length could not be allocated at all
+        if self.n_interior > np.iinfo(np.intp).max // 8:
+            raise GridError(
+                f"n_interior {self.n_interior} is past numpy's size limit for a float64 vector"
+            )
 
     @property
     def spacing(self) -> float:
-        return 1.0 / (self.n_interior + 1)
+        return _spacing(self.n_interior)
 
     @property
     def nodes(self) -> np.ndarray:
@@ -69,34 +77,12 @@ class GridSpec:
         return h * np.arange(1, self.n_interior + 1)
 
 
-@dataclass(frozen=True)
-class Field:
-    """Nodal values at interior grid points; boundary values are implicitly 0."""
-
-    values: np.ndarray
-    grid: GridSpec
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.n_interior,):
-            raise GridError(
-                f"field has shape {v.shape}, grid expects ({self.grid.n_interior},)"
-            )
-        if not np.all(np.isfinite(v)):
-            raise GridError("field contains non-finite entries")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    def with_values(self, values: np.ndarray) -> "Field":
-        return Field(values, self.grid)
-
-    @classmethod
-    def zero(cls, grid: GridSpec) -> "Field":
-        return cls(np.zeros(grid.n_interior), grid)
+def _spacing(n: int) -> float:
+    """The grid spacing h = 1/(n+1) of n interior nodes on (0, 1)."""
+    return 1.0 / (n + 1)
 
 
-def laplacian_array(v: np.ndarray, h: float) -> np.ndarray:
+def laplacian_array(v: np.ndarray) -> np.ndarray:
     """Three-point stencil ((v[i-1] - 2 v[i]) + v[i+1]) / h^2, zero outside.
 
     x - y is x + (-y) and addition commutes, so adding the neighbours to -2v
@@ -109,15 +95,16 @@ def laplacian_array(v: np.ndarray, h: float) -> np.ndarray:
     out[..., 0] += 0.0
     out[..., :-1] += v[..., 1:]
     out[..., -1] += 0.0
-    out /= h**2
+    out /= _spacing(v.shape[-1]) ** 2
     return out
 
 
 @lru_cache(maxsize=32)
-def _poisson_factor(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+def _poisson_factor(n: int) -> tuple[np.ndarray, np.ndarray]:
     """LDL^T factor of A = -Laplacian by LAPACK pttrf: the diagonal of D (n,)
     and the subdiagonal of the unit bidiagonal L (n-1,), both read-only,
-    since every solve on this (n, h) shares them."""
+    since every solve on n nodes shares them."""
+    h = _spacing(n)
     d, e, info = dpttrf(np.full(n, 2.0 / h**2), np.full(n - 1, -1.0 / h**2))
     if info != 0:
         raise LinAlgError(f"LAPACK pttrf failed on the Poisson matrix (info {info})")
@@ -131,7 +118,7 @@ def _check_finite(a: np.ndarray) -> None:
         raise ValueError("array must not contain infs or NaNs")
 
 
-def poisson_solve_array(f: np.ndarray, h: float) -> np.ndarray:
+def poisson_solve_array(f: np.ndarray) -> np.ndarray:
     """Solve -Laplacian(u) = f on the last axis, by LAPACK pttrs on the
     cached LDL^T factor (a block's transpose is the column-major (n, P)
     right-hand side pttrs takes). ptsv is pttrf followed by pttrs, so this is
@@ -139,7 +126,7 @@ def poisson_solve_array(f: np.ndarray, h: float) -> np.ndarray:
     refactoring A or the per-call wrapper. f is left unchanged; ValueError
     on non-finite input."""
     _check_finite(f)
-    d, e = _poisson_factor(f.shape[-1], h)
+    d, e = _poisson_factor(f.shape[-1])
     x, info = dpttrs(d, e, f.T)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of LAPACK pttrs")
@@ -173,59 +160,32 @@ def _dot(u: np.ndarray, w: np.ndarray):
     return (u[..., None, :] @ w[..., :, None])[..., 0, 0]
 
 
-def norm_l2_array(v: np.ndarray, h: float):
+def norm_l2_array(v: np.ndarray):
     """sqrt(h) * sqrt(v . v) on the last axis: sqrt(h) * np.linalg.norm(v) bit
     for bit, math.sqrt rounding as np.sqrt does at a fraction of its cost."""
-    return math.sqrt(h) * np.sqrt(_dot(v, v))
+    return math.sqrt(_spacing(v.shape[-1])) * np.sqrt(_dot(v, v))
 
 
-def norm_hm1_array(u: np.ndarray, w: np.ndarray, h: float):
+def norm_hm1_array(u: np.ndarray, w: np.ndarray):
     """sqrt(max(h * u . w, 0)) on the last axis (a vector's max is Python's, at
     a third of the cost), given w = A^-1 u, which the caller solves through its
     own module's poisson_solve_array (the tracer counts spmlab.stepper's)."""
-    s = h * _dot(u, w)
+    s = _spacing(u.shape[-1]) * _dot(u, w)
     return np.sqrt(np.maximum(s, 0.0) if s.ndim else max(s, 0.0))
 
 
-def norm_lp_array(v: np.ndarray, h: float, p: float):
+def norm_lp_array(v: np.ndarray, p: float):
     """(h * sum |v_i|^p)^(1/p) on the last axis; a block's roots are scalar
     pows row by row, since numpy's SIMD array pow may round otherwise."""
-    s = h * np.sum(np.abs(v) ** p, axis=-1)
+    s = _spacing(v.shape[-1]) * np.sum(np.abs(v) ** p, axis=-1)
     if s.ndim == 0:
         return s ** (1.0 / p)
     return np.array([r ** (1.0 / p) for r in s])
 
 
-def apply_laplacian(u: Field) -> Field:
-    """Discrete Dirichlet Laplacian (negative semidefinite)."""
-    return u.with_values(laplacian_array(u.values, u.grid.spacing))
-
-
-def solve_poisson(f: Field) -> Field:
-    """Return u with -Laplacian(u) = f, by LAPACK pttrs on the cached LDL^T factor."""
-    return f.with_values(poisson_solve_array(f.values, f.grid.spacing))
-
-
-def norm_l2(u: Field) -> float:
-    return float(norm_l2_array(u.values, u.grid.spacing))
-
-
-def inner_hm1(u: Field, v: Field) -> float:
-    """Dual-norm inner product <u, (-Laplacian)^(-1) v> with h-weighting."""
-    if u.grid != v.grid:
-        raise GridError("fields live on different grids")
-    return float(u.grid.spacing * _dot(u.values, solve_poisson(v).values))
-
-
-def norm_hm1(u: Field) -> float:
-    return float(norm_hm1_array(u.values, solve_poisson(u).values, u.grid.spacing))
-
-
-def norm_lp(u: Field, p: float) -> float:
-    """Discrete quadrature norm (h * sum |u_i|^p)^(1/p)."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    return float(norm_lp_array(u.values, u.grid.spacing, p))
+def norm_hm1(x: np.ndarray) -> float:
+    """|x|_-1 of one state, as a Python float."""
+    return float(norm_hm1_array(x, poisson_solve_array(x)))
 
 
 @dataclass(frozen=True)
@@ -233,10 +193,10 @@ class SpectralBasis:
     """First K eigenpairs of the negative discrete Dirichlet Laplacian.
 
     Mode rows are orthonormal in the h-weighted L^2 inner product; eigenvalues
-    ascend. mode(k) is 1-based to match the usual e_1, e_2, ... indexing.
+    ascend. Both arrays are read-only, and so is mode(k), row k-1 of modes,
+    1-based to match the usual e_1, e_2, ... indexing.
     """
 
-    grid: GridSpec
     eigenvalues: np.ndarray  # shape (K,), ascending
     modes: np.ndarray  # shape (K, n_interior)
 
@@ -250,10 +210,10 @@ class SpectralBasis:
     def size(self) -> int:
         return self.eigenvalues.size
 
-    def mode(self, k: int) -> Field:
+    def mode(self, k: int) -> np.ndarray:
         if not 1 <= k <= self.size:
             raise GridError(f"mode index {k} outside 1..{self.size}")
-        return Field(self.modes[k - 1], self.grid)
+        return self.modes[k - 1]
 
 
 def build_basis(grid: GridSpec, K: int) -> SpectralBasis:
@@ -269,7 +229,7 @@ def build_basis(grid: GridSpec, K: int) -> SpectralBasis:
     for j in range(K):
         if vecs[np.argmax(np.abs(vecs[:, j])), j] < 0:
             vecs[:, j] = -vecs[:, j]
-    return SpectralBasis(grid=grid, eigenvalues=vals, modes=vecs.T.copy())
+    return SpectralBasis(eigenvalues=vals, modes=vecs.T.copy())
 
 
 def lambda1_exact(grid: GridSpec) -> float:
@@ -293,14 +253,14 @@ class GammaEstimate:
     """Coercivity constant: largest g with |u|_{L^{a+1}} >= g |u|_{-1}.
 
     value is the smallest ratio R the dual power iteration scored, and
-    minimizer the field that scored it, scaled to unit Euclidean norm.
+    minimizer the read-only state that scored it, scaled to unit Euclidean norm.
     """
 
     value: float
-    minimizer: Field
+    minimizer: np.ndarray
 
 
-def _dual_power(v: np.ndarray, h: float, p: float):
+def _dual_power(v: np.ndarray, p: float):
     """The p-norm power method for R(u) = |u|_p / |u|_{-1}, from v.
 
     With q = p/(p-1), each step rescales v by max|v| (so that |v|^(q-2)
@@ -315,8 +275,8 @@ def _dual_power(v: np.ndarray, h: float, p: float):
     while True:
         v = v / np.abs(v).max()
         u = np.abs(v) ** (q - 2.0) * v
-        v = poisson_solve_array(u, h)
-        r = float(norm_lp_array(u, h, p) / norm_hm1_array(u, v, h))
+        v = poisson_solve_array(u)
+        r = float(norm_lp_array(u, p) / norm_hm1_array(u, v))
         if r <= ratios[-1]:
             best = u
         ratios.append(r)
@@ -333,10 +293,12 @@ def estimate_gamma(grid: GridSpec, alpha: float) -> GammaEstimate:
     convex ratio from the closed-form first eigenmode (mode1_exact, so no
     eigensolve) in about ten Poisson solves (_dual_power), each a pttrs on
     the cached LDL^T factor. At alpha = 1 it is the linear power method and
-    R = sqrt(lambda_1). Every R is the ratio of a field, so the result is an
+    R = sqrt(lambda_1). Every R is the ratio of a state, so the result is an
     upper estimate of the true infimum.
     """
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    u, ratios = _dual_power(mode1_exact(grid), grid.spacing, alpha + 1.0)
-    return GammaEstimate(value=min(ratios), minimizer=Field(u / np.linalg.norm(u), grid))
+    u, ratios = _dual_power(mode1_exact(grid), alpha + 1.0)
+    minimizer = u / np.linalg.norm(u)
+    minimizer.flags.writeable = False
+    return GammaEstimate(value=min(ratios), minimizer=minimizer)

@@ -44,8 +44,8 @@ import numpy as np
 from .nonlinearity import ModelParams, psi0
 from .noise import NoiseSpec, kick_factor, make_stream, sample_increments
 from .operators import (
-    Field,
     GridError,
+    _spacing,
     laplacian_array,
     norm_hm1_array,
     norm_l2_array,
@@ -185,7 +185,6 @@ class Trajectory:
 
 def _solve_implicit_array(
     b: np.ndarray,
-    h: float,
     dt: float,
     model: ModelParams,
     counts: SolverCounts,
@@ -202,8 +201,8 @@ def _solve_implicit_array(
     tolerance or the starting residual is not finite (b too large or not
     finite), which no iteration could meet.
     """
-    k = dt / h**2
-    scale = max(1.0, norm_l2_array(b, h))
+    k = dt / _spacing(b.size) ** 2
+    scale = max(1.0, norm_l2_array(b))
     target = _NEWTON_TOL * scale
     off = np.full(b.size - 1, -k)  # the off-diagonal of S (module docstring)
 
@@ -215,7 +214,7 @@ def _solve_implicit_array(
         res += 2.0 * kg
         res[1:] -= kg[:-1]
         res[:-1] -= kg[1:]
-        return w, y, q, res, norm_l2_array(res, h)
+        return w, y, q, res, norm_l2_array(res)
 
     w, y, q, res, rnorm = evaluate(psi0(b, model.diffusion) if start is None else start)
     if not (math.isfinite(target) and math.isfinite(rnorm)):
@@ -246,7 +245,6 @@ def _solve_implicit_array(
 
 def _drift_substeps(
     b: np.ndarray,
-    h: float,
     dt: float,
     model: ModelParams,
     counts: SolverCounts,
@@ -266,16 +264,16 @@ def _drift_substeps(
     """
     if start is not None:
         try:
-            return _solve_implicit_array(b, h, dt, model, counts, start)
+            return _solve_implicit_array(b, dt, model, counts, start)
         except ImplicitStepError:
             pass  # a poor start can stall Newton; psi0(b) below may not
     try:
-        return _solve_implicit_array(b, h, dt, model, counts)
+        return _solve_implicit_array(b, dt, model, counts)
     except ImplicitStepError as exc:
         if max_halvings == 0 or isinstance(exc, NonFiniteStageError):
             raise
         counts.halvings += 1
-        rest = (h, dt / 2, model, counts, None, max_halvings - 1)
+        rest = (dt / 2, model, counts, None, max_halvings - 1)
         half, _ = _drift_substeps(b, *rest)
         return _drift_substeps(half, *rest)
 
@@ -283,14 +281,15 @@ def _drift_substeps(
 # a kick past the float range fails the stage's finiteness check, not a warning
 @np.errstate(over="ignore", invalid="ignore")
 def run_path(
-    x0: Field,
+    x0: np.ndarray,
     config: SolverConfig,
     model: ModelParams,
     noise: NoiseSpec,
     seed: tuple[int, int],
     gamma_check: Optional[float] = None,
 ) -> Trajectory:
-    """Integrate one path to t_final, clamping to zero once |X|_{-1} <= eps.
+    """Integrate one path from the state x0 to t_final, clamping to zero once
+    |X|_{-1} <= eps. x0 is left unchanged.
 
     Each step applies the explicit noise kick X*f, f = 1 + sum_k mu_k e_k
     dbeta_k (kick_factor), and then solves the drift stage implicitly (see
@@ -310,21 +309,20 @@ def run_path(
     solver_counts. Its coercivity_violations counts the live steps with
     |X|_{1+alpha} < gamma_check*|X|_-1, and is None without gamma_check.
     """
-    h = x0.grid.spacing
     alpha = model.diffusion.alpha
     p = alpha + 1.0
     stream = make_stream(*seed)
     record_times = config.record_times
     scaled_modes = noise.scaled_modes()
-    if x0.values.shape != scaled_modes.shape[1:]:
-        raise GridError("field and noise basis live on different grids")
+    if x0.shape != scaled_modes.shape[1:]:
+        raise GridError("state and noise basis live on different grids")
 
     rows = []  # (hm1, lp, min, max) at each time of record_times
     states = [] if config.store_states else None
     coercivity_violations = None if gamma_check is None else 0
     counts = SolverCounts()
 
-    x = x0.values.copy()
+    x = x0.copy()
     w = d = None  # the last stage's pressure and drift increment, once known
     tau_hat: Optional[float] = None
     failure: Optional[str] = None
@@ -340,7 +338,7 @@ def run_path(
                 kicked = w * s
                 start = kicked if d is None else kicked + d * s
             try:
-                x, w_new = _drift_substeps(perturbed, h, config.dt, model, counts, start)
+                x, w_new = _drift_substeps(perturbed, config.dt, model, counts, start)
             except ImplicitStepError as exc:
                 failure = str(exc)
                 x = perturbed
@@ -348,10 +346,10 @@ def run_path(
                 if start is not None:
                     d = w_new - kicked
                 w = w_new
-        lp = float(norm_lp_array(x, h, p))
+        lp = float(norm_lp_array(x, p))
         # this module's solve, which the tracer counts: one at t = 0 and
         # one per live step, a failed one included (the held kick's norm)
-        hm1 = float(norm_hm1_array(x, poisson_solve_array(x, h), h))
+        hm1 = float(norm_hm1_array(x, poisson_solve_array(x)))
         if failure is None:
             if i > 0 and gamma_check is not None:
                 if lp < gamma_check * hm1 * (1.0 - 1e-9) - 1e-14:
@@ -405,11 +403,11 @@ def weak_form_residual(
     if not traj.hm1_norms.size == traj.states.shape[0] == config.n_steps + 1:
         raise ValueError(f"the path's rows are not the {config.n_steps + 1} steps of config")
     basis = noise.basis
-    h = basis.grid.spacing
     dt = config.dt
-    ej = basis.mode(j).values
-    lap_ej = laplacian_array(ej, h)
+    ej = basis.mode(j)
+    lap_ej = laplacian_array(ej)
     states = traj.states  # (n_steps+1, n)
+    h = _spacing(ej.size)
 
     lhs = h * states @ ej
     drift_vals = h * (psi0(states, model.diffusion) + model.aux_slope * states) @ lap_ej
@@ -441,7 +439,7 @@ class ConvergenceRow:
 
 
 def convergence_study(
-    x0: Field,
+    x0: np.ndarray,
     config: SolverConfig,
     model: ModelParams,
     noise: NoiseSpec,
@@ -463,12 +461,11 @@ def convergence_study(
             raise PathFailedError(f"lambda={lam}: {traj.failure}")
         runs.append(traj)
 
-    h = x0.grid.spacing
     rows = []
     for a, b in zip(runs, runs[1:]):
         diff = a.states - b.states
-        sup_hm1 = norm_hm1_array(diff, poisson_solve_array(diff, h), h).max()
-        l2sq = norm_l2_array(diff, h) ** 2
+        sup_hm1 = norm_hm1_array(diff, poisson_solve_array(diff)).max()
+        l2sq = norm_l2_array(diff) ** 2
         # trapezoid rule, written out: np.trapezoid needs numpy >= 2.0
         l2l2 = float(np.sqrt(np.sum(np.diff(cfg.record_times) * (l2sq[1:] + l2sq[:-1]) / 2.0)))
         rows.append(ConvergenceRow(sup_hm1=float(sup_hm1), l2l2=l2l2))

@@ -5,7 +5,6 @@ from scipy.special import beta
 
 from spmlab import (
     DiffusionLaw,
-    Field,
     GridSpec,
     ModelParams,
     NoiseSpec,
@@ -50,7 +49,12 @@ def rng():
 
 
 def random_field(grid, rng, scale=1.0):
-    return Field(scale * rng.standard_normal(grid.n_interior), grid)
+    return scale * rng.standard_normal(grid.n_interior)
+
+
+def inner_hm1(u, v):
+    """The H^-1 inner product h * u . A^-1 v of two states, h = 1/(n+1)."""
+    return 1.0 / (u.size + 1) * float(np.dot(u, poisson_solve_array(v)))
 
 
 def gamma_continuum(alpha):
@@ -82,14 +86,13 @@ def extremal_start(grid, alpha, target):
     (scheme_extinction_time). The paper's coercivity estimate is then an
     equality, d/dt a^(1-alpha) = -(1-alpha)*rho*gamma^(1+alpha).
     """
-    h = grid.spacing
     q = (1.0 + alpha) / alpha
-    u = estimate_gamma(grid, alpha).minimizer.values
+    u = estimate_gamma(grid, alpha).minimizer
     for _ in range(10):
-        v = poisson_solve_array(u, h)
+        v = poisson_solve_array(u)
         v = v / np.abs(v).max()
         u = np.abs(v) ** (q - 2.0) * v
-    return Field(u * (target / norm_hm1(Field(u, grid))), grid)
+    return u * (target / norm_hm1(u))
 
 
 def scheme_extinction_time(gamma, alpha, rho, dt, a0, eps):
@@ -134,9 +137,9 @@ def frozen_shape_tau(x0, noise, gamma, alpha, rho, config, seed):
     sample_increments of make_stream(*seed), as run_path does, and tau is the
     first step time with N <= config.extinction_eps.
     """
-    h = x0.grid.spacing
-    block = np.vstack([x0.values, x0.values * noise.basis.modes[: noise.n_modes]])
-    gram = h * block @ poisson_solve_array(block, h).T
+    h = 1.0 / (x0.size + 1)
+    block = np.vstack([x0, x0 * noise.basis.modes[: noise.n_modes]])
+    gram = h * block @ poisson_solve_array(block).T
     a, g = gram[0, 1:] / gram[0, 0], gram[1:, 1:] / gram[0, 0]
     c = config.dt * rho * gamma ** (1.0 + alpha)
     stream = make_stream(*seed)

@@ -241,6 +241,13 @@ PAST_THE_FLOAT_RANGE = [
     dict(grid=dict(n_interior=1e160)),
     dict(model={"rho": 1e-300, "alpha": 0.5, "lambda": 1e-4}),
 ]
+# grids whose h is in range but whose float64 state numpy cannot allocate
+# (more than intp's maximum bytes); sizes from about 1e9 up to that limit
+# would ask for gigabytes and are not run
+PAST_NUMPYS_SIZE_LIMIT = [
+    dict(grid=dict(n_interior=1e20)),
+    dict(grid=dict(n_interior=1e100)),
+]
 
 
 class TestBadValues:
@@ -310,6 +317,7 @@ class TestBadValues:
             # the domain is (0, 1), so 1 is grid.length's one value
             dict(grid=dict(n_interior=31, length=2.0)),
             dict(grid=dict(n_interior=31, length=0.5)),
+            *PAST_NUMPYS_SIZE_LIMIT,
         ],
     )
     def test_exit_2(self, tmp_path, overrides):
@@ -323,6 +331,8 @@ class TestBadValues:
         *((c, o) for c in ("simulate", "bound", "gamma", "convergence")
           for o in PAST_THE_FLOAT_RANGE),
         *((c, dict(noise=dict(mu=[1e160, 0.0]))) for c in ("bound", "simulate", "convergence")),
+        *((c, o) for c in ("simulate", "bound", "gamma", "convergence")
+          for o in PAST_NUMPYS_SIZE_LIMIT),
     ])
     def test_past_the_float_range_exit_2_from_every_command(self, tmp_path, command, overrides):
         """The cases test_exit_2 gives ensemble, for the other commands that

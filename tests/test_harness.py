@@ -27,7 +27,7 @@ from spmlab import (
     wilson_interval,
 )
 from spmlab.harness import ConfigError, _build_context, build_bound_inputs
-from spmlab.operators import norm_l2
+from spmlab.operators import norm_l2_array
 from spmlab.stepper import PathFailedError, Trajectory
 from spmlab.theory import BoundInputs
 
@@ -129,6 +129,24 @@ class TestConfigKeys:
         for raw in raws:
             config_from_dict(raw)
         assert config_from_dict(readme_config()).n_paths == 400
+
+
+def test_readme_lists_the_package_api():
+    """README's Library example lists, by module, exactly the names that
+    `import spmlab` exposes."""
+    import spmlab
+
+    text = (ROOT / "README.md").read_text()
+    listing = text.split("## Library example")[1].split("```")[0]
+    listed = {
+        f"spmlab.{module}": set(re.findall(r"`(\w+)`", names))
+        for module, names in re.findall(r"- `spmlab\.(\w+)`: (.*?)(?=\n- |\n\n)", listing, re.S)
+    }
+    exposed = {}
+    for name, value in vars(spmlab).items():
+        if not name.startswith("_") and not isinstance(value, type(spmlab)):
+            exposed.setdefault(value.__module__, set()).add(name)
+    assert listed == exposed
 
 
 class TestConfig:
@@ -316,17 +334,32 @@ class TestMakeInitial:
         assert norm_hm1(x0) == pytest.approx(0.1, rel=1e-10)
         # |c*e1|_{-1} = c/sqrt(lam1) so c = 0.1*sqrt(lam1)
         c = 0.1 * np.sqrt(basis.eigenvalues[0])
-        np.testing.assert_allclose(x0.values, c * basis.mode(1).values, rtol=1e-10)
+        np.testing.assert_allclose(x0, c * basis.mode(1), rtol=1e-10)
 
     def test_target_doubling(self, grid, basis):
         a = make_initial(InitialSpec("bump", target_hm1_norm=0.1), grid, basis)
         b = make_initial(InitialSpec("bump", target_hm1_norm=0.2), grid, basis)
-        np.testing.assert_allclose(b.values, 2.0 * a.values, rtol=1e-12)
+        np.testing.assert_allclose(b, 2.0 * a, rtol=1e-12)
 
     def test_custom_passthrough(self, grid, basis):
         vals = tuple(float(i) for i in range(grid.n_interior))
         x0 = make_initial(InitialSpec("custom", values=vals), grid, basis)
-        np.testing.assert_array_equal(x0.values, vals)
+        np.testing.assert_array_equal(x0, vals)
+
+    @pytest.mark.parametrize("spec", [
+        InitialSpec("eigenmode", mode=2, target_hm1_norm=0.1),
+        InitialSpec("bump", target_hm1_norm=0.1),
+        InitialSpec("custom", values=(0.1,) * 63),
+    ], ids=lambda spec: spec.kind)
+    def test_state_is_read_only(self, grid, basis, spec):
+        """Every path of an ensemble starts from the one state make_initial
+        builds, so it cannot be written through; an eigenmode start does
+        not share the basis's memory either."""
+        x0 = make_initial(spec, grid, basis)
+        assert x0.flags.writeable is False
+        with pytest.raises(ValueError, match="read-only"):
+            x0[0] = 1.0
+        assert not np.shares_memory(x0, basis.modes)
 
     def test_invalid_kind(self):
         with pytest.raises(ConfigError):
@@ -404,6 +437,28 @@ class TestRunEnsemble:
 
         monkeypatch.setattr("spmlab.harness.run_path", dead_at_step_1050)
         assert run_ensemble(cfg).empirical_cdf == [0.0, 1.0, 1.0]
+
+    def test_initial_state_left_unchanged(self, monkeypatch):
+        """run_ensemble's paths all start from one x0, so none may write to
+        it. The state is handed over writeable here, so that a write in
+        place would show in its bytes instead of raising."""
+        import spmlab.harness as hmod
+
+        build, handed = hmod._build_context, []
+
+        def writeable_context(config):
+            noise, x0, cs = build(config)
+            assert x0.flags.writeable is False
+            handed.append(x0.copy())
+            return noise, handed[-1], cs
+
+        monkeypatch.setattr(hmod, "_build_context", writeable_context)
+        cfg = config_from_dict(base_raw(n_paths=2))
+        expected = make_initial(cfg.initial, cfg.grid, build_basis(cfg.grid, cfg.K))
+        summary = run_ensemble(cfg, workers=1)
+        assert summary.extinct_fraction == 1.0
+        assert len(handed) == 1 and handed[0].flags.writeable
+        assert handed[0].tobytes() == expected.tobytes()
 
     def test_zero_start_all_extinct(self, grid):
         cfg = config_from_dict(
@@ -542,8 +597,8 @@ class TestRunEnsemble:
             initial=dict(kind="eigenmode", mode=1, target_hm1_norm=1.0),
         ))
         x0 = make_initial(cfg.initial, cfg.grid, build_basis(cfg.grid, cfg.K))
-        assert norm_l2(x0) > 1.0
-        floor = -1e-8 * max(1.0, norm_l2(x0))
+        assert norm_l2_array(x0) > 1.0
+        floor = -1e-8 * max(1.0, float(norm_l2_array(x0)))
 
         def at_floor(config, noise, x0, gamma, path_index):
             low = np.nextafter(floor, -np.inf) if path_index in below else floor

@@ -10,7 +10,6 @@ import scipy.linalg
 import spmlab.stepper as stepper_mod
 from spmlab import (
     DiffusionLaw,
-    Field,
     GridSpec,
     ModelParams,
     NoiseSpec,
@@ -29,7 +28,7 @@ from spmlab.operators import (
     GridError,
     laplacian_array,
     norm_hm1_array,
-    norm_l2,
+    norm_l2_array,
     norm_lp_array,
     poisson_solve_array,
 )
@@ -83,18 +82,18 @@ def oracle_cases(grid, basis, rng):
 class TestImplicitSolve:
     def test_zero_rhs(self, grid, model):
         zero = np.zeros(grid.n_interior)
-        out, _ = stepper_mod._drift_substeps(zero, grid.spacing, 1e-3, model, SolverCounts())
+        out, _ = stepper_mod._drift_substeps(zero, 1e-3, model, SolverCounts())
         assert np.all(out == 0)
 
     def test_nonlinear_residual_small(self, grid, model, rng, monkeypatch):
         monkeypatch.setattr(stepper_mod, "_NEWTON_TOL", 1e-11)
         B = random_field(grid, rng, scale=0.1)
         dt = 1e-3
-        Y, _ = stepper_mod._drift_substeps(B.values, grid.spacing, dt, model, SolverCounts())
+        Y, _ = stepper_mod._drift_substeps(B, dt, model, SolverCounts())
         g, _ = drift_oracle(Y, model)
-        res = Y - dt * laplacian_array(g, grid.spacing) - B.values
+        res = Y - dt * laplacian_array(g) - B
         assert np.sqrt(grid.spacing) * np.linalg.norm(res) <= 1e-11 * max(
-            1.0, norm_l2(B)
+            1.0, norm_l2_array(B)
         )
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
@@ -111,22 +110,22 @@ class TestImplicitSolve:
         model = ModelParams(law, lam=lam)
         h = grid.spacing
         for data in (rng.standard_normal(grid.n_interior), basis.modes[1]):
-            B = Field(amplitude * data, grid)
-            Y, _ = stepper_mod._drift_substeps(B.values, h, dt, model, SolverCounts())
+            B = amplitude * data
+            Y, _ = stepper_mod._drift_substeps(B, dt, model, SolverCounts())
             if alpha == 0.5:
                 J = resolvent_half(Y, law.rho, lam)
             else:
                 J = resolvent_bisect(Y, law.rho, alpha, lam)
             G = psi0(J, law) + lam * Y
-            res = Y - dt * laplacian_array(G, h) - B.values
-            assert np.sqrt(h) * np.linalg.norm(res) <= tol * max(1.0, norm_l2(B))
+            res = Y - dt * laplacian_array(G) - B
+            assert np.sqrt(h) * np.linalg.norm(res) <= tol * max(1.0, norm_l2_array(B))
 
     def test_stress_grid_converges(self, grid, basis, rng):
         """Newton alone solves every stage of a 243-case grid, quickly."""
         worst = 0
         for b, dt, model in stress_grid(grid, basis, rng):
             counts = SolverCounts()
-            stepper_mod._solve_implicit_array(b, grid.spacing, dt, model, counts)
+            stepper_mod._solve_implicit_array(b, dt, model, counts)
             worst = max(worst, counts.newton_iters)
         assert worst <= 12
 
@@ -139,7 +138,7 @@ class TestImplicitSolve:
         backtracked = 0
         for b, dt, model in oracle_cases(grid, basis, rng):
             counts = SolverCounts()
-            y, _ = stepper_mod._solve_implicit_array(b, h, dt, model, counts)
+            y, _ = stepper_mod._solve_implicit_array(b, dt, model, counts)
             ref_y, ref_iters, ref_rejected = reference_stage(b, h, dt, model, 1e-10, 50)
             assert np.array_equal(y, ref_y)
             assert (counts.newton_iters, counts.backtracks) == (ref_iters, ref_rejected)
@@ -155,7 +154,7 @@ class TestImplicitSolve:
         h = grid.spacing
         for b, dt, model in oracle_cases(grid, basis, rng):
             counts = SolverCounts()
-            y, _ = stepper_mod._solve_implicit_array(b, h, dt, model, counts)
+            y, _ = stepper_mod._solve_implicit_array(b, dt, model, counts)
             ref_y, ref_iters, ref_rejected = gtsv_reference_stage(b, h, dt, model, 1e-10, 50)
             assert (counts.newton_iters, counts.backtracks) == (ref_iters, ref_rejected)
             scale = max(1.0, np.sqrt(h) * np.linalg.norm(b))
@@ -185,7 +184,7 @@ class TestImplicitSolve:
         for b, dt, model in oracle_cases(grid, basis, rng):
             slopes.clear()
             solves.clear()
-            stepper_mod._solve_implicit_array(b, h, dt, model, SolverCounts())
+            stepper_mod._solve_implicit_array(b, dt, model, SolverCounts())
             assert len(slopes) == len(solves) > 0
             k = dt / h**2
             for (yp, gp), (res, z) in zip(slopes, solves):
@@ -198,7 +197,7 @@ class TestImplicitSolve:
     def test_stall_raises_at_once(self, grid, model, rng, monkeypatch):
         """A line search that gives up ends the stage after that one solve,
         and _drift_substeps recovers by one halving."""
-        b = random_field(grid, rng, scale=0.1).values
+        b = random_field(grid, rng, scale=0.1)
         h, dt = grid.spacing, 1e-3
         original = stepper_mod.solve_banded
         solves = []
@@ -212,7 +211,7 @@ class TestImplicitSolve:
         monkeypatch.setattr(stepper_mod, "solve_banded", stall_first)
         counts = SolverCounts()
         with pytest.raises(ImplicitStepError) as err:
-            stepper_mod._solve_implicit_array(b, h, dt, model, counts)
+            stepper_mod._solve_implicit_array(b, dt, model, counts)
         assert len(solves) == counts.newton_iters == 1
         assert counts.backtracks == 9
         # the reported residual is the one of the starting guess: nothing ran after
@@ -224,7 +223,7 @@ class TestImplicitSolve:
 
         solves.clear()
         counts = SolverCounts()
-        y, _ = stepper_mod._drift_substeps(b, h, dt, model, counts)
+        y, _ = stepper_mod._drift_substeps(b, dt, model, counts)
         assert counts.halvings == 1
         assert counts.newton_iters == len(solves) > 1
         assert np.all(np.isfinite(y))
@@ -243,19 +242,19 @@ class TestImplicitSolve:
             with np.errstate(over="ignore", invalid="ignore"):
                 counts = SolverCounts()
                 with pytest.raises(NonFiniteStageError, match="non-finite right-hand side"):
-                    stepper_mod._solve_implicit_array(b, grid.spacing, 1e-3, model, counts)
+                    stepper_mod._solve_implicit_array(b, 1e-3, model, counts)
                 assert counts.newton_iters == 0
                 counts = SolverCounts()
                 with pytest.raises(NonFiniteStageError):
-                    stepper_mod._drift_substeps(b, grid.spacing, 1e-3, model, counts)
+                    stepper_mod._drift_substeps(b, 1e-3, model, counts)
                 assert counts.halvings == counts.newton_iters == 0
 
     def test_budget_exhausted_raises(self, grid, model, rng, monkeypatch):
         monkeypatch.setattr(stepper_mod, "_NEWTON_MAX_ITER", 1)
-        b = random_field(grid, rng, scale=0.1).values
+        b = random_field(grid, rng, scale=0.1)
         counts = SolverCounts()
         with pytest.raises(ImplicitStepError):
-            stepper_mod._solve_implicit_array(b, grid.spacing, 1e-3, model, counts)
+            stepper_mod._solve_implicit_array(b, 1e-3, model, counts)
         assert counts.newton_iters == 1
 
     @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
@@ -265,15 +264,15 @@ class TestImplicitSolve:
         again from psi0(b): the start-free stage's Y and w bit for bit, with
         no halving, and counts that hold both attempts."""
         model = ModelParams(DiffusionLaw(1.0, alpha), lam=1e-4)
-        b, h, dt = basis.modes[0], grid.spacing, 1e-4
+        b, dt = basis.modes[0], 1e-4
         zero = np.zeros_like(b)
         stalled = SolverCounts()
         with pytest.raises(ImplicitStepError):
-            stepper_mod._solve_implicit_array(b, h, dt, model, stalled, zero)
+            stepper_mod._solve_implicit_array(b, dt, model, stalled, zero)
         cold = SolverCounts()
-        y_cold, w_cold = stepper_mod._drift_substeps(b, h, dt, model, cold)
+        y_cold, w_cold = stepper_mod._drift_substeps(b, dt, model, cold)
         counts = SolverCounts()
-        y, w = stepper_mod._drift_substeps(b, h, dt, model, counts, zero)
+        y, w = stepper_mod._drift_substeps(b, dt, model, counts, zero)
         assert y.tobytes() == y_cold.tobytes() and w.tobytes() == w_cold.tobytes()
         assert counts.halvings == 0
         assert counts.newton_iters == stalled.newton_iters + cold.newton_iters
@@ -282,10 +281,10 @@ class TestImplicitSolve:
     def test_start_at_converged_pressure_takes_no_iteration(self, grid, model, rng):
         """A stage started from its own converged pressure is already
         solved: no Newton iteration, and the same Y and w."""
-        b, h, dt = random_field(grid, rng, scale=0.1).values, grid.spacing, 1e-3
-        y, w = stepper_mod._solve_implicit_array(b, h, dt, model, SolverCounts())
+        b, dt = random_field(grid, rng, scale=0.1), 1e-3
+        y, w = stepper_mod._solve_implicit_array(b, dt, model, SolverCounts())
         counts = SolverCounts()
-        y2, w2 = stepper_mod._drift_substeps(b, h, dt, model, counts, w)
+        y2, w2 = stepper_mod._drift_substeps(b, dt, model, counts, w)
         assert counts.newton_iters == counts.backtracks == counts.halvings == 0
         assert y2.tobytes() == y.tobytes() and w2.tobytes() == w.tobytes()
 
@@ -303,9 +302,9 @@ class TestStep:
         """Zero is a fixed point of the noise factor and of the drift stage."""
         cfg = SolverConfig(dt=1e-3, t_final=5e-3, store_states=True)
         zero = np.zeros(grid.n_interior)
-        stage, _ = stepper_mod._drift_substeps(zero, grid.spacing, cfg.dt, model, SolverCounts())
+        stage, _ = stepper_mod._drift_substeps(zero, cfg.dt, model, SolverCounts())
         assert np.all(stage == 0)
-        res = run_path(Field.zero(grid), cfg, model, small_noise, seed=(1, 0))
+        res = run_path(np.zeros(grid.n_interior), cfg, model, small_noise, seed=(1, 0))
         assert np.all(res.states == 0)
 
     def test_quiet_noise_is_backward_euler(self, grid, model, quiet_noise, rng):
@@ -314,7 +313,7 @@ class TestStep:
         cfg = SolverConfig(dt=dt, t_final=2 * dt, store_states=True)
         x0 = random_field(grid, rng, scale=0.1)
         res = run_path(x0, cfg, model, quiet_noise, seed=(1, 0))
-        direct, _ = stepper_mod._drift_substeps(x0.values, grid.spacing, dt, model, SolverCounts())
+        direct, _ = stepper_mod._drift_substeps(x0, dt, model, SolverCounts())
         np.testing.assert_array_equal(res.states[1], direct)
 
     def test_seed_replay(self, grid, model, small_noise, rng):
@@ -324,7 +323,7 @@ class TestStep:
         x0 = random_field(grid, rng, scale=0.1)
         a = run_path(x0, cfg, model, small_noise, seed=(4, 2))
         b = run_path(x0, cfg, model, small_noise, seed=(4, 2))
-        assert not np.array_equal(a.states[1], x0.values)
+        assert not np.array_equal(a.states[1], x0)
         np.testing.assert_array_equal(a.states[1], b.states[1])
 
 
@@ -339,7 +338,7 @@ def det_extinct_path():
     noise = NoiseSpec(mu=np.zeros(2), basis=basis)
     model = ModelParams(DiffusionLaw(1.0, 0.5), lam=1e-4)
     e1 = basis.mode(1)
-    x0 = e1.with_values(e1.values * (0.1 / norm_hm1(e1)))
+    x0 = e1 * (0.1 / norm_hm1(e1))
     res = run_path(x0, DET_CONFIG, model, noise, seed=(1, 0))
     return grid, res
 
@@ -347,7 +346,7 @@ def det_extinct_path():
 class TestRunPath:
     def test_zero_start(self, grid, model, small_noise):
         cfg = SolverConfig(dt=1e-3, t_final=0.01)
-        res = run_path(Field.zero(grid), cfg, model, small_noise, seed=(1, 0))
+        res = run_path(np.zeros(grid.n_interior), cfg, model, small_noise, seed=(1, 0))
         assert res.tau_hat == 0.0
         assert np.all(res.hm1_norms == 0)
 
@@ -371,11 +370,11 @@ class TestRunPath:
 
     def test_positivity_from_nonnegative_start(self, grid, model, small_noise, basis):
         e1 = basis.mode(1)
-        x0 = e1.with_values(e1.values * (0.1 / norm_hm1(e1)))
+        x0 = e1 * (0.1 / norm_hm1(e1))
         cfg = SolverConfig(dt=1e-3, t_final=0.05, record_every=5)
         for idx in range(5):
             res = run_path(x0, cfg, model, small_noise, seed=(77, idx))
-            floor = -1e-8 * max(1.0, norm_l2(x0))
+            floor = -1e-8 * max(1.0, norm_l2_array(x0))
             assert res.min_values.min() >= floor
 
     def test_bitwise_determinism(self, grid, model, small_noise, basis):
@@ -414,12 +413,11 @@ class TestRunPath:
         monkeypatch.setattr(stepper_mod, "_drift_substeps", fail_third)
         res = run_path(x0, cfg, model, noise, seed=(1, 0))
         assert res.failure is not None and len(calls) == 3 and res.tau_hat is None
-        h = basis.grid.spacing
         states = res.states
         np.testing.assert_array_equal(
-            res.hm1_norms, norm_hm1_array(states, poisson_solve_array(states, h), h)
+            res.hm1_norms, norm_hm1_array(states, poisson_solve_array(states))
         )
-        np.testing.assert_array_equal(res.lp_norms, norm_lp_array(states, h, 1.5))
+        np.testing.assert_array_equal(res.lp_norms, norm_lp_array(states, 1.5))
         assert res.hm1_norms[3] != res.hm1_norms[2]
         stream = make_stream(1, 0)
         for _ in range(3):
@@ -445,14 +443,14 @@ class TestRunPath:
         np.testing.assert_array_equal(strided.hm1_norms, every.hm1_norms[steps])
         np.testing.assert_array_equal(strided.states, every.states[steps])
 
-    def test_coercivity_counted_only_when_checked(self, model, small_noise, basis):
+    def test_coercivity_counted_only_when_checked(self, grid, model, small_noise, basis):
         """Without gamma_check run_path checks no step, so it reports no
         count (None), not 0 violations; with it every live step is checked,
         and a gamma far above the estimate fails on some step."""
         x0, cfg = self._noisy_extinct_setup(basis)
         unchecked = run_path(x0, cfg, model, small_noise, seed=(2, 5))
         assert unchecked.coercivity_violations is None
-        gamma = estimate_gamma(basis.grid, 0.5).value
+        gamma = estimate_gamma(grid, 0.5).value
         checked = run_path(x0, cfg, model, small_noise, seed=(2, 5), gamma_check=gamma)
         assert checked.coercivity_violations == 0
         inflated = run_path(x0, cfg, model, small_noise, seed=(2, 5), gamma_check=2.0 * gamma)
@@ -490,7 +488,7 @@ class TestRunPath:
     @staticmethod
     def _noisy_extinct_setup(basis, **solver):
         e1 = basis.mode(1)
-        x0 = e1.with_values(e1.values * (0.1 / norm_hm1(e1)))
+        x0 = e1 * (0.1 / norm_hm1(e1))
         return x0, SolverConfig(dt=1e-3, t_final=0.2, record_every=1, **solver)
 
     def test_no_increments_drawn_after_extinction(
@@ -530,9 +528,9 @@ class TestRunPath:
             band[0, 1:], band[1] = e, d
             return scipy.linalg.solveh_banded(band, b)
 
-        def scipy_poisson(f, h):
+        def scipy_poisson(f):
             calls["hm1"] += 1
-            return scipy_poisson_solve(f, h)
+            return scipy_poisson_solve(f, 1.0 / (f.size + 1))
 
         monkeypatch.setattr(stepper_mod, "solve_banded", scipy_newton)
         monkeypatch.setattr(stepper_mod, "poisson_solve_array", scipy_poisson)
@@ -563,11 +561,11 @@ class TestRunPath:
         original_stage = stepper_mod._solve_implicit_array
         failures = []
 
-        def fail_first(b, h, dt, *args):
+        def fail_first(b, dt, *args):
             if not failures:
                 failures.append(dt)
                 raise ImplicitStepError(residual=1.0)
-            return original_stage(b, h, dt, *args)
+            return original_stage(b, dt, *args)
 
         monkeypatch.setattr(stepper_mod, "_solve_implicit_array", fail_first)
         halved = run_path(x0, cfg, model, small_noise, seed=(2, 5))
@@ -585,8 +583,8 @@ class TestRunPath:
         predicted = run_path(x0, cfg, model, small_noise, seed=(8, 3))
         stage = stepper_mod._drift_substeps
 
-        def cold_stage(b, h, dt, model, counts, start=None):
-            return stage(b, h, dt, model, counts)
+        def cold_stage(b, dt, model, counts, start=None):
+            return stage(b, dt, model, counts)
 
         monkeypatch.setattr(stepper_mod, "_drift_substeps", cold_stage)
         cold = run_path(x0, cfg, model, small_noise, seed=(8, 3))
@@ -600,7 +598,7 @@ class TestRunPath:
         path runs to extinction with no RuntimeWarning and no halving."""
         model = ModelParams(DiffusionLaw(1.0, 0.2), lam=1e-4)
         x0 = make_initial(InitialSpec("bump", target_hm1_norm=0.1), grid, basis)
-        assert np.count_nonzero(x0.values == 0.0) >= grid.n_interior // 2
+        assert np.count_nonzero(x0 == 0.0) >= grid.n_interior // 2
         cfg = SolverConfig(dt=1e-3, t_final=0.2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -684,7 +682,7 @@ class TestFrozenShapeOracle:
         solver = SolverConfig(dt=dt, t_final=t_final, record_every=round(t_final / dt))
         config = ExperimentConfig(
             grid, 2, ModelParams(DiffusionLaw(1.0, alpha), lam=1e-4), mu, solver,
-            InitialSpec("custom", values=tuple(x0.values)), n_paths=n_paths,
+            InitialSpec("custom", values=tuple(x0)), n_paths=n_paths,
             master_seed=seed, checkpoints=(t_final,), gamma=gamma,
         )
         tau_hats = run_ensemble(config, workers=2).tau_hats
@@ -722,18 +720,18 @@ class TestWeakFormResidual:
         return cfg, run_path(x0, cfg, model, noise, seed=(3, 0))
 
     def test_zero_start_zero_residual(self, grid, basis, model, small_noise):
-        cfg, res = self._run(Field.zero(grid), grid, basis, small_noise, model, 1e-3)
+        cfg, res = self._run(np.zeros(grid.n_interior), grid, basis, small_noise, model, 1e-3)
         assert weak_form_residual(res, cfg, 1, model, small_noise) == 0.0
 
     def test_requires_logs(self, grid, basis, model, small_noise):
         cfg = SolverConfig(dt=1e-3, t_final=0.01)
-        res = run_path(Field.zero(grid), cfg, model, small_noise, seed=(3, 0))
+        res = run_path(np.zeros(grid.n_interior), cfg, model, small_noise, seed=(3, 0))
         with pytest.raises(ValueError):
             weak_form_residual(res, cfg, 1, model, small_noise)
 
     def test_rejects_recording_stride(self, grid, basis, model, small_noise):
         cfg = SolverConfig(dt=1e-3, t_final=0.01, record_every=5, store_states=True)
-        res = run_path(Field.zero(grid), cfg, model, small_noise, seed=(3, 0))
+        res = run_path(np.zeros(grid.n_interior), cfg, model, small_noise, seed=(3, 0))
         with pytest.raises(ValueError):
             weak_form_residual(res, cfg, 1, model, small_noise)
 
@@ -758,10 +756,8 @@ class TestWeakFormResidual:
 
     def test_halving_ratio_window(self, grid, basis, quiet_noise):
         model = ModelParams(DiffusionLaw(1.0, 0.5), lam=1e-5)
-        mix = Field(
-            basis.modes[0] + 0.5 * basis.modes[1] + 0.3 * basis.modes[2], grid
-        )
-        x0 = mix.with_values(mix.values * (0.1 / norm_hm1(mix)))
+        mix = basis.modes[0] + 0.5 * basis.modes[1] + 0.3 * basis.modes[2]
+        x0 = mix * (0.1 / norm_hm1(mix))
         defects = []
         for dt in (2e-3, 1e-3, 5e-4):
             cfg, res = self._run(x0, grid, basis, quiet_noise, model, dt)
@@ -782,7 +778,7 @@ class TestConvergenceStudy:
 
     def test_cauchy_decrease(self, grid, basis, model, small_noise):
         e1 = basis.mode(1)
-        x0 = e1.with_values(e1.values * (0.1 / norm_hm1(e1)))
+        x0 = e1 * (0.1 / norm_hm1(e1))
         cfg = SolverConfig(dt=1e-3, t_final=0.03, record_every=3)
         rows = convergence_study(
             x0, cfg, model, small_noise, (1e-1, 5e-2, 2.5e-2), seed=(11, 0)
