@@ -16,9 +16,7 @@ import numpy as np
 
 from .harness import (
     ConfigError,
-    build_bound_inputs,
     config_from_yaml,
-    resolve_gamma,
     run_ensemble,
     _build_context,
 )
@@ -93,13 +91,13 @@ def simulate(config_path, seed, out):
     """Run a single path and write its trajectory CSV."""
     with _exit_on_error():
         cfg = _load_config(config_path, seed)
-        noise, x0, cs = _build_context(cfg)
+        noise, x0, inputs = _build_context(cfg)
         traj = run_path(x0, cfg.solver, cfg.model, noise, seed=(cfg.master_seed, 0))
         if traj.failure is not None:
             raise PathFailedError(traj.failure)
     times = cfg.solver.record_times
     # M(t), the discounted norm of the paper's supermartingale, under c*
-    m = discounted_norm(times, traj.hm1_norms, cs, cfg.model.diffusion.alpha)
+    m = discounted_norm(times, traj.hm1_norms, inputs.c_star, inputs.alpha)
     columns = (times, traj.hm1_norms, traj.lp_norms, traj.min_values, traj.max_values, m)
     path = _outdir(out) / "trajectory.csv"
     _write_csv(
@@ -138,13 +136,11 @@ def bound(config_path, seed, out):
     """Write the theoretical extinction-probability bound curve as CSV."""
     with _exit_on_error():
         cfg = _load_config(config_path, seed)
-        _, x0, cs = _build_context(cfg)
-        gamma = resolve_gamma(cfg)
-        inputs = build_bound_inputs(cfg, x0, cs, gamma)
+        _, _, inputs = _build_context(cfg)
     ts = np.linspace(cfg.solver.t_final / 200, cfg.solver.t_final, 200)
     path = _outdir(out) / "bound.csv"
     _write_csv(path, "t,bound", ((t, extinction_bound(t, inputs)) for t in ts.tolist()))
-    click.echo(f"wrote {path} (gamma={gamma:.6g}, c_star={inputs.c_star:.6g})")
+    click.echo(f"wrote {path} (gamma={inputs.gamma:.6g}, c_star={inputs.c_star:.6g})")
 
 
 @main.command()

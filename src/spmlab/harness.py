@@ -10,6 +10,7 @@ and seed regardless of the worker count.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping, Set
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from fractions import Fraction
@@ -151,6 +152,10 @@ def _real(value) -> float:
 
 
 def _reals(values) -> tuple[float, ...]:
+    """A list, tuple or array of reals; not a string, mapping or set, which
+    would iterate as its characters, its keys or in hash order."""
+    if isinstance(values, (str, bytes, Mapping, Set)):
+        raise ValueError(f"{values!r} is not a sequence")
     return tuple(_real(v) for v in values)
 
 
@@ -400,8 +405,17 @@ class EnsembleSummary:
         return json.dumps(d, sort_keys=True, indent=2)
 
 
+def resolve_gamma(config: ExperimentConfig) -> float:
+    """The config's gamma override, else the dual-power estimate on its grid."""
+    if config.gamma is not None:
+        return config.gamma
+    return estimate_gamma(config.grid, config.model.diffusion.alpha).value
+
+
 def _build_context(config: ExperimentConfig):
-    """The noise, the initial state and c_star, a ConfigError if it overflows."""
+    """The set-up every command shares: the noise, the initial state and the
+    bound's inputs (|x0|_-1, the law, gamma and c_star); a ConfigError if
+    c_star overflows."""
     basis = build_basis(config.grid, max(config.K, config.initial.mode))
     noise = NoiseSpec(mu=np.asarray(config.mu), basis=basis)
     x0 = make_initial(config.initial, config.grid, basis)
@@ -411,7 +425,9 @@ def _build_context(config: ExperimentConfig):
         raise ConfigError(
             f"noise.mu {noise.mu.tolist()} gives c_star = {cs}, past the float range"
         )
-    return noise, x0, cs
+    law = config.model.diffusion
+    inputs = BoundInputs(norm_hm1(x0), law.alpha, law.rho, resolve_gamma(config), cs)
+    return noise, x0, inputs
 
 
 def _run_one(
@@ -427,27 +443,6 @@ def _run_one(
     )
 
 
-def resolve_gamma(config: ExperimentConfig) -> float:
-    """The config's gamma override, else the dual-power estimate on its grid."""
-    if config.gamma is not None:
-        return config.gamma
-    return estimate_gamma(config.grid, config.model.diffusion.alpha).value
-
-
-def build_bound_inputs(
-    config: ExperimentConfig, x0: np.ndarray, cs: float, gamma: float
-) -> BoundInputs:
-    """The theory bound's inputs: |x0|_-1, the law, gamma and _build_context's c_star."""
-    law = config.model.diffusion
-    return BoundInputs(
-        x_norm_hm1=norm_hm1(x0),
-        alpha=law.alpha,
-        rho=law.rho,
-        gamma=gamma,
-        c_star=cs,
-    )
-
-
 def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
     """Run n_paths independent paths and aggregate the extinction statistics.
 
@@ -457,10 +452,8 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
     bias the CDF). The summary carries its comparison with the theory bound,
     whose inputs are built, and so checked, before any path runs.
     """
-    noise, x0, cs = _build_context(config)
-    gamma = resolve_gamma(config)
-    inputs = build_bound_inputs(config, x0, cs, gamma)
-    run_one = partial(_run_one, config, noise, x0, gamma)
+    noise, x0, inputs = _build_context(config)
+    run_one = partial(_run_one, config, noise, x0, inputs.gamma)
     indices = range(config.n_paths)
     if workers <= 1:
         results = [run_one(i) for i in indices]
@@ -502,7 +495,7 @@ def run_ensemble(config: ExperimentConfig, workers: int = 1) -> EnsembleSummary:
         supermartingale_report=sm_report,
         extinct_fraction=sum(r.tau_hat is not None for r in ok) / n_ok,
         n_failed=n_failed,
-        gamma_used=gamma,
+        gamma_used=inputs.gamma,
         c_star=inputs.c_star,
         x0_norm_hm1=inputs.x_norm_hm1,
         tau_hats=[r.tau_hat for r in results],

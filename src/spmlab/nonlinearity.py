@@ -31,6 +31,8 @@ class DiffusionLaw:
             raise ValueError(f"rho must be positive and finite, got {self.rho}")
         if not 0 < self.alpha < 1:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if 1.0 + self.alpha == 1.0:  # gamma's L^(1+alpha) norm would be the L^1 norm
+            raise ValueError(f"alpha={self.alpha} is lost in 1 + alpha")
         try:  # _pressure_power's factor
             math.pow(self.rho, -1.0 / self.alpha)
         except OverflowError:

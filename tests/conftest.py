@@ -123,27 +123,32 @@ def amplitude_stage(a_prev, c, alpha):
             lo = mid
 
 
+def frozen_shape_moments(x0, noise):
+    """|u|_-1 of the shape u = x0, and the noise's moments on it: a_k = <u,
+    u e_k>_-1/|u|_-1^2 and G_jk = <u e_j, u e_k>_-1/|u|_-1^2, from one
+    cached Poisson solve of the block (u, u e_1, ..., u e_K)."""
+    h = 1.0 / (x0.size + 1)
+    block = np.vstack([x0, x0 * noise.basis.modes[: noise.n_modes]])
+    gram = h * block @ poisson_solve_array(block).T
+    return float(np.sqrt(gram[0, 0])), gram[0, 1:] / gram[0, 0], gram[1:, 1:] / gram[0, 0]
+
+
 def frozen_shape_tau(x0, noise, gamma, alpha, rho, config, seed):
     """tau of the frozen-shape scalar model of run_path from x0 = extremal_start,
     driven by the path's own increments; None if it outlives config.t_final.
 
     The shape is held at u = x0 and only the amplitude N = |X|_-1 moves. Per
     step, the noise kick u*f, f = 1 + sum_k m_k e_k with m_k = mu_k*dbeta_k,
-    has |u*f|_-1 = N*sqrt(1 + 2*sum_k a_k m_k + sum_jk G_jk m_j m_k), where
-    a_k = <u, u e_k>_-1/|u|_-1^2 and G_jk = <u e_j, u e_k>_-1/|u|_-1^2 (one
-    cached Poisson solve of the block), and the drift stage on gamma's
+    has |u*f|_-1 = N*sqrt(1 + 2*sum_k a_k m_k + sum_jk G_jk m_j m_k), with a
+    and G from frozen_shape_moments, and the drift stage on gamma's
     extremal shape is a + dt*rho*gamma^(1+alpha)*a^alpha = N_kick
     (amplitude_stage, as in scheme_extinction_time). Step i takes the i-th
     sample_increments of make_stream(*seed), as run_path does, and tau is the
     first step time with N <= config.extinction_eps.
     """
-    h = 1.0 / (x0.size + 1)
-    block = np.vstack([x0, x0 * noise.basis.modes[: noise.n_modes]])
-    gram = h * block @ poisson_solve_array(block).T
-    a, g = gram[0, 1:] / gram[0, 0], gram[1:, 1:] / gram[0, 0]
+    amplitude, a, g = frozen_shape_moments(x0, noise)
     c = config.dt * rho * gamma ** (1.0 + alpha)
     stream = make_stream(*seed)
-    amplitude = float(np.sqrt(gram[0, 0]))
     for i in range(1, config.n_steps + 1):
         m = noise.mu * sample_increments(config.dt, noise.n_modes, stream)
         kicked = amplitude * float(np.sqrt(1.0 + 2.0 * a @ m + m @ g @ m))

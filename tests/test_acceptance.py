@@ -27,7 +27,7 @@ from spmlab import (
     weak_form_residual,
     yosida,
 )
-from spmlab.harness import _build_context, build_bound_inputs
+from spmlab.harness import _build_context
 from spmlab.operators import laplacian_array, poisson_solve_array
 from spmlab.theory import (
     BoundInputs,
@@ -107,8 +107,7 @@ class TestCriterion1:
 class TestCriterion2:
     def test_bound_holds_at_every_checkpoint(self, noisy_ensemble):
         cfg, summary = noisy_ensemble
-        _, x0, cs = _build_context(cfg)
-        inputs = build_bound_inputs(cfg, x0, cs, summary.gamma_used)
+        _, _, inputs = _build_context(cfg)
         # the horizon must reach the 50% regime of the theoretical bound
         assert time_to_reach_bound(0.5, inputs) <= T_FINAL
         assert extinction_bound(T_FINAL, inputs) >= 0.5

@@ -5,9 +5,11 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from spmlab import c_star, cli, config_from_yaml, extinction_bound, run_ensemble, run_path
+from spmlab import (
+    c_star, cli, compare_with_bound, config_from_yaml, extinction_bound, run_ensemble, run_path,
+)
 from spmlab.cli import main
-from spmlab.harness import _build_context, build_bound_inputs
+from spmlab.harness import _build_context
 from spmlab.stepper import ImplicitStepError
 from spmlab.theory import discounted_norm
 
@@ -35,12 +37,12 @@ class TestSimulate:
         # one line per recorded row of path 0: its five columns and
         # M(t) = discounted_norm under the config's c*, every value exact
         cfg = config_from_yaml(cfg_file)
-        noise, x0, cs = _build_context(cfg)
+        noise, x0, inputs = _build_context(cfg)
         traj = run_path(x0, cfg.solver, cfg.model, noise, seed=(cfg.master_seed, 0))
         alpha = cfg.model.diffusion.alpha
         times = cfg.solver.record_times
-        assert cs == c_star(noise)
-        m = discounted_norm(times, traj.hm1_norms, cs, alpha)
+        assert inputs.c_star == c_star(noise)
+        m = discounted_norm(times, traj.hm1_norms, inputs.c_star, alpha)
         expected = np.column_stack(
             (times, traj.hm1_norms, traj.lp_norms, traj.min_values, traj.max_values, m)
         )
@@ -144,7 +146,7 @@ class TestBound:
 
     def test_inputs_equal_the_ensembles(self, cfg_file, tmp_path, monkeypatch):
         """spmlab bound draws its curve from the inputs that run_ensemble
-        compares against: one builder makes both."""
+        compares against: both take them from the one set-up, _build_context."""
         seen = []
 
         def recording(t, inputs):
@@ -155,10 +157,11 @@ class TestBound:
         r = run_cli("bound", "--config", str(cfg_file), "--out", str(tmp_path / "bnd"))
         assert r.exit_code == 0, r.output
         cfg = config_from_yaml(cfg_file)
-        _, x0, cs = _build_context(cfg)
+        _, _, inputs = _build_context(cfg)
         summary = run_ensemble(cfg)
         assert len(seen) == 200
-        assert set(seen) == {build_bound_inputs(cfg, x0, cs, summary.gamma_used)}
+        assert set(seen) == {inputs}
+        assert summary.comparison == compare_with_bound(summary, inputs)
 
 
 class TestGamma:
@@ -241,6 +244,9 @@ PAST_THE_FLOAT_RANGE = [
     dict(grid=dict(n_interior=1e160)),
     dict(model={"rho": 1e-300, "alpha": 0.5, "lambda": 1e-4}),
 ]
+# an alpha that 1 + alpha rounds away: the gamma estimate, which every
+# command makes, would divide by 0
+ALPHA_LOST_IN_ONE_PLUS_ALPHA = dict(model={"rho": 1.0, "alpha": 1e-300, "lambda": 1e-4})
 # grids whose h is in range but whose float64 state numpy cannot allocate
 # (more than intp's maximum bytes); sizes from about 1e9 up to that limit
 # would ask for gigabytes and are not run
@@ -318,6 +324,14 @@ class TestBadValues:
             dict(grid=dict(n_interior=31, length=2.0)),
             dict(grid=dict(n_interior=31, length=0.5)),
             *PAST_NUMPYS_SIZE_LIMIT,
+            # a list-valued key given a string, a mapping or a set, which
+            # would iterate as its characters, its keys or in hash order
+            dict(noise=dict(mu="12")),
+            dict(convergence_lambdas="12"),
+            dict(initial=dict(kind="custom", values="1" * 31)),
+            dict(noise=dict(mu={0.05: "x", 0.02: "y"})),
+            dict(noise=dict(mu={3.0, 1.0})),
+            ALPHA_LOST_IN_ONE_PLUS_ALPHA,
         ],
     )
     def test_exit_2(self, tmp_path, overrides):
@@ -333,6 +347,8 @@ class TestBadValues:
         *((c, dict(noise=dict(mu=[1e160, 0.0]))) for c in ("bound", "simulate", "convergence")),
         *((c, o) for c in ("simulate", "bound", "gamma", "convergence")
           for o in PAST_NUMPYS_SIZE_LIMIT),
+        *((c, ALPHA_LOST_IN_ONE_PLUS_ALPHA)
+          for c in ("simulate", "bound", "gamma", "convergence")),
     ])
     def test_past_the_float_range_exit_2_from_every_command(self, tmp_path, command, overrides):
         """The cases test_exit_2 gives ensemble, for the other commands that

@@ -26,7 +26,7 @@ from spmlab import (
     run_ensemble,
     wilson_interval,
 )
-from spmlab.harness import ConfigError, _build_context, build_bound_inputs
+from spmlab.harness import ConfigError, _build_context, resolve_gamma
 from spmlab.operators import norm_l2_array
 from spmlab.stepper import PathFailedError, Trajectory
 from spmlab.theory import BoundInputs
@@ -447,10 +447,10 @@ class TestRunEnsemble:
         build, handed = hmod._build_context, []
 
         def writeable_context(config):
-            noise, x0, cs = build(config)
+            noise, x0, inputs = build(config)
             assert x0.flags.writeable is False
             handed.append(x0.copy())
-            return noise, handed[-1], cs
+            return noise, handed[-1], inputs
 
         monkeypatch.setattr(hmod, "_build_context", writeable_context)
         cfg = config_from_dict(base_raw(n_paths=2))
@@ -479,6 +479,21 @@ class TestRunEnsemble:
         summary = run_ensemble(config_from_dict(base_raw(n_paths=2, gamma=1e-250)))
         assert [row.bound for row in summary.comparison.rows] == [0.0] * 4
         assert summary.comparison.overall_pass
+
+    def test_gamma_override_makes_no_estimate(self, monkeypatch):
+        """A gamma override is used as given: the set-up makes no estimate,
+        so a benchmark that passes its set-up's estimate as an override
+        counts one estimate per config."""
+        cfg = config_from_dict(base_raw(n_paths=2))
+        cfg = dataclasses.replace(cfg, gamma=resolve_gamma(cfg))
+
+        def refuse(*args):
+            raise AssertionError("estimate_gamma called under a gamma override")
+
+        monkeypatch.setattr("spmlab.harness.estimate_gamma", refuse)
+        summary = run_ensemble(cfg, workers=1)
+        assert summary.gamma_used == cfg.gamma
+        assert summary.extinct_fraction == 1.0
 
     def test_seed_reproducibility(self, tiny_summary):
         cfg, s1 = tiny_summary
@@ -624,15 +639,13 @@ class TestCompareWithBound:
 
     def test_extinct_ensemble_passes(self, tiny_summary):
         cfg, s = tiny_summary
-        _, x0, cs = _build_context(cfg)
-        inputs = build_bound_inputs(cfg, x0, cs, s.gamma_used)
+        _, _, inputs = _build_context(cfg)
         rep = compare_with_bound(s, inputs)
         assert rep.overall_pass
 
     def test_summary_carries_its_comparison(self, tiny_summary):
         cfg, s = tiny_summary
-        _, x0, cs = _build_context(cfg)
-        inputs = build_bound_inputs(cfg, x0, cs, s.gamma_used)
+        _, _, inputs = _build_context(cfg)
         assert s.comparison == compare_with_bound(s, inputs)
 
     def test_unreachable_bound_fails(self, tiny_summary):

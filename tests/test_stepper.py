@@ -40,6 +40,7 @@ from spmlab.theory import BoundInputs, deterministic_extinction_time, discounted
 from conftest import (
     drift_oracle,
     extremal_start,
+    frozen_shape_moments,
     frozen_shape_tau,
     gtsv_reference_stage,
     reference_stage,
@@ -710,6 +711,36 @@ class TestFrozenShapeOracle:
         tau = frozen_shape_tau(x0, noise, gamma, alpha, 1.0, solver, seed)
         assert tau_hat is not None
         assert tau is None or tau - tau_hat > 3 * dt * (1.0 + 1e-9)
+
+    def test_ito_drift_of_log_amplitude(self):
+        """Ito's formula on the model's log N. A step's kick adds
+        1/2 log(1 + 2 sum_k mu_k a_k dbeta_k + sum_jk mu_j mu_k G_jk dbeta_j
+        dbeta_k) to log N, whose mean is dt*sum_k mu_k^2 (G_kk/2 - a_k^2) +
+        O(dt^2): the noise's share of the drift of log |X|_-1 along gamma's
+        extremal shape, at alpha = 1/2 -0.7952 per mu_1^2 and +0.0860 per
+        mu_2^2 (a_2 and G_12 vanish by symmetry). The mean is taken by 60-point
+        Gauss-Hermite quadrature in each increment, and its relative gap to
+        dt times the drift is first order: 2.35e-4, 2.35e-5 and 2.35e-6 at
+        dt = 1e-4, 1e-5 and 1e-6 under mu = (1, 0.3)."""
+        grid = GridSpec(127)
+        noise = NoiseSpec(mu=np.array([1.0, 0.3]), basis=build_basis(grid, 2))
+        _, a, g = frozen_shape_moments(extremal_start(grid, 0.5, 0.1), noise)
+        np.testing.assert_allclose(a, [1.2622, 0.0], atol=1e-4)
+        np.testing.assert_allclose(np.diag(g), [1.5959, 0.1720], atol=1e-4)
+        assert abs(a[1]) < 1e-12 and abs(g[0, 1]) < 1e-12 and abs(g[1, 0]) < 1e-12
+        per_mu_squared = np.diag(g) / 2.0 - a**2
+        np.testing.assert_allclose(per_mu_squared, [-0.7952, 0.0860], atol=1e-4)
+        drift = float(noise.mu**2 @ per_mu_squared)
+        z, w = np.polynomial.hermite_e.hermegauss(60)
+        w = w / w.sum()  # the standard normal's weights
+        gaps = []
+        for dt in (1e-4, 1e-5, 1e-6):
+            m = noise.mu[:, None, None] * np.sqrt(dt) * np.stack(np.meshgrid(z, z, indexing="ij"))
+            x = 2.0 * np.einsum("k,kab->ab", a, m) + np.einsum("jk,jab,kab->ab", g, m, m)
+            mean = 0.5 * np.einsum("a,b,ab->", w, w, np.log1p(x))
+            gaps.append((mean / dt / drift - 1.0) / dt)
+        # the gap over dt is one constant: a first-order decay
+        np.testing.assert_allclose(gaps, 2.346, rtol=1e-3)
 
 
 class TestWeakFormResidual:
