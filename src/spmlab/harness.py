@@ -112,7 +112,8 @@ class ExperimentConfig:
             raise ConfigError("checkpoints must be finite")
         if any(b <= a for a, b in zip(cps, cps[1:])):
             raise ConfigError("checkpoints must be strictly increasing")
-        if cps[0] <= 0 or cps[-1] > self.solver.t_final + 1e-12:
+        # the relative tolerance of SolverConfig's divisibility check and step_time
+        if cps[0] <= 0 or cps[-1] > self.solver.t_final * (1.0 + 1e-9):
             raise ConfigError("checkpoints must lie in (0, t_final]")
         if self.gamma is not None and not 0 < self.gamma < np.inf:
             raise ConfigError(f"gamma override must be positive and finite, got {self.gamma}")

@@ -298,6 +298,8 @@ def estimate_gamma(grid: GridSpec, alpha: float) -> GammaEstimate:
     """
     if not 0 < alpha <= 1:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    if 1.0 + alpha == 1.0:  # q = p/(p - 1) would divide by 0; DiffusionLaw refuses it too
+        raise ValueError(f"alpha={alpha} is lost in 1 + alpha")
     u, ratios = _dual_power(mode1_exact(grid), alpha + 1.0)
     minimizer = u / np.linalg.norm(u)
     minimizer.flags.writeable = False

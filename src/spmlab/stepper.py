@@ -165,8 +165,8 @@ class Trajectory:
     tau_hat is the extinction time, None if the path is alive at t_final or
     failed; every row from tau_hat on is exactly 0. failure is None for a
     completed path and otherwise says why the implicit stage gave up (the
-    path is then held at its last noise kick, and its rows record that
-    state). seed names the path. coercivity_violations is None when
+    path then ends at its last completed step, whose state every later row
+    records). seed names the path. coercivity_violations is None when
     run_path checked no gamma. states is populated only when the solver
     config asks for it (weak-form residual, convergence studies).
     """
@@ -302,8 +302,9 @@ def run_path(
     stages take one Newton iteration.
 
     The stream is keyed by (master_seed, path_index) and step i takes the
-    i-th draw. The loop stops after the step that ends the path (extinction
-    or a failed stage), and its final state fills every later row. The
+    i-th draw. The loop stops at the step that ends the path, and its final
+    state (zero after extinction, the last completed step's after a failed
+    stage) fills every row not yet written. The
     path's one record is its Trajectory: the observables at
     config.record_times, tau_hat or the failure, and the solver work in
     solver_counts. Its coercivity_violations counts the live steps with
@@ -317,8 +318,9 @@ def run_path(
     if x0.shape != scaled_modes.shape[1:]:
         raise GridError("state and noise basis live on different grids")
 
-    rows = []  # (hm1, lp, min, max) at each time of record_times
-    states = [] if config.store_states else None
+    rows = np.empty((4, record_times.size)).T  # (hm1, lp, min, max) rows, contiguous columns
+    states = np.empty((record_times.size, x0.size)) if config.store_states else None
+    r = 0  # the next row to write
     coercivity_violations = None if gamma_check is None else 0
     counts = SolverCounts()
 
@@ -331,56 +333,47 @@ def run_path(
         if i > 0:
             dbeta = sample_increments(config.dt, noise.n_modes, stream)
             f = kick_factor(dbeta, scaled_modes)
-            perturbed = x * f
             start = None
             if w is not None:
                 s = np.sign(f) * np.abs(f) ** alpha
                 kicked = w * s
                 start = kicked if d is None else kicked + d * s
             try:
-                x, w_new = _drift_substeps(perturbed, config.dt, model, counts, start)
+                x, w_new = _drift_substeps(x * f, config.dt, model, counts, start)
             except ImplicitStepError as exc:
                 failure = str(exc)
-                x = perturbed
-            else:
-                if start is not None:
-                    d = w_new - kicked
-                w = w_new
+                break
+            if start is not None:
+                d = w_new - kicked
+            w = w_new
         lp = float(norm_lp_array(x, p))
         # this module's solve, which the tracer counts: one at t = 0 and
-        # one per live step, a failed one included (the held kick's norm)
+        # one per completed step
         hm1 = float(norm_hm1_array(x, poisson_solve_array(x)))
-        if failure is None:
-            if i > 0 and gamma_check is not None:
-                if lp < gamma_check * hm1 * (1.0 - 1e-9) - 1e-14:
-                    coercivity_violations += 1
-            if hm1 <= config.extinction_eps:
-                tau_hat = t
-                x = np.zeros_like(x)
-                hm1 = lp = 0.0
-        ended = tau_hat is not None or failure is not None
-        # t and record_times[r] are the same product i*dt; an ended path
-        # holds its final state, which every row from here on records
-        if ended or t == record_times[len(rows)]:
-            n = record_times.size - len(rows) if ended else 1
-            rows += [(hm1, lp, float(x.min()), float(x.max()))] * n
-            if states is not None:
-                states += [x.copy()] * n
-        if ended:
+        if i > 0 and gamma_check is not None:
+            if lp < gamma_check * hm1 * (1.0 - 1e-9) - 1e-14:
+                coercivity_violations += 1
+        if hm1 <= config.extinction_eps:
+            tau_hat = t
+            x = np.zeros_like(x)
+            hm1 = lp = 0.0
             break
+        # t and record_times[r] are the same product i*dt
+        if t == record_times[r]:
+            rows[r] = hm1, lp, x.min(), x.max()
+            if states is not None:
+                states[r] = x
+            r += 1
 
-    hm1s, lps, mins, maxs = np.array(rows).T.copy()  # contiguous columns
+    # an ended path's final state fills every remaining row
+    rows[r:] = hm1, lp, x.min(), x.max()
+    if states is not None:
+        states[r:] = x
+    hm1s, lps, mins, maxs = rows.T
     return Trajectory(
-        hm1_norms=hm1s,
-        lp_norms=lps,
-        min_values=mins,
-        max_values=maxs,
-        seed=seed,
-        tau_hat=tau_hat,
-        failure=failure,
-        coercivity_violations=coercivity_violations,
-        solver_counts=counts,
-        states=np.array(states) if states is not None else None,
+        hm1_norms=hm1s, lp_norms=lps, min_values=mins, max_values=maxs, seed=seed,
+        tau_hat=tau_hat, failure=failure, coercivity_violations=coercivity_violations,
+        solver_counts=counts, states=states,
     )
 
 

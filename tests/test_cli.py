@@ -384,13 +384,28 @@ class TestNumericalFailure:
     @pytest.mark.parametrize("mu", [[1e150, 0.0], [1e140, 5e139]])
     def test_overflowing_kick_exit_3(self, tmp_path, command, mu):
         """c* is finite, but the kicked state's squared norm overflows within
-        a few steps (and, with a mode that changes sign, its held kick's
-        u.A^-1 u is inf - inf): the stage's finiteness check ends the path,
+        a few steps (and, with a mode that changes sign, the stage meets
+        inf - inf): the stage's finiteness check ends the path,
         and no overflow or invalid-value warning is raised on the way there,
         which pytest turns into errors."""
         p = tmp_path / "kick.yaml"
         p.write_text(yaml.safe_dump(base_raw(n_paths=3, noise=dict(mu=mu))))
         r = run_cli(command, "--config", str(p), "--out", str(tmp_path / "o"))
+        assert r.exit_code == 3, r.output
+        assert "non-finite right-hand side norm" in r.output
+
+    @pytest.mark.parametrize("command", ["simulate", "ensemble", "convergence"])
+    def test_kick_to_inf_exit_3(self, tmp_path, command):
+        """At this seed the first kick overflows some nodes of the state to
+        +-inf, and the stage fails on them: the path ends at t = 0, the last
+        step it completed, and no norm of the infinite state is taken."""
+        p = tmp_path / "kick-inf.yaml"
+        p.write_text(yaml.safe_dump(base_raw(
+            grid=dict(n_interior=7), K=1, noise=dict(mu=[1.3e153]),
+            initial=dict(kind="custom", values=[1.5e153] * 7),
+            solver=dict(dt=1e4, t_final=2e4, record_every=1), checkpoints=[2e4], n_paths=1,
+        )))
+        r = run_cli(command, "--config", str(p), "--seed", "18", "--out", str(tmp_path / "o"))
         assert r.exit_code == 3, r.output
         assert "non-finite right-hand side norm" in r.output
 

@@ -184,9 +184,26 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_dict(base_raw(checkpoints=[0.3, 0.2]))
 
-    def test_checkpoint_beyond_horizon(self):
-        with pytest.raises(ConfigError):
-            config_from_dict(base_raw(checkpoints=[0.1, 0.5]))
+    @pytest.mark.parametrize(
+        "t_final, dt, checkpoint, refused",
+        [
+            (1e-15, 1e-16, 5e-13, True),  # 500 horizons out, within an absolute 1e-12
+            (1e6, 1e5, np.nextafter(1e6, np.inf), False),  # one ulp, within the 1e-9 ratio
+        ],
+        ids=["500x-past-tiny-horizon", "one-ulp-past-1e6"],
+    )
+    def test_checkpoint_beyond_horizon(self, t_final, dt, checkpoint, refused):
+        """A checkpoint may pass t_final by the relative tolerance with which
+        step_time reads it, and by nothing more."""
+        raw = base_raw(
+            solver=dict(dt=dt, t_final=t_final, record_every=1), checkpoints=[checkpoint]
+        )
+        if refused:
+            with pytest.raises(ConfigError, match=r"checkpoints must lie in \(0, t_final\]"):
+                config_from_dict(raw)
+        else:
+            cfg = config_from_dict(raw)
+            assert cfg.solver.step_time(checkpoint) == t_final
 
     def test_custom_values_wrong_length(self):
         # the grid has 31 interior nodes
@@ -599,6 +616,28 @@ class TestRunEnsemble:
         cfg = config_from_dict(base_raw(n_paths=4))
         with pytest.raises(PathFailedError, match=r"4/4 paths failed \(cap 1%\): \['boom'\]"):
             run_ensemble(cfg, workers=1)
+
+    def test_overflowing_kick_fails_one_path(self, monkeypatch):
+        """A kick factor holding inf, at the first step of the first path,
+        fails that path's stage: the path is one failure under the 1% cap,
+        and the other 149 paths complete."""
+        import spmlab.stepper as smod
+
+        original, calls = smod.kick_factor, []
+
+        def inf_once(dbeta, scaled_modes):
+            f = original(dbeta, scaled_modes)
+            if not calls:
+                f[0] = np.inf
+            calls.append(None)
+            return f
+
+        monkeypatch.setattr(smod, "kick_factor", inf_once)
+        cfg = config_from_dict(base_raw(
+            n_paths=150, solver=dict(dt=2e-3, t_final=0.1, record_every=10), checkpoints=[0.1],
+        ))
+        summary = run_ensemble(cfg, workers=1)
+        assert summary.n_failed == 1 and len(summary.trajectories) == 149
 
     @pytest.mark.parametrize("below", [(), (1,)])
     def test_positivity_floor(self, monkeypatch, below):

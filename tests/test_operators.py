@@ -88,14 +88,14 @@ class TestGrid:
             GridSpec(n)
         GridSpec(np.iinfo(np.intp).max // 8)
 
-    def test_field_shape_mismatch(self, grid, small_noise, model):
+    def test_state_shape_mismatch(self, grid, small_noise, model):
         """A state one node longer than the grid is refused by run_path's
         check against the noise basis, before its first step."""
         cfg = SolverConfig(dt=1e-3, t_final=1e-2)
         with pytest.raises(GridError, match="different grids"):
             run_path(np.zeros(grid.n_interior + 1), cfg, model, small_noise, seed=(0, 0))
 
-    def test_field_rejects_nan(self, grid, basis):
+    def test_state_rejects_nan(self, grid, basis):
         """A state with a non-finite node value is refused by the Poisson
         solve behind every H^-1 norm, so run_path refuses it before its first
         step."""
@@ -420,6 +420,9 @@ class TestGamma:
     def test_alpha_out_of_range(self, grid):
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\]"):
             estimate_gamma(grid, alpha=1.5)
+        # in (0, 1], but p = 1 + alpha rounds to 1 and q = p/(p - 1) divides by 0
+        with pytest.raises(ValueError, match=r"alpha=1e-300 is lost in 1 \+ alpha"):
+            estimate_gamma(grid, alpha=1e-300)
 
     def test_minimizer_consistency(self, grid):
         est = estimate_gamma(grid, alpha=0.5)

@@ -34,7 +34,6 @@ from spmlab.operators import (
 )
 from spmlab.stepper import ImplicitStepError, NonFiniteStageError, SolverCounts, Trajectory
 from spmlab.cli import _write_csv
-from spmlab.noise import kick_factor, make_stream, sample_increments
 from spmlab.theory import BoundInputs, deterministic_extinction_time, discounted_norm
 
 from conftest import (
@@ -396,11 +395,10 @@ class TestRunPath:
         assert res.failure is not None and "residual" in res.failure
 
     def test_failed_path_records_the_held_state(self, model, basis, monkeypatch):
-        """When the stage fails at step 3 the path holds its kicked state,
-        the state of step 2 times the third draw's kick factor, and every
-        row records the norms of the state it stores: the held state's H^-1
-        norm, not the last stage's. Every row and state from step 3 on is
-        the held kick's."""
+        """When the stage fails at step 3 the path ends at step 2, its last
+        completed step, and holds that state: every row and state from step
+        3 on is step 2's, norms included, and no state past step 2 is ever
+        measured."""
         noise = NoiseSpec(mu=np.array([0.3, 0.1]), basis=basis)
         x0, cfg = self._noisy_extinct_setup(basis, store_states=True)
         stage, calls = stepper_mod._drift_substeps, []
@@ -414,19 +412,16 @@ class TestRunPath:
         monkeypatch.setattr(stepper_mod, "_drift_substeps", fail_third)
         res = run_path(x0, cfg, model, noise, seed=(1, 0))
         assert res.failure is not None and len(calls) == 3 and res.tau_hat is None
-        states = res.states
-        np.testing.assert_array_equal(
-            res.hm1_norms, norm_hm1_array(states, poisson_solve_array(states))
-        )
-        np.testing.assert_array_equal(res.lp_norms, norm_lp_array(states, 1.5))
-        assert res.hm1_norms[3] != res.hm1_norms[2]
-        stream = make_stream(1, 0)
-        for _ in range(3):
-            dbeta = sample_increments(cfg.dt, noise.n_modes, stream)
-        held = states[2] * kick_factor(dbeta, noise.scaled_modes())
-        np.testing.assert_array_equal(states[3:], np.broadcast_to(held, states[3:].shape))
+        completed = run_path(x0, cfg, model, noise, seed=(1, 0))
+        np.testing.assert_array_equal(res.states[:3], completed.states[:3])
+        held = np.broadcast_to(res.states[2], res.states[3:].shape)
+        np.testing.assert_array_equal(res.states[3:], held)
         for column in (res.hm1_norms, res.lp_norms, res.min_values, res.max_values):
-            np.testing.assert_array_equal(column[3:], column[3])
+            np.testing.assert_array_equal(column[3:], column[2])
+        np.testing.assert_array_equal(
+            res.hm1_norms, norm_hm1_array(res.states, poisson_solve_array(res.states))
+        )
+        np.testing.assert_array_equal(res.lp_norms, norm_lp_array(res.states, 1.5))
 
     def test_one_row_per_record_time(self, model, small_noise, basis):
         """A path has one row per time of its config's record_times, the last
